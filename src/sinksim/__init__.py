@@ -8,21 +8,22 @@ from .geometry import (CircleField, CirclePath, Field, Path, Point,
                        sink_position, sojourn_points)
 from .presets import PRESET_NAMES, config_from_dict, config_to_dict, load_preset
 from .protocols import (ADVANCED, CL_SEP, NORMAL, SEP, SRP, NetworkParams,
-                        Node, NodeState, RoundOutcome, ch_probability,
-                        cl_sep_round, election_threshold, sep_round, srp_round)
+                        NodeState, RoundOutcome, ch_probability, direct_round,
+                        election_threshold, sep_round, srp_round)
 from .simulation import (RunMetrics, ScenarioConfig, Simulation, deploy,
                          rng_identity, rng_stream, run)
 
 __all__ = [
     "ADVANCED", "CL_SEP", "CircleField", "CirclePath", "ConfigurationError",
-    "Field", "NORMAL", "NetworkParams", "Node", "NodeState", "PRESET_NAMES",
+    "Field", "NORMAL", "NetworkParams", "NodeState", "PRESET_NAMES",
     "Path", "Point", "RadioParams", "RoundOutcome", "RunMetrics",
     "SEP", "SRP", "ScenarioConfig", "Simulation", "SquareField", "SquarePath",
     "StaticPath", "Trajectory", "aggregation_energy", "ch_probability",
-    "cl_sep_round", "config_from_dict", "config_to_dict", "coverage_radius",
-    "coverage_radius_grid", "deploy", "distance", "election_threshold",
-    "load_preset", "rng_identity", "rng_stream", "run", "rx_energy",
-    "sep_round", "sink_position", "sojourn_points", "srp_round", "tx_energy",
+    "config_from_dict", "config_to_dict", "coverage_radius",
+    "coverage_radius_grid", "deploy", "direct_round", "distance",
+    "election_threshold", "load_preset", "rng_identity", "rng_stream", "run",
+    "rx_energy", "sep_round", "sink_position", "sojourn_points", "srp_round",
+    "tx_energy",
 ]
 
 __version__ = "0.1.0"

@@ -240,6 +240,8 @@ def sweep_radius(base: dict, radii: list[float], seed_count: int,
     """
     if base.get("trajectory", {}).get("path") != "circle":
         raise ConfigurationError("sweep requires a base scenario with a circular trajectory")
+    if seed_count < 1:
+        raise ConfigurationError("sweep needs at least one seed")
     rows = []
     for radius in radii:
         d = copy.deepcopy(base)

@@ -1,14 +1,16 @@
-"""Per-round protocol engines.
+"""Per-round protocol engines over one network state.
 
-Three engines share one network state:
-
+* ``direct_round`` — the one direct-transmission rule. Every alive node listed
+  in a reach slot (the nodes in range of the sink's current point, with their
+  precomputed transmission costs) sends one packet straight to the sink. It
+  runs srp (one slot per sojourn point), cl-sep (one slot, every node, static
+  sink) and sep's no-head fallback.
 * ``sep_round``    — clustered routing to a static sink. Nodes self-elect as
   cluster heads with a rotating threshold weighted by energy heterogeneity,
   members transmit to the nearest head, heads aggregate and forward.
-* ``cl_sep_round`` — clusterless baseline: every alive node transmits one
-  packet straight to the static sink each round.
-* ``srp_round``    — mobile sink: only nodes within the trajectory's sensing
-  range of the current sojourn point transmit; everyone else sleeps for free.
+* ``srp_round``    — vectorised reference for srp, recomputing the sink
+  position and distances every round; tests use it as the oracle for
+  ``direct_round`` over the precomputed reach table.
 
 Death rule (uniform across engines): a node performs an energy-costing action
 only when its residual energy covers the full cost; otherwise it spends
@@ -26,7 +28,7 @@ import numpy as np
 
 from .energy import RadioParams, aggregation_energy, rx_energy, tx_energy, tx_energy_many
 from .errors import ConfigurationError
-from .geometry import Point, Trajectory, sink_position
+from .geometry import Trajectory, sink_position
 
 NORMAL = "normal"
 ADVANCED = "advanced"
@@ -76,58 +78,23 @@ class NetworkParams:
         return (self.n - adv) * self.e0 + adv * self.advanced_energy
 
 
-@dataclass
-class Node:
-    """One sensor node."""
-
-    id: int
-    pos: Point
-    kind: str = NORMAL
-    energy: float = 0.5
-    alive: bool = True
-    in_set_g: bool = True     # eligible for cluster-head duty this epoch
-    packets_sent: int = 0
-
-
 class NodeState:
-    """Mutable per-node state held as parallel arrays for fast round updates."""
+    """Per-node state held as parallel arrays, indexed by node id.
+
+    Every node starts alive, eligible for cluster-head duty (set G) and with
+    no packets sent.
+    """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, is_advanced: np.ndarray,
-                 energy: np.ndarray, alive: np.ndarray, in_set_g: np.ndarray,
-                 packets_sent: np.ndarray):
+                 energy: np.ndarray):
+        n = xs.shape[0]
         self.xs = xs
         self.ys = ys
         self.is_advanced = is_advanced
         self.energy = energy
-        self.alive = alive
-        self.in_set_g = in_set_g
-        self.packets_sent = packets_sent
-
-    @classmethod
-    def from_nodes(cls, nodes: list[Node]) -> "NodeState":
-        return cls(
-            xs=np.array([n.pos.x for n in nodes], dtype=np.float64),
-            ys=np.array([n.pos.y for n in nodes], dtype=np.float64),
-            is_advanced=np.array([n.kind == ADVANCED for n in nodes], dtype=bool),
-            energy=np.array([n.energy for n in nodes], dtype=np.float64),
-            alive=np.array([n.alive for n in nodes], dtype=bool),
-            in_set_g=np.array([n.in_set_g for n in nodes], dtype=bool),
-            packets_sent=np.array([n.packets_sent for n in nodes], dtype=np.int64),
-        )
-
-    def to_nodes(self) -> list[Node]:
-        return [
-            Node(
-                id=i,
-                pos=Point(float(self.xs[i]), float(self.ys[i])),
-                kind=ADVANCED if self.is_advanced[i] else NORMAL,
-                energy=float(self.energy[i]),
-                alive=bool(self.alive[i]),
-                in_set_g=bool(self.in_set_g[i]),
-                packets_sent=int(self.packets_sent[i]),
-            )
-            for i in range(self.n)
-        ]
+        self.alive = np.ones(n, dtype=bool)
+        self.in_set_g = np.ones(n, dtype=bool)
+        self.packets_sent = np.zeros(n, dtype=np.int64)
 
     @property
     def n(self) -> int:
@@ -163,17 +130,16 @@ def ch_probability(net: NetworkParams, kind: str) -> float:
     raise ValueError(f"unknown node kind: {kind!r}")
 
 
-def election_threshold(p: float, round_idx: int, in_set_g: bool) -> float:
-    """Rotating self-election threshold.
+def election_threshold(p: float, round_idx: int) -> float:
+    """Rotating self-election threshold for a node in the eligible set G.
 
-    Nodes outside the eligible set G get 0. Within an epoch of ceil(1/p)
-    rounds the threshold climbs as p / (1 - p*(r mod epoch)) so each eligible
-    node is elected once per epoch in expectation; the final slot clamps to 1.
+    Within an epoch of ceil(1/p) rounds the threshold climbs as
+    p / (1 - p*(r mod epoch)) so each eligible node is elected once per epoch
+    in expectation; the final slot clamps to 1. Callers give nodes outside G
+    no chance of election.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    if not in_set_g:
-        return 0.0
     epoch = math.ceil(1.0 / p)
     slot = round_idx % epoch
     denom = 1.0 - p * slot
@@ -186,9 +152,36 @@ def _epoch(p: float) -> int:
     return math.ceil(1.0 / p)
 
 
+def direct_round(state: NodeState, slot: list[tuple[int, float]]) -> RoundOutcome:
+    """Every alive node in ``slot`` sends one packet straight to the sink.
+
+    ``slot`` lists ``(id, cost)`` in id order; a node that cannot pay its cost
+    is marked dead instead.
+    """
+    out = RoundOutcome()
+    alive = state.alive
+    energy = state.energy
+    for i, cost in slot:
+        if not alive[i]:
+            continue
+        if energy[i] >= cost:
+            energy[i] -= cost
+            state.packets_sent[i] += 1
+            out.packets += 1
+            out.cost += cost
+        else:
+            alive[i] = False
+            out.deaths += 1
+    return out
+
+
 def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
-              radio: RadioParams, sink: Point, rng: np.random.Generator) -> RoundOutcome:
+              radio: RadioParams, uplink: list[tuple[int, float]],
+              rng: np.random.Generator) -> RoundOutcome:
     """One clustered round against a static sink.
+
+    ``uplink`` is the static sink's reach slot: every node's ``(id, cost)`` of
+    transmitting straight to the sink, in id order.
 
     Phases: epoch bookkeeping and head self-election; members join the nearest
     alive head; member-to-head transmissions (head pays reception per packet);
@@ -214,8 +207,8 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     if round_idx % _epoch(p_adv) == 0:
         state.in_set_g[state.alive & state.is_advanced] = True
 
-    t_nrm = election_threshold(p_nrm, round_idx, True)
-    t_adv = election_threshold(p_adv, round_idx, True)
+    t_nrm = election_threshold(p_nrm, round_idx)
+    t_adv = election_threshold(p_adv, round_idx)
     thresholds = np.where(state.is_advanced, t_adv, t_nrm)
     thresholds = np.where(state.in_set_g, thresholds, 0.0)
     is_ch = state.alive & (draws < thresholds)
@@ -223,26 +216,14 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     state.in_set_g[ch_ids] = False
     out.cluster_heads = len(ch_ids)
 
+    if len(ch_ids) == 0:
+        # Fallback: nobody advertised, everyone reports directly.
+        return direct_round(state, uplink)
+
     alive_before = state.alive_count()
     energy = state.energy
     xs = state.xs
     ys = state.ys
-
-    if len(ch_ids) == 0:
-        # Fallback: nobody advertised, everyone reports directly.
-        for i in np.flatnonzero(state.alive).tolist():
-            dx = float(xs[i]) - sink.x
-            dy = float(ys[i]) - sink.y
-            c = tx_energy(radio, k, math.sqrt(dx * dx + dy * dy))
-            if float(energy[i]) >= c:
-                energy[i] -= c
-                state.packets_sent[i] += 1
-                out.packets += 1
-                out.cost += c
-            else:
-                state.alive[i] = False
-        out.deaths = alive_before - state.alive_count()
-        return out
 
     member_ids = np.flatnonzero(state.alive & ~is_ch)
     received = {int(ch): 0 for ch in ch_ids.tolist()}
@@ -274,10 +255,8 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     for ch in ch_ids.tolist():
         if not state.alive[ch]:
             continue
-        dx = float(xs[ch]) - sink.x
-        dy = float(ys[ch]) - sink.y
         n_msgs = received[ch] + 1  # members' packets plus the head's own
-        c = aggregation_energy(radio, k, n_msgs) + tx_energy(radio, k, math.sqrt(dx * dx + dy * dy))
+        c = aggregation_energy(radio, k, n_msgs) + uplink[ch][1]
         if float(energy[ch]) >= c:
             energy[ch] -= c
             state.packets_sent[ch] += 1
@@ -286,27 +265,6 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
         else:
             state.alive[ch] = False
 
-    out.deaths = alive_before - state.alive_count()
-    return out
-
-
-def cl_sep_round(state: NodeState, radio: RadioParams, sink: Point) -> RoundOutcome:
-    """One clusterless round: every alive node transmits directly to the sink."""
-    out = RoundOutcome()
-    k = radio.packet_bits
-    energy = state.energy
-    alive_before = state.alive_count()
-    for i in np.flatnonzero(state.alive).tolist():
-        dx = float(state.xs[i]) - sink.x
-        dy = float(state.ys[i]) - sink.y
-        c = tx_energy(radio, k, math.sqrt(dx * dx + dy * dy))
-        if float(energy[i]) >= c:
-            energy[i] -= c
-            state.packets_sent[i] += 1
-            out.packets += 1
-            out.cost += c
-        else:
-            state.alive[i] = False
     out.deaths = alive_before - state.alive_count()
     return out
 

@@ -15,11 +15,10 @@ import numpy as np
 
 from .energy import RadioParams, tx_energy
 from .errors import ConfigurationError
-from .geometry import (Field, Point, SquareField, Trajectory, sink_position,
-                       sojourn_points, trajectory_in_field)
-from .protocols import (CL_SEP, PROTOCOLS, SRP, NetworkParams, Node,
-                        NodeState, RoundOutcome, cl_sep_round, sep_round,
-                        srp_round)
+from .geometry import (Field, Point, SquareField, Trajectory, sojourn_points,
+                       trajectory_in_field)
+from .protocols import (PROTOCOLS, SEP, SRP, NetworkParams, NodeState,
+                        RoundOutcome, direct_round, sep_round)
 
 RNG_GENERATOR = "numpy.PCG64"
 RNG_DERIVATION = "SeedSequence([seed & 2**64-1, sha256(label)[:8] as uint64])"
@@ -115,7 +114,7 @@ class RunMetrics:
         return self.residual_j[-1] if self.residual_j else self.initial_energy_j
 
 
-def deploy(cfg: ScenarioConfig) -> list[Node]:
+def deploy(cfg: ScenarioConfig) -> NodeState:
     """Place nodes uniformly in the field; a pure function of the seed.
 
     Positions are drawn in id order (circular fields use rejection sampling
@@ -124,58 +123,52 @@ def deploy(cfg: ScenarioConfig) -> list[Node]:
     """
     rng = rng_stream(cfg.seed, "deploy")
     f = cfg.field
-    positions: list[Point] = []
+    n = cfg.net.n
+    xs: list[float] = []
+    ys: list[float] = []
     if isinstance(f, SquareField):
-        for _ in range(cfg.net.n):
-            positions.append(Point(rng.uniform(0.0, f.side), rng.uniform(0.0, f.side)))
+        for _ in range(n):
+            xs.append(rng.uniform(0.0, f.side))
+            ys.append(rng.uniform(0.0, f.side))
     else:
         cx, cy, r = f.center.x, f.center.y, f.radius
-        for _ in range(cfg.net.n):
+        for _ in range(n):
             while True:
                 x = rng.uniform(cx - r, cx + r)
                 y = rng.uniform(cy - r, cy + r)
-                p = Point(x, y)
-                if f.contains(p):
-                    positions.append(p)
+                if f.contains(Point(x, y)):
+                    xs.append(x)
+                    ys.append(y)
                     break
-    advanced_ids = set(rng.permutation(cfg.net.n)[: cfg.net.advanced_count].tolist())
-    nodes = []
-    for i, pos in enumerate(positions):
-        adv = i in advanced_ids
-        nodes.append(Node(
-            id=i,
-            pos=pos,
-            kind="advanced" if adv else "normal",
-            energy=cfg.net.advanced_energy if adv else cfg.net.e0,
-        ))
-    return nodes
+    is_advanced = np.zeros(n, dtype=bool)
+    is_advanced[rng.permutation(n)[: cfg.net.advanced_count]] = True
+    energy = np.where(is_advanced, cfg.net.advanced_energy, cfg.net.e0)
+    return NodeState(np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64),
+                     is_advanced, energy)
 
 
-class _SojournSchedule:
-    """Precomputed per-sojourn-slot reach for a mobile-sink run.
+def reach(state: NodeState, radio: RadioParams, points: list[Point],
+          sensing_range: float | None) -> list[list[tuple[int, float]]]:
+    """Per sink point, the ``(id, tx cost)`` of every node in range, in id order.
 
-    Node positions and the tour never change, so the set of nodes within
-    sensing range of each sojourn point, and their transmission costs, are
-    fixed for the whole run. Entries use the exact same distance and energy
-    expressions as ``srp_round``, only cached.
+    Range is inclusive and ``None`` means unlimited. Node positions and sink
+    points never change during a run, so these slots hold for the whole run.
     """
-
-    def __init__(self, cfg: ScenarioConfig, state: NodeState):
-        pts = sojourn_points(cfg.trajectory)
-        rng_m = cfg.trajectory.sensing_range
-        k = cfg.radio.packet_bits
-        xs = state.xs.tolist()
-        ys = state.ys.tolist()
-        self.slots: list[list[tuple[int, float]]] = []
-        for p in pts:
-            entries = []
-            for i in range(len(xs)):
-                dx = xs[i] - p.x
-                dy = ys[i] - p.y
-                d = math.sqrt(dx * dx + dy * dy)
-                if d <= rng_m:
-                    entries.append((i, tx_energy(cfg.radio, k, d)))
-            self.slots.append(entries)
+    limit = math.inf if sensing_range is None else sensing_range
+    k = radio.packet_bits
+    nodes = list(enumerate(zip(state.xs.tolist(), state.ys.tolist())))
+    slots = []
+    for p in points:
+        px, py = p.x, p.y
+        slot = []
+        for i, (x, y) in nodes:
+            dx = x - px
+            dy = y - py
+            d = math.sqrt(dx * dx + dy * dy)
+            if d <= limit:
+                slot.append((i, tx_energy(radio, k, d)))
+        slots.append(slot)
+    return slots
 
 
 class Simulation:
@@ -183,53 +176,21 @@ class Simulation:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.state = NodeState.from_nodes(deploy(cfg))
+        self.state = deploy(cfg)
         self._election_rng = rng_stream(cfg.seed, "election")
-        self._static_sink = (sink_position(cfg.trajectory, 0)
-                             if cfg.trajectory.is_static else None)
-        self._schedule = _SojournSchedule(cfg, self.state) if cfg.protocol == SRP else None
-
-    @property
-    def nodes(self) -> list[Node]:
-        """Snapshot of current node states."""
-        return self.state.to_nodes()
+        traj = cfg.trajectory
+        # A static sink does not gate by range (see Trajectory): its one slot
+        # lists every node, which sep's head uplink indexes by id.
+        sensing = None if traj.is_static else traj.sensing_range
+        self._slots = reach(self.state, cfg.radio, sojourn_points(traj), sensing)
 
     def step(self, round_idx: int) -> RoundOutcome:
         """Execute one protocol round."""
         cfg = self.cfg
-        if cfg.protocol == SRP:
-            return self._srp_step(round_idx)
-        if cfg.protocol == CL_SEP:
-            return cl_sep_round(self.state, cfg.radio, self._static_sink)
-        return sep_round(self.state, round_idx, cfg.net, cfg.radio,
-                         self._static_sink, self._election_rng)
-
-    def _srp_step(self, round_idx: int) -> RoundOutcome:
-        """srp_round semantics driven from the precomputed sojourn schedule.
-
-        Visits candidates in node-id order exactly like the reference engine,
-        so outcomes and energy arithmetic are bitwise identical (covered by a
-        run-equivalence test).
-        """
-        out = RoundOutcome()
-        entries = self._schedule.slots[round_idx % len(self._schedule.slots)]
-        if not entries:
-            return out
-        state = self.state
-        alive = state.alive
-        energy = state.energy
-        for i, cost in entries:
-            if not alive[i]:
-                continue
-            if energy[i] >= cost:
-                energy[i] -= cost
-                state.packets_sent[i] += 1
-                out.packets += 1
-                out.cost += cost
-            else:
-                alive[i] = False
-                out.deaths += 1
-        return out
+        if cfg.protocol == SEP:
+            return sep_round(self.state, round_idx, cfg.net, cfg.radio,
+                             self._slots[0], self._election_rng)
+        return direct_round(self.state, self._slots[round_idx % len(self._slots)])
 
     def run(self) -> RunMetrics:
         """Execute rounds until the stop rule fires; record per-round metrics."""

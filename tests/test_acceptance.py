@@ -11,6 +11,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from sinksim import load_preset
@@ -19,8 +20,8 @@ from sinksim.energy import tx_energy
 from sinksim.geometry import (Point, StaticPath, Trajectory, coverage_radius,
                               coverage_radius_grid)
 from sinksim.presets import PRESET_NAMES
-from sinksim.protocols import NodeState, sep_round
-from sinksim.simulation import Simulation, deploy, rng_stream, run
+from sinksim.protocols import NodeState, direct_round, sep_round
+from sinksim.simulation import Simulation, deploy, reach, rng_stream, run
 
 SEEDS = range(10)
 HORIZON = 50_000
@@ -85,25 +86,26 @@ def baseline_results():
 
 def test_criterion_1_exact_single_node_oracles():
     """CL-SEP: a lone node at the sink dies at round 2500; at 100 m, at 694."""
-    from sinksim.protocols import Node, cl_sep_round
-
     t0 = time.time()
 
     probe = dataclasses.replace(load_preset("cl-sep"),
                                 net=dataclasses.replace(load_preset("cl-sep").net, n=1, m=0.0),
                                 max_rounds=3000, stop_rule="all_dead")
-    pos = deploy(probe)[0].pos
+    lone = deploy(probe)
+    pos = Point(float(lone.xs[0]), float(lone.ys[0]))
     at_sink = dataclasses.replace(probe, trajectory=Trajectory(StaticPath(pos)))
     m = run(at_sink)
     expect_at_sink = int(0.5 // tx_energy(at_sink.radio, 4000, 0.0))
 
     # 100 m does not fit a 100 m field with a random node, so drive the
     # engine directly with an exact 100 m separation
-    state = NodeState.from_nodes([Node(id=0, pos=Point(150.0, 50.0), energy=0.5)])
+    state = NodeState(np.array([150.0]), np.array([50.0]), np.array([False]),
+                      np.array([0.5]))
     sink = Point(50.0, 50.0)
+    slot = reach(state, probe.radio, [sink], None)[0]
     death_100 = 0
     while state.alive[0]:
-        cl_sep_round(state, probe.radio, sink)
+        direct_round(state, slot)
         death_100 += 1
     death_100 -= 1
     expect_100 = int(0.5 // tx_energy(probe.radio, 4000, 100.0))
@@ -226,11 +228,11 @@ def test_criterion_8_determinism_and_validate(tmp_path):
 def test_criterion_9_election_statistics():
     """All-alive SEP: per-epoch mean head count within 3 binomial sigma of 10."""
     cfg = load_preset("sep", seed=42)
-    state = NodeState.from_nodes(deploy(cfg))
+    state = deploy(cfg)
     rng = rng_stream(cfg.seed, "election")
-    sink = Point(50.0, 50.0)
+    uplink = reach(state, cfg.radio, [Point(50.0, 50.0)], None)[0]
     epoch = math.ceil(1.0 / cfg.net.p_opt)
-    counts = [sep_round(state, r, cfg.net, cfg.radio, sink, rng).cluster_heads
+    counts = [sep_round(state, r, cfg.net, cfg.radio, uplink, rng).cluster_heads
               for r in range(20 * epoch)]
     assert state.alive_count() == cfg.net.n, "window must end with all nodes alive"
     target = cfg.net.n * cfg.net.p_opt

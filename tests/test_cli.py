@@ -183,3 +183,12 @@ class TestSweep:
     def test_requires_circular_trajectory(self):
         assert main(["sweep", "--scenario", "ss-srp", "--values", "10",
                      "--rounds", "10"]) == 2
+
+    def test_nonpositive_seed_count_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        for seeds in ("0", "-3"):
+            code = main(["sweep", "--scenario", "cc-srp", "--values", "25",
+                         "--seeds", seeds, "--rounds", "10", "--out", str(out)])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

@@ -1,0 +1,38 @@
+"""The traced benchmark patches sinksim by name; every name must resolve.
+
+``perfbench/spans.py`` wraps module attributes and ``Simulation`` methods
+with setattr, so a rename in the library would break ``run.py --trace 1``
+without failing any other test.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = load_spans()
+PATCHED = ([(mod, attr) for mod, attr, _, _ in spans.SPANNED]
+           + list(spans.COUNTED)
+           + [("sinksim.harness", "run")])
+
+
+@pytest.mark.parametrize("module,attr", PATCHED, ids=lambda v: v)
+def test_patched_attribute_resolves(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize("method", ("__init__", "run", "step"))
+def test_simulation_method_resolves(method):
+    from sinksim.simulation import Simulation
+    assert method in vars(Simulation)

@@ -8,9 +8,10 @@ import pytest
 from sinksim.energy import (RadioParams, aggregation_energy, rx_energy,
                             tx_energy)
 from sinksim.geometry import CirclePath, Point, Trajectory
-from sinksim.protocols import (ADVANCED, NORMAL, NetworkParams, Node,
-                               NodeState, ch_probability, cl_sep_round,
+from sinksim.protocols import (ADVANCED, NORMAL, NetworkParams, NodeState,
+                               ch_probability, direct_round,
                                election_threshold, sep_round, srp_round)
+from sinksim.simulation import reach
 
 RADIO = RadioParams()
 NET = NetworkParams()
@@ -22,9 +23,15 @@ def make_state(positions, energies=None, kinds=None):
     n = len(positions)
     energies = energies or [0.5] * n
     kinds = kinds or [NORMAL] * n
-    nodes = [Node(id=i, pos=Point(*positions[i]), kind=kinds[i], energy=energies[i])
-             for i in range(n)]
-    return NodeState.from_nodes(nodes)
+    return NodeState(np.array([x for x, _ in positions], dtype=np.float64),
+                     np.array([y for _, y in positions], dtype=np.float64),
+                     np.array([k == ADVANCED for k in kinds], dtype=bool),
+                     np.array(energies, dtype=np.float64))
+
+
+def uplink(state, radio=RADIO, sink=SINK):
+    """The static sink's reach slot: every node's direct cost to ``sink``."""
+    return reach(state, radio, [sink], None)[0]
 
 
 class StubRng:
@@ -63,26 +70,23 @@ class TestChProbability:
 
 class TestElectionThreshold:
     def test_epoch_start(self):
-        assert election_threshold(0.1, 0, True) == pytest.approx(0.1)
-        assert election_threshold(0.1, 10, True) == pytest.approx(0.1)
+        assert election_threshold(0.1, 0) == pytest.approx(0.1)
+        assert election_threshold(0.1, 10) == pytest.approx(0.1)
 
     def test_mid_epoch(self):
-        assert election_threshold(0.1, 5, True) == pytest.approx(0.2)
-
-    def test_not_in_set_g(self):
-        assert election_threshold(0.1, 3, False) == 0.0
+        assert election_threshold(0.1, 5) == pytest.approx(0.2)
 
     def test_last_slot_reaches_one(self):
         # every eligible node must elect by the end of its epoch
         for p in (0.1, 1 / 11, 0.2 / 1.1, 0.15):
             epoch = math.ceil(1.0 / p)
-            assert election_threshold(p, epoch - 1, True) == pytest.approx(1.0)
+            assert election_threshold(p, epoch - 1) == pytest.approx(1.0)
 
     def test_invalid_p_rejected(self):
         with pytest.raises(ValueError):
-            election_threshold(0.0, 0, True)
+            election_threshold(0.0, 0)
         with pytest.raises(ValueError):
-            election_threshold(1.0, 0, True)
+            election_threshold(1.0, 0)
 
     def test_exactly_once_per_epoch(self):
         # threshold + set-G bookkeeping elect each node exactly once per epoch
@@ -93,7 +97,7 @@ class TestElectionThreshold:
             in_g = True
             elections = 0
             for slot in range(epoch):
-                t = election_threshold(p, slot, in_g)
+                t = election_threshold(p, slot) if in_g else 0.0
                 if rng.random() < t:
                     elections += 1
                     in_g = False
@@ -108,10 +112,11 @@ class TestSepRound:
         per_round = aggregation_energy(RADIO, K, 1) + tx_energy(RADIO, K, 0.0)
         expect = int(0.5 // per_round)
         assert expect == 2272
+        slot = uplink(state)
         r = 0
         while state.alive[0]:
             state.in_set_g[0] = True  # keep it eligible every round
-            sep_round(state, r, NET, RADIO, SINK, rng)
+            sep_round(state, r, NET, RADIO, slot, rng)
             r += 1
         assert r - 1 == expect
         assert float(state.energy[0]) >= 0.0
@@ -120,7 +125,7 @@ class TestSepRound:
         # node 1 elects, node 0 joins it at 30 m, head is 10 m from the sink
         state = make_state([(30.0, 50.0), (60.0, 50.0)])
         rng = StubRng([0.99, 0.0])
-        out = sep_round(state, 0, NET, RADIO, SINK, rng)
+        out = sep_round(state, 0, NET, RADIO, uplink(state), rng)
         member_cost = tx_energy(RADIO, K, 30.0)
         head_cost = rx_energy(RADIO, K) + aggregation_energy(RADIO, K, 2) + tx_energy(RADIO, K, 10.0)
         assert out.cluster_heads == 1
@@ -133,7 +138,7 @@ class TestSepRound:
     def test_no_heads_falls_back_to_direct(self):
         state = make_state([(40.0, 50.0), (70.0, 50.0)])
         rng = StubRng([0.999])  # nobody clears the threshold
-        out = sep_round(state, 0, NET, RADIO, SINK, rng)
+        out = sep_round(state, 0, NET, RADIO, uplink(state), rng)
         assert out.cluster_heads == 0
         assert out.packets == 2
         expect = tx_energy(RADIO, K, 10.0) + tx_energy(RADIO, K, 20.0)
@@ -142,7 +147,7 @@ class TestSepRound:
     def test_all_dead_is_empty(self):
         state = make_state([(10.0, 10.0)])
         state.alive[0] = False
-        out = sep_round(state, 0, NET, RADIO, SINK, StubRng([0.0]))
+        out = sep_round(state, 0, NET, RADIO, uplink(state), StubRng([0.0]))
         assert out.packets == 0 and out.cost == 0.0 and out.cluster_heads == 0
 
     def test_members_join_nearest_head(self):
@@ -150,7 +155,7 @@ class TestSepRound:
         state = make_state([(20.0, 50.0), (80.0, 50.0), (30.0, 50.0)])
         rng = StubRng([0.0, 0.0, 0.99])
         before_far = float(state.energy[1])
-        out = sep_round(state, 0, NET, RADIO, SINK, rng)
+        out = sep_round(state, 0, NET, RADIO, uplink(state), rng)
         assert out.cluster_heads == 2
         member_cost = tx_energy(RADIO, K, 10.0)
         assert float(state.energy[2]) == pytest.approx(0.5 - member_cost, rel=1e-15)
@@ -161,17 +166,18 @@ class TestSepRound:
     def test_head_election_consumes_eligibility(self):
         state = make_state([(50.0, 50.0)])
         rng = StubRng([0.0])
-        sep_round(state, 0, NET, RADIO, SINK, rng)
+        sep_round(state, 0, NET, RADIO, uplink(state), rng)
         assert not bool(state.in_set_g[0])
 
     def test_mean_heads_near_n_p_opt(self):
         from sinksim.simulation import deploy, rng_stream
         from sinksim import load_preset
         cfg = load_preset("sep", seed=42)
-        state = NodeState.from_nodes(deploy(cfg))
+        state = deploy(cfg)
         rng = rng_stream(42, "election")
         epoch = math.ceil(1 / cfg.net.p_opt)
-        counts = [sep_round(state, r, cfg.net, cfg.radio, SINK, rng).cluster_heads
+        slot = uplink(state, cfg.radio)
+        counts = [sep_round(state, r, cfg.net, cfg.radio, slot, rng).cluster_heads
                   for r in range(20 * epoch)]
         sigma = math.sqrt(cfg.net.n * cfg.net.p_opt * (1 - cfg.net.p_opt) / epoch)
         for e in range(20):
@@ -182,25 +188,27 @@ class TestSepRound:
 class TestClSepRound:
     def test_node_at_sink_dies_at_2500(self):
         state = make_state([(50.0, 50.0)])
+        slot = uplink(state)
         r = 0
         while state.alive[0]:
-            cl_sep_round(state, RADIO, SINK)
+            direct_round(state, slot)
             r += 1
         assert r - 1 == 2500
         assert int(state.packets_sent[0]) == 2500
 
     def test_node_at_100m_dies_at_694(self):
         state = make_state([(150.0, 50.0)])
+        slot = uplink(state)
         r = 0
         while state.alive[0]:
-            cl_sep_round(state, RADIO, SINK)
+            direct_round(state, slot)
             r += 1
         assert r - 1 == 694
 
     def test_all_dead_zero_cost(self):
         state = make_state([(10.0, 10.0), (20.0, 20.0)])
         state.alive[:] = False
-        out = cl_sep_round(state, RADIO, SINK)
+        out = direct_round(state, uplink(state))
         assert out.packets == 0 and out.cost == 0.0
 
     def test_rounds_to_death_matches_floor_oracle(self):
@@ -212,9 +220,10 @@ class TestClSepRound:
         expect = [int(e // tx_energy(RADIO, K, distance(Point(*p), SINK)))
                   for p, e in zip(positions, energies)]
         deaths = [None] * len(positions)
+        slot = uplink(state)
         r = 0
         while state.alive.any():
-            cl_sep_round(state, RADIO, SINK)
+            direct_round(state, slot)
             for i in range(len(positions)):
                 if deaths[i] is None and not state.alive[i]:
                     deaths[i] = r
@@ -253,10 +262,8 @@ class TestSrpRound:
         from sinksim import load_preset
         from sinksim.simulation import deploy
         cfg = load_preset("sc40-srp", seed=5)
-        nodes = deploy(cfg)
-        for n in nodes:  # huge reserves so nobody dies mid-tour
-            n.energy = 1e9
-        state = NodeState.from_nodes(nodes)
+        state = deploy(cfg)
+        state.energy[:] = 1e9  # huge reserves so nobody dies mid-tour
         for r in range(cfg.trajectory.sojourn_count):
             srp_round(state, cfg.trajectory, r, cfg.radio)
         assert int(state.packets_sent.min()) >= 1
@@ -286,21 +293,23 @@ class TestRoundInvariants:
         energies = [1.0 if k == ADVANCED else 0.5 for k in kinds]
         state = make_state(positions, energies=energies, kinds=kinds)
         election = np.random.default_rng(12)
+        slot = uplink(state)
         for r in range(300):
             before = state.total_energy()
-            out = sep_round(state, r, NET, RADIO, SINK, election)
+            out = sep_round(state, r, NET, RADIO, slot, election)
             after = state.total_energy()
             assert before - after == pytest.approx(out.cost, abs=1e-12)
             assert (state.energy >= 0.0).all()
 
     def test_dead_nodes_stay_dead_and_idle(self):
         state = make_state([(50.0, 50.0), (150.0, 50.0)])
+        slot = uplink(state)
         seen_dead = False
         sent_after_death = 0
         for r in range(1000):
             dead_before = ~state.alive.copy()
             packets_before = state.packets_sent.copy()
-            cl_sep_round(state, RADIO, SINK)
+            direct_round(state, slot)
             if dead_before.any():
                 seen_dead = True
                 assert not state.alive[dead_before].any()

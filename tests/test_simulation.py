@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from sinksim import load_preset
@@ -9,7 +10,8 @@ from sinksim.energy import RadioParams, tx_energy
 from sinksim.errors import ConfigurationError
 from sinksim.geometry import (CircleField, CirclePath, Point, SquareField,
                               StaticPath, Trajectory, distance)
-from sinksim.protocols import ADVANCED, NetworkParams, srp_round
+from sinksim.presets import PRESET_NAMES
+from sinksim.protocols import NetworkParams, srp_round
 from sinksim.simulation import (ScenarioConfig, Simulation, deploy,
                                 rng_stream, run)
 
@@ -55,43 +57,49 @@ class TestRngStream:
 class TestDeploy:
     def test_total_initial_energy(self):
         cfg = static_cfg()
-        nodes = deploy(cfg)
-        total = sum(n.energy for n in nodes)
+        state = deploy(cfg)
+        total = sum(state.energy.tolist())
         assert total == pytest.approx(100 * 0.5 * (1 + 1.0 * 0.1), rel=1e-12)  # 55 J
         assert cfg.net.total_initial_energy == pytest.approx(total, rel=1e-12)
 
     def test_advanced_count_and_energy(self):
-        nodes = deploy(static_cfg())
-        advanced = [n for n in nodes if n.kind == ADVANCED]
+        state = deploy(static_cfg())
+        advanced = state.energy[state.is_advanced]
         assert len(advanced) == 10
-        assert all(n.energy == 1.0 for n in advanced)
+        assert (advanced == 1.0).all()
 
     def test_all_normal_when_m_zero(self):
         cfg = static_cfg(net=NetworkParams(m=0.0))
-        nodes = deploy(cfg)
-        assert all(n.kind == "normal" for n in nodes)
-        assert sum(n.energy for n in nodes) == pytest.approx(50.0)
+        state = deploy(cfg)
+        assert not state.is_advanced.any()
+        assert sum(state.energy.tolist()) == pytest.approx(50.0)
 
     def test_same_seed_bit_identical(self):
         cfg = static_cfg()
         a = deploy(cfg)
         b = deploy(cfg)
-        assert [(n.pos.x, n.pos.y, n.kind, n.energy) for n in a] == \
-               [(n.pos.x, n.pos.y, n.kind, n.energy) for n in b]
+        for name in ("xs", "ys", "is_advanced", "energy"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_positions_inside_square(self):
-        nodes = deploy(static_cfg(seed=77))
-        assert all(0 <= n.pos.x <= 100 and 0 <= n.pos.y <= 100 for n in nodes)
+        state = deploy(static_cfg(seed=77))
+        assert all(0 <= x <= 100 and 0 <= y <= 100
+                   for x, y in zip(state.xs.tolist(), state.ys.tolist()))
 
     def test_positions_inside_circle(self):
         field = CircleField(Point(50.0, 50.0), 50.0)
         cfg = static_cfg(field=field, seed=3)
-        nodes = deploy(cfg)
-        assert all(field.contains(n.pos) for n in nodes)
+        state = deploy(cfg)
+        assert all(field.contains(Point(x, y))
+                   for x, y in zip(state.xs.tolist(), state.ys.tolist()))
 
     def test_ids_sequential(self):
-        nodes = deploy(static_cfg())
-        assert [n.id for n in nodes] == list(range(100))
+        # node i is index i of every per-node array
+        state = deploy(static_cfg())
+        arrays = (state.xs, state.ys, state.is_advanced, state.energy,
+                  state.alive, state.in_set_g, state.packets_sent)
+        assert [len(a) for a in arrays] == [100] * len(arrays)
+        assert state.n == 100
 
 
 class TestConfigValidation:
@@ -129,7 +137,8 @@ class TestRun:
     def test_single_node_at_sink_dies_at_2500(self):
         # place the static sink exactly on the deployed node's position
         probe = static_cfg(net=NetworkParams(n=1, m=0.0), max_rounds=10)
-        pos = deploy(probe)[0].pos
+        state = deploy(probe)
+        pos = Point(float(state.xs[0]), float(state.ys[0]))
         cfg = dataclasses.replace(
             probe, trajectory=Trajectory(StaticPath(pos)), max_rounds=3000,
             stop_rule="all_dead")
@@ -206,9 +215,11 @@ class TestRun:
         cfg = load_preset("cl-sep", seed=11, max_rounds=6000)
         sim = Simulation(cfg)
         sink = Point(50.0, 50.0)
-        expect = [int(n.energy // tx_energy(cfg.radio, cfg.radio.packet_bits,
-                                            distance(n.pos, sink)))
-                  for n in sim.nodes]
+        state = sim.state
+        expect = [int(e // tx_energy(cfg.radio, cfg.radio.packet_bits,
+                                     distance(Point(x, y), sink)))
+                  for x, y, e in zip(state.xs.tolist(), state.ys.tolist(),
+                                     state.energy.tolist())]
         deaths = [None] * cfg.net.n
         for r in range(cfg.max_rounds):
             sim.step(r)
@@ -220,15 +231,28 @@ class TestRun:
         assert deaths == expect
 
 
+    @pytest.mark.parametrize("name", ("sep", "cl-sep"))
+    def test_static_sink_ignores_sensing_range(self, name):
+        # a static sink reaches every node, whatever sensing_range says
+        cfg = load_preset(name, seed=2, max_rounds=3000)
+        gated = dataclasses.replace(
+            cfg, trajectory=dataclasses.replace(cfg.trajectory, sensing_range=10.0))
+        assert run(gated) == run(cfg)
+
+
+SRP_PRESETS = [name for name in PRESET_NAMES if name.endswith("-srp")]
+
+
 class TestSrpFastPath:
-    def test_bitwise_equivalent_to_reference_engine(self):
-        cfg = load_preset("sc40-srp", seed=3, max_rounds=6000)
+    @pytest.mark.parametrize("name", SRP_PRESETS)
+    def test_bitwise_equivalent_to_reference_engine(self, name):
+        cfg = load_preset(name, seed=3, max_rounds=6000)
         fast = run(cfg)
 
         sim = Simulation(cfg)  # drive the reference engine by hand
         residual = sim.state.total_energy()
         cum = 0
-        res_series, pk_series, alive_series = [], [], []
+        res_series, pk_series, alive_series, cost_series = [], [], [], []
         for r in range(cfg.max_rounds):
             out = srp_round(sim.state, cfg.trajectory, r, cfg.radio)
             residual -= out.cost
@@ -236,7 +260,9 @@ class TestSrpFastPath:
             res_series.append(residual)
             pk_series.append(cum)
             alive_series.append(sim.state.alive_count())
+            cost_series.append(out.cost)
         assert fast.residual_j == res_series
         assert fast.cumulative_packets == pk_series
         assert fast.alive == alive_series
+        assert fast.round_cost_j == cost_series
         assert alive_series[-1] < 100  # the window covered real deaths
