@@ -61,8 +61,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     names = [s.strip() for s in args.scenarios.split(",") if s.strip()]
-    if len(names) < 2:
-        raise ConfigurationError("compare needs at least two scenarios")
     scenario_dicts = {}
     for name in names:
         d = preset_dict(name)

@@ -10,13 +10,13 @@ censored median as "beyond the horizon".
 
 from __future__ import annotations
 
-import copy
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigurationError
-from .geometry import coverage_radius
+from .geometry import CirclePath, coverage_radius
 from .presets import config_from_dict, config_to_dict
 from .simulation import RunMetrics, ScenarioConfig, rng_identity, run
 
@@ -44,8 +44,8 @@ def write_run_csv(path: str | Path, metrics: RunMetrics) -> None:
     """Per-round series as plot-ready CSV."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(CSV_HEADER + "\n")
-        for r, alive, res, pk in zip(metrics.rounds, metrics.alive,
-                                     metrics.residual_j, metrics.cumulative_packets):
+        for r, (alive, res, pk) in enumerate(zip(metrics.alive, metrics.residual_j,
+                                                 metrics.cumulative_packets)):
             f.write(f"{r},{alive},{fmt_float(res)},{pk}\n")
 
 
@@ -151,6 +151,16 @@ def ordering_verdict(stats_a: dict, stats_b: dict) -> str:
 METRIC_KEYS = ("first_death", "half_death", "last_death", "total_packets")
 
 
+def _per_seed(cfg: ScenarioConfig, seed_count: int) -> list[dict]:
+    """The METRIC_KEYS of ``cfg`` run on seeds 0..seed_count-1, in seed order."""
+    out = []
+    for seed in range(seed_count):
+        m = run(replace(cfg, seed=seed))
+        out.append({"first_death": m.first_death_round, "half_death": m.half_death_round,
+                    "last_death": m.last_death_round, "total_packets": m.total_packets})
+    return out
+
+
 def compare_scenarios(scenario_dicts: dict[str, dict], seed_count: int,
                       max_rounds: int | None = None) -> dict:
     """Run every scenario on seeds 0..seed_count-1 and build the report.
@@ -162,39 +172,19 @@ def compare_scenarios(scenario_dicts: dict[str, dict], seed_count: int,
         raise ConfigurationError("compare needs at least two scenarios")
     if seed_count < 1:
         raise ConfigurationError("compare needs at least one seed")
+    horizon = {} if max_rounds is None else {"max_rounds": max_rounds}
 
     rows = []
-    per_scenario: dict[str, dict[str, list]] = {}
+    scenarios = {}
     resolved_configs: dict[str, dict] = {}
     for name, base in scenario_dicts.items():
-        values: dict[str, list] = {k: [] for k in METRIC_KEYS}
-        for seed in range(seed_count):
-            d = copy.deepcopy(base)
-            d["seed"] = seed
-            if max_rounds is not None:
-                d["max_rounds"] = max_rounds
-            cfg = config_from_dict(d)
-            if seed == 0:
-                resolved_configs[name] = config_to_dict(cfg)
-            metrics = run(cfg)
-            row = {
-                "scenario": name,
-                "seed": seed,
-                "first_death": metrics.first_death_round,
-                "half_death": metrics.half_death_round,
-                "last_death": metrics.last_death_round,
-                "total_packets": metrics.total_packets,
-            }
-            rows.append(row)
-            for k in METRIC_KEYS:
-                values[k].append(row[k])
-        per_scenario[name] = values
+        cfg = config_from_dict({**base, "seed": 0, **horizon})
+        resolved_configs[name] = config_to_dict(cfg)
+        per_seed = _per_seed(cfg, seed_count)
+        rows += [{"scenario": name, "seed": s, **m} for s, m in enumerate(per_seed)]
+        scenarios[name] = {k: censored_stats([m[k] for m in per_seed]) for k in METRIC_KEYS}
 
     names = list(scenario_dicts)
-    scenarios = {
-        name: {k: censored_stats(vals[k]) for k in METRIC_KEYS}
-        for name, vals in per_scenario.items()
-    }
     orderings = []
     for i, a in enumerate(names):
         for b in names[i + 1:]:
@@ -234,48 +224,31 @@ def sweep_radius(base: dict, radii: list[float], seed_count: int,
                  max_rounds: int | None = None) -> list[dict]:
     """Vary a circular trajectory's radius; one aggregated row per value.
 
-    Each radius gets the coverage-derived sensing range for its geometry.
-    Radii that place the trajectory outside the field produce an invalid row
-    and the sweep continues.
+    The base config must itself be valid. Each radius gets the
+    coverage-derived sensing range for its geometry. Radii that place the
+    trajectory outside the field produce an invalid row and the sweep
+    continues.
     """
-    if base.get("trajectory", {}).get("path") != "circle":
-        raise ConfigurationError("sweep requires a base scenario with a circular trajectory")
     if seed_count < 1:
         raise ConfigurationError("sweep needs at least one seed")
+    cfg = config_from_dict(base if max_rounds is None else {**base, "max_rounds": max_rounds})
+    if not isinstance(cfg.trajectory.path, CirclePath):
+        raise ConfigurationError("sweep requires a base scenario with a circular trajectory")
     rows = []
     for radius in radii:
-        d = copy.deepcopy(base)
-        d["trajectory"]["radius"] = radius
-        if max_rounds is not None:
-            d["max_rounds"] = max_rounds
         try:
-            probe = config_from_dict({**d, "trajectory": {**d["trajectory"], "sensing_range": 1.0}})
-            sensing = coverage_radius(probe.trajectory, probe.field)
-            d["trajectory"]["sensing_range"] = sensing
-            cfg_base = config_from_dict(d)
+            traj = replace(cfg.trajectory, path=replace(cfg.trajectory.path, radius=radius))
+            traj = replace(traj, sensing_range=coverage_radius(traj, cfg.field))
+            swept = replace(cfg, trajectory=traj)
         except ConfigurationError:
             rows.append({"radius_m": radius, "valid": 0, "coverage_radius_m": None,
                          "first_death_median": None, "half_death_median": None,
                          "last_death_median": None, "total_packets_median": None})
             continue
-        values: dict[str, list] = {k: [] for k in METRIC_KEYS}
-        for seed in range(seed_count):
-            seeded = copy.deepcopy(d)
-            seeded["seed"] = seed
-            metrics = run(config_from_dict(seeded))
-            values["first_death"].append(metrics.first_death_round)
-            values["half_death"].append(metrics.half_death_round)
-            values["last_death"].append(metrics.last_death_round)
-            values["total_packets"].append(metrics.total_packets)
-        rows.append({
-            "radius_m": radius,
-            "valid": 1,
-            "coverage_radius_m": cfg_base.trajectory.sensing_range,
-            "first_death_median": _percentile_censored(values["first_death"], 0.5),
-            "half_death_median": _percentile_censored(values["half_death"], 0.5),
-            "last_death_median": _percentile_censored(values["last_death"], 0.5),
-            "total_packets_median": _percentile_censored(values["total_packets"], 0.5),
-        })
+        per_seed = _per_seed(swept, seed_count)
+        rows.append({"radius_m": radius, "valid": 1, "coverage_radius_m": traj.sensing_range,
+                     **{f"{k}_median": _percentile_censored([m[k] for m in per_seed], 0.5)
+                        for k in METRIC_KEYS}})
     return rows
 
 

@@ -10,26 +10,76 @@ embedded config reproduce its run bit for bit.
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from importlib import resources
 
-from .energy import RadioParams
 from .errors import ConfigurationError
 from .geometry import (CircleField, CirclePath, Field, Path, Point,
                        SquareField, SquarePath, StaticPath, Trajectory)
-from .protocols import NetworkParams
 from .simulation import ScenarioConfig
 
 PRESET_NAMES = ("sep", "cl-sep", "ss-srp", "sc10-srp", "sc20-srp", "sc40-srp", "cc-srp")
+
+
+def _object(where: str, v) -> dict:
+    if not isinstance(v, dict):
+        raise ConfigurationError(f"{where} must be an object, got {v!r}")
+    return v
+
+
+def _value(where: str, v, default):
+    """``v`` checked and coerced by the type of the default it replaces.
+
+    A dataclass default (``net``, ``radio``) takes an object with no unknown
+    keys. Numbers must be finite and not booleans; an int default also
+    requires an integral value. A None default means an optional float.
+    """
+    if is_dataclass(default):
+        cls = type(default)
+        return cls(**_defaulted(cls, _strict_keys(where, cls, v), where + "."))
+    if isinstance(default, str):
+        return str(v)
+    if default is None and v is None:
+        return None
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigurationError(f"{where} must be a number, got {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigurationError(f"{where} must be finite, got {v!r}")
+    if isinstance(default, int):
+        if v != int(v):
+            raise ConfigurationError(f"{where} must be an integer, got {v!r}")
+        return int(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ConfigurationError(f"{where} must be finite, got {v!r}") from None
+
+
+def _defaulted(cls, d: dict, prefix: str = "") -> dict:
+    """Arguments for the defaulted fields of ``cls`` that ``d`` sets.
+
+    Absent keys are left out, so their defaults live only in ``cls``.
+    """
+    return {f.name: _value(prefix + f.name, d[f.name], f.default)
+            for f in fields(cls) if f.default is not MISSING and f.name in d}
+
+
+def _strict_keys(where: str, cls, d) -> dict:
+    unknown = sorted(set(_object(where, d)) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"unknown {where} key(s): {', '.join(unknown)}")
+    return d
 
 
 def _point_to_list(p: Point) -> list[float]:
     return [p.x, p.y]
 
 
-def _point_from_list(v) -> Point:
+def _point_from_list(where: str, v) -> Point:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ConfigurationError(f"expected [x, y] point, got {v!r}")
-    return Point(float(v[0]), float(v[1]))
+        raise ConfigurationError(f"expected [x, y] point for {where}, got {v!r}")
+    return Point(_value(where, v[0], 0.0), _value(where, v[1], 0.0))
 
 
 def _field_to_dict(f: Field) -> dict:
@@ -38,12 +88,13 @@ def _field_to_dict(f: Field) -> dict:
     return {"shape": "circle", "center": _point_to_list(f.center), "radius": f.radius}
 
 
-def _field_from_dict(d: dict) -> Field:
-    shape = d.get("shape")
+def _field_from_dict(d) -> Field:
+    shape = _object("field", d).get("shape")
     if shape == "square":
-        return SquareField(side=float(d["side"]))
+        return SquareField(side=_value("field.side", d["side"], 0.0))
     if shape == "circle":
-        return CircleField(center=_point_from_list(d["center"]), radius=float(d["radius"]))
+        return CircleField(center=_point_from_list("field.center", d["center"]),
+                           radius=_value("field.radius", d["radius"], 0.0))
     raise ConfigurationError(f"unknown field shape {shape!r}")
 
 
@@ -58,11 +109,13 @@ def _path_to_dict(p: Path) -> dict:
 def _path_from_dict(d: dict) -> Path:
     kind = d.get("path")
     if kind == "square_perimeter":
-        return SquarePath(center=_point_from_list(d["center"]), side=float(d["side"]))
+        return SquarePath(center=_point_from_list("trajectory.center", d["center"]),
+                          side=_value("trajectory.side", d["side"], 0.0))
     if kind == "circle":
-        return CirclePath(center=_point_from_list(d["center"]), radius=float(d["radius"]))
+        return CirclePath(center=_point_from_list("trajectory.center", d["center"]),
+                          radius=_value("trajectory.radius", d["radius"], 0.0))
     if kind == "static":
-        return StaticPath(point=_point_from_list(d["point"]))
+        return StaticPath(point=_point_from_list("trajectory.point", d["point"]))
     raise ConfigurationError(f"unknown trajectory path {kind!r}")
 
 
@@ -74,14 +127,10 @@ def _trajectory_to_dict(t: Trajectory) -> dict:
     return d
 
 
-def _trajectory_from_dict(d: dict) -> Trajectory:
-    sensing = d.get("sensing_range")
-    return Trajectory(
-        path=_path_from_dict(d),
-        sojourn_count=int(d.get("sojourn_count", 1)),
-        sensing_range=None if sensing is None else float(sensing),
-        r_max=float(d.get("r_max", 5.0)),
-    )
+def _trajectory_from_dict(d) -> Trajectory:
+    # Allowed keys depend on the path, so unknown ones are not rejected here.
+    return Trajectory(path=_path_from_dict(_object("trajectory", d)),
+                      **_defaulted(Trajectory, d, "trajectory."))
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
@@ -90,20 +139,8 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
         "field": _field_to_dict(cfg.field),
         "trajectory": _trajectory_to_dict(cfg.trajectory),
         "protocol": cfg.protocol,
-        "net": {
-            "n": cfg.net.n,
-            "m": cfg.net.m,
-            "alpha": cfg.net.alpha,
-            "e0": cfg.net.e0,
-            "p_opt": cfg.net.p_opt,
-        },
-        "radio": {
-            "e_elect": cfg.radio.e_elect,
-            "e_da": cfg.radio.e_da,
-            "eps_fs": cfg.radio.eps_fs,
-            "eps_mp": cfg.radio.eps_mp,
-            "packet_bits": cfg.radio.packet_bits,
-        },
+        "net": asdict(cfg.net),
+        "radio": asdict(cfg.radio),
         "seed": cfg.seed,
         "max_rounds": cfg.max_rounds,
         "stop_rule": cfg.stop_rule,
@@ -111,31 +148,18 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from its dict form."""
+    """Build and validate a ScenarioConfig from its dict form.
+
+    Keys other than ``field``, ``trajectory`` and ``protocol`` are optional;
+    absent ones take the dataclass defaults.
+    """
+    _strict_keys("top-level", ScenarioConfig, d)
     try:
-        net_d = d.get("net", {})
-        radio_d = d.get("radio", {})
         return ScenarioConfig(
             field=_field_from_dict(d["field"]),
             trajectory=_trajectory_from_dict(d["trajectory"]),
             protocol=str(d["protocol"]),
-            net=NetworkParams(
-                n=int(net_d.get("n", 100)),
-                m=float(net_d.get("m", 0.1)),
-                alpha=float(net_d.get("alpha", 1.0)),
-                e0=float(net_d.get("e0", 0.5)),
-                p_opt=float(net_d.get("p_opt", 0.1)),
-            ),
-            radio=RadioParams(
-                e_elect=float(radio_d.get("e_elect", 50e-9)),
-                e_da=float(radio_d.get("e_da", 5e-9)),
-                eps_fs=float(radio_d.get("eps_fs", 10e-12)),
-                eps_mp=float(radio_d.get("eps_mp", 0.0013e-12)),
-                packet_bits=int(radio_d.get("packet_bits", 4000)),
-            ),
-            seed=int(d.get("seed", 0)),
-            max_rounds=int(d.get("max_rounds", 50_000)),
-            stop_rule=str(d.get("stop_rule", "max_rounds")),
+            **_defaulted(ScenarioConfig, d),
         )
     except KeyError as e:
         raise ConfigurationError(f"config is missing required key {e.args[0]!r}") from e

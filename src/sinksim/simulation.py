@@ -66,6 +66,8 @@ class ScenarioConfig:
             raise ConfigurationError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}")
         if self.stop_rule not in STOP_RULES:
             raise ConfigurationError(f"unknown stop_rule {self.stop_rule!r}; expected one of {STOP_RULES}")
+        if not -2**63 <= self.seed < 2**63:
+            raise ConfigurationError(f"seed must be in [-2**63, 2**63), got {self.seed}")
         if self.max_rounds < 1:
             raise ConfigurationError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.protocol == SRP:
@@ -87,15 +89,14 @@ class ScenarioConfig:
 class RunMetrics:
     """Per-round series plus lifetime summary for one run.
 
-    Rows describe the state after each executed round. ``residual_j`` is the
-    fold of ``round_cost_j`` from the initial energy, so consecutive residuals
-    differ by exactly the reported round cost. Death rounds are None when the
-    horizon ended first.
+    Row ``r`` of each series is the state after round ``r``. ``residual_j``
+    is the fold of ``round_cost_j`` from the initial energy, so consecutive
+    residuals differ by exactly the reported round cost. Death rounds are
+    None when the horizon ended first.
     """
 
     n: int
     initial_energy_j: float
-    rounds: list[int] = field(default_factory=list)
     alive: list[int] = field(default_factory=list)
     residual_j: list[float] = field(default_factory=list)
     cumulative_packets: list[int] = field(default_factory=list)
@@ -107,7 +108,7 @@ class RunMetrics:
 
     @property
     def rounds_executed(self) -> int:
-        return len(self.rounds)
+        return len(self.alive)
 
     @property
     def final_residual_j(self) -> float:
@@ -208,7 +209,6 @@ class Simulation:
             cum_packets += outcome.packets
             alive -= outcome.deaths
 
-            metrics.rounds.append(r)
             metrics.alive.append(alive)
             metrics.residual_j.append(residual)
             metrics.cumulative_packets.append(cum_packets)

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from sinksim import load_preset, run
 from sinksim.cli import main
 from sinksim.harness import CSV_HEADER, validate_run_csv
 
@@ -48,6 +51,15 @@ class TestSimulate:
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["simulate", "--scenario", "nosuch", "--rounds", "10"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["net.m=abc", "max_rounds=NaN", "net=5"])
+    def test_malformed_value_exits_2(self, override, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        code = main(["simulate", "--scenario", "sep", "--rounds", "10",
+                     "--override", override, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_unwritable_output_exits_3(self, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "run.csv"
@@ -129,6 +141,19 @@ class TestCompare:
                     for o in report["orderings"]}
         assert ("sep", "cl-sep", "total_packets") in verdicts
 
+    def test_rows_equal_direct_runs(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--scenarios", "sep,cc-srp", "--seeds", "2",
+                     "--rounds", "300", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in read(out).splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == [
+            ("sep", "0"), ("sep", "1"), ("cc-srp", "0"), ("cc-srp", "1")]
+        for name, seed, first, half, last, packets in rows:
+            m = run(load_preset(name, seed=int(seed), max_rounds=300))
+            expected = [m.first_death_round, m.half_death_round, m.last_death_round]
+            assert [first, half, last] == ["" if v is None else str(v) for v in expected]
+            assert int(packets) == m.total_packets
+
     def test_single_scenario_rejected(self):
         assert main(["compare", "--scenarios", "sep", "--rounds", "10"]) == 2
 
@@ -183,6 +208,14 @@ class TestSweep:
     def test_requires_circular_trajectory(self):
         assert main(["sweep", "--scenario", "ss-srp", "--values", "10",
                      "--rounds", "10"]) == 2
+
+    def test_invalid_base_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--scenario", "cc-srp", "--values", "10,25",
+                     "--override", "protocol=bogus", "--rounds", "10", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_nonpositive_seed_count_rejected(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -36,3 +36,14 @@ def test_patched_attribute_resolves(module, attr):
 def test_simulation_method_resolves(method):
     from sinksim.simulation import Simulation
     assert method in vars(Simulation)
+
+
+def test_run_summary_reads_run_metrics():
+    from sinksim import load_preset, run
+    m = run(load_preset("cl-sep", seed=0, max_rounds=50))
+    summary = spans.run_summary("cl-sep", m)
+    assert summary["rounds"] == 50
+    assert summary["node_rounds"] == 50 * m.n  # nobody dies in 50 rounds
+    assert summary["active_rounds"] == 50
+    assert summary["packets"] == m.total_packets > 0
+    assert summary["deaths"] == 0

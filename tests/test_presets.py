@@ -1,12 +1,17 @@
 """Preset catalog and config serialization round-trips."""
 
+import json
+
 import pytest
 
+from sinksim.energy import RadioParams
 from sinksim.errors import ConfigurationError
 from sinksim.geometry import (CirclePath, SquarePath, StaticPath,
                               coverage_radius)
 from sinksim.presets import (PRESET_NAMES, apply_override, config_from_dict,
                              config_to_dict, load_preset, preset_dict)
+from sinksim.protocols import NetworkParams
+from sinksim.simulation import ScenarioConfig
 
 
 class TestPresetCatalog:
@@ -90,6 +95,49 @@ class TestConfigSerialization:
         d["field"] = {"shape": "hexagon", "side": 1.0}
         with pytest.raises(ConfigurationError):
             config_from_dict(d)
+
+    def test_omitted_keys_take_dataclass_defaults(self):
+        d = preset_dict("sep")
+        cfg = config_from_dict({k: d[k] for k in ("field", "trajectory", "protocol")})
+        default = ScenarioConfig(cfg.field, cfg.trajectory, cfg.protocol)
+        assert cfg.net == NetworkParams()
+        assert cfg.radio == RadioParams()
+        assert cfg == default
+
+    # (key, JSON text of its value): every one must raise naming the key.
+    STRICT_CASES = [
+        ("net.n", "100.9"), ("radio.packet_bits", "4000.5"), ("max_rounds", "10.5"),
+        ("net.n", "true"), ("net.m", "true"), ("seed", "false"),
+        ("net.m", '"0.25"'), ("seed", '"3"'), ("max_rounds", "null"),
+        ("net.e0", "Infinity"), ("net.e0", "NaN"), ("max_rounds", "NaN"),
+        ("net.e0", "1e400"), ("net.e0", "1" + "0" * 400), ("trajectory.r_max", "Infinity"),
+        ("seed", str(2**63)), ("seed", str(-2**63 - 1)), ("seed", str(2**64 - 1)),
+        ("net.bogus", "1"), ("radio.bogus", "1"), ("bogus", "1"),
+        ("net", "5"), ("radio", "[1]"),
+    ]
+
+    @pytest.mark.parametrize("key,raw", STRICT_CASES,
+                             ids=[f"{k}={r[:20]}" for k, r in STRICT_CASES])
+    def test_strict_values_and_keys(self, key, raw):
+        d = preset_dict("sep")
+        *parents, last = key.split(".")
+        target = d
+        for part in parents:
+            target = target[part]
+        target[last] = json.loads(raw)
+        with pytest.raises(ConfigurationError, match=last):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("key,value,expected", [
+        ("n", 60.0, 60), ("e0", 1, 1.0), ("seed", -2**63, -2**63),
+        ("seed", 2**63 - 1, 2**63 - 1),
+    ])
+    def test_integral_and_boundary_numbers_accepted(self, key, value, expected):
+        d = preset_dict("sep")
+        (d["net"] if key in d["net"] else d)[key] = value
+        cfg = config_from_dict(d)
+        got = getattr(cfg.net if key in d["net"] else cfg, key)
+        assert got == expected and type(got) is type(expected)
 
 
 class TestOverrides:

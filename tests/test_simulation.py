@@ -200,7 +200,7 @@ class TestRun:
     def test_half_death_definition(self):
         m = run(load_preset("cl-sep", seed=1, max_rounds=6000))
         n = m.n
-        first_le_half = next(r for r, a in zip(m.rounds, m.alive) if a <= n // 2)
+        first_le_half = next(r for r, a in enumerate(m.alive) if a <= n // 2)
         assert m.half_death_round == first_le_half
         assert m.first_death_round <= m.half_death_round <= m.last_death_round
 
