@@ -9,7 +9,7 @@ from .geometry import (CircleField, CirclePath, Field, Path, Point,
 from .presets import PRESET_NAMES, config_from_dict, config_to_dict, load_preset
 from .protocols import (ADVANCED, CL_SEP, NORMAL, SEP, SRP, NetworkParams,
                         NodeState, RoundOutcome, ch_probability, direct_round,
-                        election_threshold, sep_round, srp_round)
+                        election_threshold, sep_round)
 from .simulation import (RunMetrics, ScenarioConfig, Simulation, deploy,
                          rng_identity, rng_stream, run)
 
@@ -22,8 +22,7 @@ __all__ = [
     "config_from_dict", "config_to_dict", "coverage_radius",
     "coverage_radius_grid", "deploy", "direct_round", "distance",
     "election_threshold", "load_preset", "rng_identity", "rng_stream", "run",
-    "rx_energy", "sep_round", "sink_position", "sojourn_points", "srp_round",
-    "tx_energy",
+    "rx_energy", "sep_round", "sink_position", "sojourn_points", "tx_energy",
 ]
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import harness
@@ -63,6 +64,8 @@ def _cmd_compare(args) -> int:
     names = [s.strip() for s in args.scenarios.split(",") if s.strip()]
     scenario_dicts = {}
     for name in names:
+        if name in scenario_dicts:
+            raise ConfigurationError(f"duplicate scenario {name!r}")
         d = preset_dict(name)
         for assignment in args.override or []:
             apply_override(d, assignment)
@@ -80,10 +83,21 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _radius(item: str) -> float:
+    """One ``--values`` item as a finite number of meters."""
+    try:
+        value = float(item)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigurationError(f"--values item {item.strip()!r} is not a finite number")
+    return value
+
+
 def _cmd_sweep(args) -> int:
     d, _ = _load_base(args)
     _apply_common(d, args)
-    radii = [float(v) for v in args.values.split(",") if v.strip()]
+    radii = [_radius(v) for v in args.values.split(",") if v.strip()]
     if not radii:
         raise ConfigurationError("sweep needs at least one radius value")
     rows = harness.sweep_radius(d, radii, args.seeds, args.rounds)

@@ -37,22 +37,23 @@ class RadioParams:
         return math.sqrt(self.eps_fs / self.eps_mp)
 
 
-def tx_energy(p: RadioParams, k: int, d: float) -> float:
-    """Energy to transmit k bits over distance d meters."""
+def tx_energy(p: RadioParams, k: int, d: float | np.ndarray) -> float | np.ndarray:
+    """Energy to transmit k bits over distance d meters.
+
+    ``d`` is a float or a numpy array of distances. An array is priced
+    element by element, bitwise equal to pricing each distance alone.
+    """
+    if isinstance(d, np.ndarray):
+        if np.any(d < 0):
+            raise ValueError("distances must be >= 0")
+        fs = p.e_elect * k + p.eps_fs * k * d * d
+        mp = p.e_elect * k + p.eps_mp * k * d * d * d * d
+        return np.where(d < p.d0, fs, mp)
     if d < 0:
         raise ValueError(f"distance must be >= 0, got {d}")
     if d < p.d0:
         return p.e_elect * k + p.eps_fs * k * d * d
     return p.e_elect * k + p.eps_mp * k * d * d * d * d
-
-
-def tx_energy_many(p: RadioParams, k: int, d: np.ndarray) -> np.ndarray:
-    """Vectorized tx_energy over a distance array; bitwise-equal per element."""
-    if np.any(d < 0):
-        raise ValueError("distances must be >= 0")
-    fs = p.e_elect * k + p.eps_fs * k * d * d
-    mp = p.e_elect * k + p.eps_mp * k * d * d * d * d
-    return np.where(d < p.d0, fs, mp)
 
 
 def rx_energy(p: RadioParams, k: int) -> float:

@@ -25,6 +25,7 @@ COMPARE_HEADER = "scenario,seed,first_death,half_death,last_death,total_packets"
 SWEEP_HEADER = ("radius_m,valid,coverage_radius_m,first_death_median,"
                 "half_death_median,last_death_median,total_packets_median")
 THROUGHPUT_UNIT = "packets"
+CSV_BLOCK_ROWS = 4096
 
 
 def fmt_float(x: float) -> str:
@@ -41,12 +42,16 @@ def _opt(v) -> str:
 
 
 def write_run_csv(path: str | Path, metrics: RunMetrics) -> None:
-    """Per-round series as plot-ready CSV."""
+    """Per-round series as plot-ready CSV, converted a block of rows at a time."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(CSV_HEADER + "\n")
-        for r, (alive, res, pk) in enumerate(zip(metrics.alive, metrics.residual_j,
-                                                 metrics.cumulative_packets)):
-            f.write(f"{r},{alive},{fmt_float(res)},{pk}\n")
+        for lo in range(0, metrics.rounds_executed, CSV_BLOCK_ROWS):
+            hi = lo + CSV_BLOCK_ROWS
+            rows = zip(range(lo, hi), metrics.alive[lo:hi].tolist(),
+                       metrics.residual_j[lo:hi].tolist(),
+                       metrics.cumulative_packets[lo:hi].tolist())
+            f.write("".join(f"{r},{alive},{fmt_float(res)},{pk}\n"
+                            for r, alive, res, pk in rows))
 
 
 def summary_dict(cfg: ScenarioConfig, metrics: RunMetrics,
@@ -272,45 +277,48 @@ def validate_run_csv(path: str | Path) -> list[str]:
     Returns a list of problems; empty means the file is valid.
     """
     problems: list[str] = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        lines = f.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        return ["file is empty"]
-    if lines[0] != CSV_HEADER:
-        return [f"bad header: expected {CSV_HEADER!r}, got {lines[0]!r}"]
-    if len(lines) == 1:
-        return ["no data rows"]
+    rows = 0
+    # Lines end only at "\n" (as str.split("\n") would cut them) and are
+    # read one at a time, so a long run's file is never held whole.
+    with open(path, "r", encoding="utf-8", newline="\n") as f:
+        lines = (line[:-1] if line.endswith("\n") else line for line in f)
+        header = next(lines, None)
+        if header is None:
+            return ["file is empty"]
+        if header != CSV_HEADER:
+            return [f"bad header: expected {CSV_HEADER!r}, got {header!r}"]
 
-    prev_alive = None
-    prev_res = None
-    prev_pk = None
-    for idx, line in enumerate(lines[1:]):
-        fields = line.split(",")
-        if len(fields) != 4:
-            problems.append(f"row {idx}: expected 4 fields, got {len(fields)}")
-            break
-        try:
-            rnd = int(fields[0])
-            alive = int(fields[1])
-            res = float(fields[2])
-            pk = int(fields[3])
-        except ValueError:
-            problems.append(f"row {idx}: unparsable fields {line!r}")
-            break
-        if rnd != idx:
-            problems.append(f"row {idx}: round column is {rnd}, expected {idx}")
-        if alive < 0:
-            problems.append(f"row {idx}: negative alive count")
-        if prev_alive is not None and alive > prev_alive:
-            problems.append(f"row {idx}: alive count increased {prev_alive} -> {alive}")
-        if prev_res is not None and res > prev_res:
-            problems.append(f"row {idx}: residual energy increased {prev_res} -> {res}")
-        if prev_pk is not None and pk < prev_pk:
-            problems.append(f"row {idx}: cumulative packets decreased {prev_pk} -> {pk}")
-        prev_alive, prev_res, prev_pk = alive, res, pk
-        if len(problems) >= 20:
-            problems.append("too many problems; stopping")
-            break
+        prev_alive = None
+        prev_res = None
+        prev_pk = None
+        for idx, line in enumerate(lines):
+            rows += 1
+            fields = line.split(",")
+            if len(fields) != 4:
+                problems.append(f"row {idx}: expected 4 fields, got {len(fields)}")
+                break
+            try:
+                rnd = int(fields[0])
+                alive = int(fields[1])
+                res = float(fields[2])
+                pk = int(fields[3])
+            except ValueError:
+                problems.append(f"row {idx}: unparsable fields {line!r}")
+                break
+            if rnd != idx:
+                problems.append(f"row {idx}: round column is {rnd}, expected {idx}")
+            if alive < 0:
+                problems.append(f"row {idx}: negative alive count")
+            if prev_alive is not None and alive > prev_alive:
+                problems.append(f"row {idx}: alive count increased {prev_alive} -> {alive}")
+            if prev_res is not None and res > prev_res:
+                problems.append(f"row {idx}: residual energy increased {prev_res} -> {res}")
+            if prev_pk is not None and pk < prev_pk:
+                problems.append(f"row {idx}: cumulative packets decreased {prev_pk} -> {pk}")
+            prev_alive, prev_res, prev_pk = alive, res, pk
+            if len(problems) >= 20:
+                problems.append("too many problems; stopping")
+                break
+    if not rows:
+        return ["no data rows"]
     return problems

@@ -3,14 +3,12 @@
 * ``direct_round`` — the one direct-transmission rule. Every alive node listed
   in a reach slot (the nodes in range of the sink's current point, with their
   precomputed transmission costs) sends one packet straight to the sink. It
-  runs srp (one slot per sojourn point), cl-sep (one slot, every node, static
-  sink) and sep's no-head fallback.
+  is one stepped round of srp (one slot per sojourn point) and cl-sep (one
+  slot, every node, static sink), and sep's no-head fallback.
+  ``Simulation.run`` folds srp and cl-sep per node instead of stepping them.
 * ``sep_round``    — clustered routing to a static sink. Nodes self-elect as
   cluster heads with a rotating threshold weighted by energy heterogeneity,
   members transmit to the nearest head, heads aggregate and forward.
-* ``srp_round``    — vectorised reference for srp, recomputing the sink
-  position and distances every round; tests use it as the oracle for
-  ``direct_round`` over the precomputed reach table.
 
 Death rule (uniform across engines): a node performs an energy-costing action
 only when its residual energy covers the full cost; otherwise it spends
@@ -23,12 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .energy import RadioParams, aggregation_energy, rx_energy, tx_energy, tx_energy_many
+from .energy import RadioParams, aggregation_energy, rx_energy, tx_energy
 from .errors import ConfigurationError
-from .geometry import Trajectory, sink_position
 
 NORMAL = "normal"
 ADVANCED = "advanced"
@@ -152,16 +150,22 @@ def _epoch(p: float) -> int:
     return math.ceil(1.0 / p)
 
 
-def direct_round(state: NodeState, slot: list[tuple[int, float]]) -> RoundOutcome:
+class Slot(NamedTuple):
+    """The nodes in range of one sink point, in id order, with their tx costs."""
+
+    ids: np.ndarray
+    costs: np.ndarray
+
+
+def direct_round(state: NodeState, slot: Slot) -> RoundOutcome:
     """Every alive node in ``slot`` sends one packet straight to the sink.
 
-    ``slot`` lists ``(id, cost)`` in id order; a node that cannot pay its cost
-    is marked dead instead.
+    A node that cannot pay its cost is marked dead instead.
     """
     out = RoundOutcome()
     alive = state.alive
     energy = state.energy
-    for i, cost in slot:
+    for i, cost in zip(slot.ids.tolist(), slot.costs.tolist()):
         if not alive[i]:
             continue
         if energy[i] >= cost:
@@ -176,12 +180,12 @@ def direct_round(state: NodeState, slot: list[tuple[int, float]]) -> RoundOutcom
 
 
 def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
-              radio: RadioParams, uplink: list[tuple[int, float]],
+              radio: RadioParams, uplink: Slot,
               rng: np.random.Generator) -> RoundOutcome:
     """One clustered round against a static sink.
 
-    ``uplink`` is the static sink's reach slot: every node's ``(id, cost)`` of
-    transmitting straight to the sink, in id order.
+    ``uplink`` is the static sink's reach slot: it lists every node, so its
+    ``costs`` of transmitting straight to the sink are indexed by id.
 
     Phases: epoch bookkeeping and head self-election; members join the nearest
     alive head; member-to-head transmissions (head pays reception per packet);
@@ -256,7 +260,7 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
         if not state.alive[ch]:
             continue
         n_msgs = received[ch] + 1  # members' packets plus the head's own
-        c = aggregation_energy(radio, k, n_msgs) + uplink[ch][1]
+        c = aggregation_energy(radio, k, n_msgs) + float(uplink.costs[ch])
         if float(energy[ch]) >= c:
             energy[ch] -= c
             state.packets_sent[ch] += 1
@@ -266,41 +270,4 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
             state.alive[ch] = False
 
     out.deaths = alive_before - state.alive_count()
-    return out
-
-
-def srp_round(state: NodeState, trajectory: Trajectory, round_idx: int,
-              radio: RadioParams) -> RoundOutcome:
-    """One mobile-sink round.
-
-    The sink sits at its sojourn point for the round; alive nodes within
-    sensing range (boundary inclusive) transmit one packet at their actual
-    distance, everyone else sleeps at zero cost.
-    """
-    if trajectory.sensing_range is None:
-        raise ConfigurationError("mobile-sink protocol requires a sensing_range")
-    out = RoundOutcome()
-    if not state.alive.any():
-        return out
-
-    sink = sink_position(trajectory, round_idx)
-    dx = state.xs - sink.x
-    dy = state.ys - sink.y
-    d = np.sqrt(dx * dx + dy * dy)
-    in_range = state.alive & (d <= trajectory.sensing_range)
-    if not in_range.any():
-        return out
-
-    cost = tx_energy_many(radio, radio.packet_bits, d)
-    can_pay = in_range & (state.energy >= cost)
-    exhausted = in_range & ~can_pay
-
-    state.energy[can_pay] -= cost[can_pay]
-    state.packets_sent[can_pay] += 1
-    state.alive[exhausted] = False
-
-    out.packets = int(can_pay.sum())
-    # Deterministic order: costs summed in node-id order.
-    out.cost = float(sum(cost[can_pay].tolist()))
-    out.deaths = int(exhausted.sum())
     return out

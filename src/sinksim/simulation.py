@@ -1,4 +1,4 @@
-"""Deployment, seeded randomness, the round loop, and metrics capture.
+"""Deployment, seeded randomness, the run engines, and metrics capture.
 
 A run is a pure function of its :class:`ScenarioConfig`: node placement and
 election draws come from named substreams of the seed, so the same config
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .errors import ConfigurationError
 from .geometry import (Field, Point, SquareField, Trajectory, sojourn_points,
                        trajectory_in_field)
 from .protocols import (PROTOCOLS, SEP, SRP, NetworkParams, NodeState,
-                        RoundOutcome, direct_round, sep_round)
+                        RoundOutcome, Slot, direct_round, sep_round)
 
 RNG_GENERATOR = "numpy.PCG64"
 RNG_DERIVATION = "SeedSequence([seed & 2**64-1, sha256(label)[:8] as uint64])"
@@ -85,26 +85,34 @@ class ScenarioConfig:
                 raise ConfigurationError(f"sojourn point ({p.x}, {p.y}) lies outside the field")
 
 
-@dataclass
+@dataclass(eq=False)
 class RunMetrics:
     """Per-round series plus lifetime summary for one run.
 
-    Row ``r`` of each series is the state after round ``r``. ``residual_j``
-    is the fold of ``round_cost_j`` from the initial energy, so consecutive
-    residuals differ by exactly the reported round cost. Death rounds are
-    None when the horizon ended first.
+    The series are numpy arrays (int64 ``alive`` and ``cumulative_packets``,
+    float64 ``residual_j`` and ``round_cost_j``). Row ``r`` of each series is
+    the state after round ``r``. ``residual_j`` is the fold of
+    ``round_cost_j`` from the initial energy, so consecutive residuals differ
+    by exactly the reported round cost. Death rounds are None when the
+    horizon ended first. Two runs are equal when every field is.
     """
 
     n: int
     initial_energy_j: float
-    alive: list[int] = field(default_factory=list)
-    residual_j: list[float] = field(default_factory=list)
-    cumulative_packets: list[int] = field(default_factory=list)
-    round_cost_j: list[float] = field(default_factory=list)
+    alive: np.ndarray
+    residual_j: np.ndarray
+    cumulative_packets: np.ndarray
+    round_cost_j: np.ndarray
     first_death_round: int | None = None
     half_death_round: int | None = None
     last_death_round: int | None = None
     total_packets: int = 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RunMetrics):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     @property
     def rounds_executed(self) -> int:
@@ -112,7 +120,7 @@ class RunMetrics:
 
     @property
     def final_residual_j(self) -> float:
-        return self.residual_j[-1] if self.residual_j else self.initial_energy_j
+        return float(self.residual_j[-1]) if len(self.residual_j) else self.initial_energy_j
 
 
 def deploy(cfg: ScenarioConfig) -> NodeState:
@@ -148,28 +156,75 @@ def deploy(cfg: ScenarioConfig) -> NodeState:
                      is_advanced, energy)
 
 
-def reach(state: NodeState, radio: RadioParams, points: list[Point],
-          sensing_range: float | None) -> list[list[tuple[int, float]]]:
-    """Per sink point, the ``(id, tx cost)`` of every node in range, in id order.
+class Reach:
+    """Flat reach table: per sink point, every node in range and its tx cost.
 
-    Range is inclusive and ``None`` means unlimited. Node positions and sink
-    points never change during a run, so these slots hold for the whole run.
+    Entry ``e`` says that node ``id[e]`` reaches sink point ``slot[e]`` at
+    cost ``cost[e]``. Entries are in (slot, id) order, and slot ``s`` holds
+    entries ``offsets[s]:offsets[s + 1]``. Node positions and sink points never
+    change during a run, so the table holds for the whole run.
     """
+
+    def __init__(self, slot: np.ndarray, id: np.ndarray, cost: np.ndarray,
+                 offsets: np.ndarray):
+        self.slot = slot
+        self.id = id
+        self.cost = cost
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, s: int) -> Slot:
+        lo, hi = self.offsets[s], self.offsets[s + 1]
+        return Slot(self.id[lo:hi], self.cost[lo:hi])
+
+
+def reach(state: NodeState, radio: RadioParams, points: list[Point],
+          sensing_range: float | None) -> Reach:
+    """The reach table of ``points``: range is inclusive, ``None`` is unlimited."""
     limit = math.inf if sensing_range is None else sensing_range
-    k = radio.packet_bits
-    nodes = list(enumerate(zip(state.xs.tolist(), state.ys.tolist())))
-    slots = []
+    ids = []
+    dists = []
     for p in points:
-        px, py = p.x, p.y
-        slot = []
-        for i, (x, y) in nodes:
-            dx = x - px
-            dy = y - py
-            d = math.sqrt(dx * dx + dy * dy)
-            if d <= limit:
-                slot.append((i, tx_energy(radio, k, d)))
-        slots.append(slot)
-    return slots
+        dx = state.xs - p.x
+        dy = state.ys - p.y
+        d = np.sqrt(dx * dx + dy * dy)
+        inside = np.flatnonzero(d <= limit)
+        ids.append(inside)
+        dists.append(d[inside])
+    counts = np.array([len(i) for i in ids], dtype=np.int64)
+    offsets = np.zeros(len(points) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return Reach(np.repeat(np.arange(len(points)), counts), np.concatenate(ids),
+                 tx_energy(radio, radio.packet_bits, np.concatenate(dists)), offsets)
+
+
+# Most elements one pass of the node folds, or one chunk of a slot's epoch
+# sums, holds at a time, so the engine's scratch memory stays small whatever
+# n, the epoch count and max_rounds are.
+_CHUNK = 1 << 14
+
+
+def _id_order_sums(cost: np.ndarray, dies: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per bound ``b``, the sum of ``cost`` over the entries with ``dies > b``.
+
+    The terms are added one by one in id order (a cumsum, never the pairwise
+    ``np.sum``), exactly as a round adds its payers' costs; a skipped entry
+    adds 0.0, which changes no sum.
+    """
+    out = np.empty(len(bounds))
+    step = max(1, _CHUNK // len(cost))
+    for i in range(0, len(bounds), step):
+        live = dies > bounds[i:i + step, None]
+        out[i:i + step] = np.cumsum(np.where(live, cost, 0.0), axis=1)[:, -1]
+    return out
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True in ``mask``, or None."""
+    i = int(np.argmax(mask))
+    return i if len(mask) and mask[i] else None
 
 
 class Simulation:
@@ -181,50 +236,165 @@ class Simulation:
         self._election_rng = rng_stream(cfg.seed, "election")
         traj = cfg.trajectory
         # A static sink does not gate by range (see Trajectory): its one slot
-        # lists every node, which sep's head uplink indexes by id.
+        # lists every node, so sep's head uplink indexes its costs by id.
         sensing = None if traj.is_static else traj.sensing_range
-        self._slots = reach(self.state, cfg.radio, sojourn_points(traj), sensing)
+        self._reach = reach(self.state, cfg.radio, sojourn_points(traj), sensing)
 
     def step(self, round_idx: int) -> RoundOutcome:
         """Execute one protocol round."""
         cfg = self.cfg
         if cfg.protocol == SEP:
             return sep_round(self.state, round_idx, cfg.net, cfg.radio,
-                             self._slots[0], self._election_rng)
-        return direct_round(self.state, self._slots[round_idx % len(self._slots)])
+                             self._reach[0], self._election_rng)
+        return direct_round(self.state, self._reach[round_idx % len(self._reach)])
 
     def run(self) -> RunMetrics:
-        """Execute rounds until the stop rule fires; record per-round metrics."""
+        """Run until the stop rule fires; record per-round metrics.
+
+        Leaves ``state`` as stepping every round would. srp and cl-sep nodes
+        never interact, so their rounds come from one fold per node
+        (``_fold``); sep steps until its last death and fills the rest.
+        """
         cfg = self.cfg
         n = cfg.net.n
-        metrics = RunMetrics(n=n, initial_energy_j=self.state.total_energy())
-        residual = metrics.initial_energy_j
-        cum_packets = 0
-        alive = self.state.alive_count()
-        half_alive = n // 2
+        initial = self.state.total_energy()
+        alive0 = self.state.alive_count()
+        if cfg.protocol == SEP:
+            cost, packets, deaths = self._step_until_dead(alive0)
+        else:
+            cost, packets, deaths = self._fold()
+        alive = alive0 - np.cumsum(deaths)
+        cum_packets = np.cumsum(packets)
+        return RunMetrics(
+            n=n, initial_energy_j=initial, alive=alive,
+            residual_j=np.subtract.accumulate(np.concatenate(([initial], cost)))[1:],
+            cumulative_packets=cum_packets, round_cost_j=cost,
+            first_death_round=_first(alive < n),
+            half_death_round=_first(alive <= n // 2),
+            last_death_round=_first(alive == 0),
+            total_packets=int(cum_packets[-1]))
 
-        for r in range(cfg.max_rounds):
-            outcome = self.step(r)
-            residual -= outcome.cost
-            cum_packets += outcome.packets
-            alive -= outcome.deaths
+    def _rows(self, last_death: int | None) -> int:
+        """Rows the run records: up to its last death under all_dead."""
+        if self.cfg.stop_rule == STOP_ALL_DEAD and last_death is not None:
+            return max(last_death, 0) + 1
+        return self.cfg.max_rounds
 
-            metrics.alive.append(alive)
-            metrics.residual_j.append(residual)
-            metrics.cumulative_packets.append(cum_packets)
-            metrics.round_cost_j.append(outcome.cost)
+    def _step_until_dead(self, alive: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """sep's per-round (cost, packets, deaths), stepped while a node lives.
 
-            if metrics.first_death_round is None and alive < n:
-                metrics.first_death_round = r
-            if metrics.half_death_round is None and alive <= half_alive:
-                metrics.half_death_round = r
-            if metrics.last_death_round is None and alive == 0:
-                metrics.last_death_round = r
-                if cfg.stop_rule == STOP_ALL_DEAD:
-                    break
+        Once none is alive a round spends and sends nothing, so those rows are
+        filled directly. The election draws they skip feed nothing else.
+        """
+        costs: list[float] = []
+        packets: list[int] = []
+        deaths: list[int] = []
+        r = 0
+        while r < self.cfg.max_rounds and alive > 0:
+            out = self.step(r)
+            alive -= out.deaths
+            costs.append(out.cost)
+            packets.append(out.packets)
+            deaths.append(out.deaths)
+            r += 1
+        rows = self._rows(r - 1 if alive == 0 else None)
+        series = (np.zeros(rows), np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64))
+        for arr, values in zip(series, (costs, packets, deaths)):
+            arr[:r] = values
+        return series
 
-        metrics.total_packets = cum_packets
-        return metrics
+    def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """srp and cl-sep per-round (cost, packets, deaths) from per-node folds.
+
+        Round ``r`` serves slot ``r % S``. Once every node's death round is
+        known (``_fold_nodes``), a slot's paying set changes only at its
+        members' death rounds, and each of its sums adds the payers' costs in
+        id order, as a stepped round does.
+        """
+        table = self._reach
+        S = len(table)
+        dies = self._fold_nodes()
+        rows = self._rows(int(dies.max()) if (dies < self.cfg.max_rounds).all() else None)
+        cost = np.zeros(rows)
+        packets = np.zeros(rows, dtype=np.int64)
+        for s in range(min(S, rows)):
+            lo, hi = table.offsets[s], table.offsets[s + 1]
+            if lo == hi:
+                continue
+            d = dies[table.id[lo:hi]]
+            marks = np.unique(d[(d >= 0) & (d < rows)])   # where the paying set shrinks
+            bounds = np.concatenate(([-1], marks))        # epoch e pays the d > bounds[e]
+            rounds = np.arange(s, rows, S)
+            which = np.searchsorted(marks, rounds, side="right")
+            cost[rounds] = _id_order_sums(table.cost[lo:hi], d, bounds)[which]
+            payers = len(d) - np.searchsorted(np.sort(d), bounds, side="right")
+            packets[rounds] = payers[which]
+        return cost, packets, np.bincount(dies[(dies >= 0) & (dies < rows)], minlength=rows)
+
+    def _fold_nodes(self) -> np.ndarray:
+        """Each node's death round: -1 if dead at the start, max_rounds if never.
+
+        Node i's attempts, in round order, repeat its entries in slot order
+        over every tour. Its residual before each attempt is a sequential
+        ``np.subtract.accumulate`` of those costs from its energy, and the
+        first attempt it cannot pay is its death. Leaves each node's energy,
+        alive flag and packet count as stepping the rounds would.
+        """
+        state = self.state
+        table = self._reach
+        n, S, R = state.n, len(table), self.cfg.max_rounds
+        order = np.argsort(table.id, kind="stable")
+        pat_slot = table.slot[order]
+        pat_cost = table.cost[order]
+        k = np.bincount(table.id, minlength=n)            # attempts per tour
+        first = np.cumsum(k) - k                          # node i's pattern start
+        horizon = (R // S) * k + np.bincount(table.id[table.slot < R % S], minlength=n)
+        cheapest = np.full(n, np.inf)
+        cheapest[k > 0] = np.minimum.reduceat(pat_cost, first[k > 0])
+
+        dies = np.where(state.alive, R, -1)
+        paid = np.zeros(n, dtype=np.int64)
+        folding = state.alive & (k > 0)
+        while True:
+            pending = np.flatnonzero(folding & (paid < horizon))
+            if not len(pending):
+                break
+            # Each payment takes at least the cheapest cost, so a node fails
+            # within floor(e / cheapest) + 1 attempts; one more absorbs
+            # rounding. A pass folds at most _CHUNK attempts, and later
+            # passes take up every node still short.
+            length = np.minimum(horizon[pending] - paid[pending],
+                                np.floor(state.energy[pending] / cheapest[pending]) + 2)
+            length = np.minimum(length, _CHUNK).astype(np.int64)
+            ends = np.cumsum(length)
+            take = max(1, int(np.searchsorted(ends, _CHUNK, side="right")))
+            nodes, length = pending[:take], length[:take]
+            start = ends[:take] - length
+            block = np.repeat(np.arange(take), length)
+            attempt = np.arange(len(block)) + (paid[nodes] - start)[block]
+            cost = pat_cost[first[nodes][block] + attempt % k[nodes][block]]
+            before = np.empty(len(cost))                  # residual before each attempt
+            before[1:] = cost[:-1]
+            before[start] = state.energy[nodes]
+            for lo, hi in zip(start.tolist(), (start + length).tolist()):
+                np.subtract.accumulate(before[lo:hi], out=before[lo:hi])
+
+            fail = np.flatnonzero(before < cost)
+            failed, at = np.unique(block[fail], return_index=True)
+            at = fail[at]                                 # each failing node's first failure
+            end = start + length - 1
+            energy = before[end] - cost[end]
+            energy[failed] = before[at]
+            length[failed] = at - start[failed]
+            state.energy[nodes] = energy
+            paid[nodes] += length
+            dead = nodes[failed]
+            tries = paid[dead]                            # the failed attempt's index
+            dies[dead] = tries // k[dead] * S + pat_slot[first[dead] + tries % k[dead]]
+            folding[dead] = False
+        state.alive[(dies >= 0) & (dies < R)] = False
+        state.packets_sent += paid
+        return dies
 
 
 def run(cfg: ScenarioConfig) -> RunMetrics:

@@ -157,6 +157,14 @@ class TestCompare:
     def test_single_scenario_rejected(self):
         assert main(["compare", "--scenarios", "sep", "--rounds", "10"]) == 2
 
+    def test_duplicate_scenario_rejected(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", "--scenarios", "sep,sep", "--rounds", "10",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: duplicate scenario 'sep'\n"
+        assert not out.exists()
+
     def test_single_seed_degenerate_iqr(self, tmp_path):
         out = tmp_path / "cmp.csv"
         main(["compare", "--scenarios", "sep,cl-sep", "--seeds", "1",
@@ -224,4 +232,15 @@ class TestSweep:
                          "--seeds", seeds, "--rounds", "10", "--out", str(out)])
             assert code == 2
             assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["abc", "10,abc", "10,nan", "inf"])
+    def test_malformed_value_rejected(self, values, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--scenario", "cc-srp", "--values", values,
+                     "--rounds", "10", "--out", str(out)])
+        assert code == 2
+        bad = values.split(",")[-1]
+        assert capsys.readouterr().err == (
+            f"error: --values item {bad!r} is not a finite number\n")
         assert not out.exists()

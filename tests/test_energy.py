@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from sinksim.energy import (RadioParams, aggregation_energy, rx_energy,
-                            tx_energy, tx_energy_many)
+from sinksim.energy import RadioParams, aggregation_energy, rx_energy, tx_energy
 from sinksim.errors import ConfigurationError
 
 P = RadioParams()
@@ -47,7 +46,7 @@ class TestTxEnergy:
     def test_vectorized_matches_scalar_bitwise(self):
         rng = np.random.default_rng(7)
         d = np.concatenate([rng.uniform(0, 150, 500), [0.0, P.d0, 100.0]])
-        vec = tx_energy_many(P, K, d)
+        vec = tx_energy(P, K, d)
         for i, di in enumerate(d.tolist()):
             assert vec[i] == tx_energy(P, K, di)
 

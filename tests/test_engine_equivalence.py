@@ -1,0 +1,63 @@
+"""``Simulation.run`` against a plain per-round ``Simulation.step`` loop.
+
+srp and cl-sep runs are per-node folds and sep stops stepping at its last
+death; every preset at the full horizon, under both stop rules, must match
+the stepped loop bit for bit.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sinksim import load_preset
+from sinksim.presets import PRESET_NAMES
+from sinksim.protocols import NetworkParams
+from sinksim.simulation import STOP_ALL_DEAD, STOP_RULES, Simulation
+
+from oracles import assert_same_run, stepped_run
+
+
+@pytest.mark.parametrize("stop_rule", STOP_RULES)
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_run_equals_stepped_loop(name, stop_rule):
+    cfg = dataclasses.replace(load_preset(name, seed=0), stop_rule=stop_rule)
+    assert cfg.max_rounds == 50_000
+    fast = Simulation(cfg)
+    ref = Simulation(cfg)
+    m_fast = fast.run()
+    m_ref = stepped_run(ref)
+    assert_same_run(fast, m_fast, ref, m_ref)
+    assert m_ref.first_death_round is not None  # the horizon covered real deaths
+
+
+def test_cl_sep_round_sums_at_large_n():
+    """cl-sep's one slot lists every node, so its round sums span all n.
+
+    At n=4000 over 3000 rounds more than 1000 distinct death rounds split the
+    run into epochs; a (death rounds x nodes) mask alone would take over 4 MB.
+    Each round's cost is the id-order sum over the nodes still paying, which
+    the final packet counts give independently (a cl-sep node pays every
+    round until it dies).
+    """
+    cfg = dataclasses.replace(load_preset("cl-sep", seed=0),
+                              net=NetworkParams(n=4000, m=0.0, e0=0.6),
+                              max_rounds=3000, stop_rule=STOP_ALL_DEAD)
+    sim = Simulation(cfg)
+    tracemalloc.start()
+    try:
+        m = sim.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    epochs = int((np.diff(m.alive) < 0).sum())
+    assert epochs > 1000
+    assert peak < epochs * cfg.net.n / 2
+
+    sent = sim.state.packets_sent
+    costs = sim._reach[0].costs
+    for r in range(0, m.rounds_executed, 97):
+        paying = sent > r
+        assert m.round_cost_j[r] == sum(costs[paying].tolist())
+        assert m.cumulative_packets[r] - (m.cumulative_packets[r - 1] if r else 0) == paying.sum()

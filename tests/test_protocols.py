@@ -10,8 +10,10 @@ from sinksim.energy import (RadioParams, aggregation_energy, rx_energy,
 from sinksim.geometry import CirclePath, Point, Trajectory
 from sinksim.protocols import (ADVANCED, NORMAL, NetworkParams, NodeState,
                                ch_probability, direct_round,
-                               election_threshold, sep_round, srp_round)
+                               election_threshold, sep_round)
 from sinksim.simulation import reach
+
+from oracles import srp_round
 
 RADIO = RadioParams()
 NET = NetworkParams()
