@@ -161,40 +161,37 @@ def sojourn_points(t: Trajectory) -> list[Point]:
     circles start at angle 0 (center + (radius, 0)) and run counterclockwise.
     A static path yields its single point regardless of sojourn_count.
     """
+    return [_sojourn_point(t, k) for k in range(1 if t.is_static else t.sojourn_count)]
+
+
+def _sojourn_point(t: Trajectory, k: int) -> Point:
+    """Sojourn point ``k`` of a tour, 0 <= k < its number of points."""
     p = t.path
     if isinstance(p, StaticPath):
-        return [p.point]
+        return p.point
     if isinstance(p, CirclePath):
-        pts = []
-        for k in range(t.sojourn_count):
-            ang = 2.0 * math.pi * k / t.sojourn_count
-            pts.append(Point(p.center.x + p.radius * math.cos(ang),
-                             p.center.y + p.radius * math.sin(ang)))
-        return pts
+        ang = 2.0 * math.pi * k / t.sojourn_count
+        return Point(p.center.x + p.radius * math.cos(ang),
+                     p.center.y + p.radius * math.sin(ang))
     # Square perimeter, walked +x, +y, -x, -y from the lowest-left corner.
     s = p.side
     x0 = p.center.x - s / 2.0
     y0 = p.center.y - s / 2.0
     step = 4.0 * s / t.sojourn_count
-    pts = []
-    for k in range(t.sojourn_count):
-        arc = k * step
-        edge, along = divmod(arc, s)
-        if edge == 0:
-            pts.append(Point(x0 + along, y0))
-        elif edge == 1:
-            pts.append(Point(x0 + s, y0 + along))
-        elif edge == 2:
-            pts.append(Point(x0 + s - along, y0 + s))
-        else:
-            pts.append(Point(x0, y0 + s - along))
-    return pts
+    arc = k * step
+    edge, along = divmod(arc, s)
+    if edge == 0:
+        return Point(x0 + along, y0)
+    if edge == 1:
+        return Point(x0 + s, y0 + along)
+    if edge == 2:
+        return Point(x0 + s - along, y0 + s)
+    return Point(x0, y0 + s - along)
 
 
 def sink_position(t: Trajectory, round_idx: int) -> Point:
     """Sink location during a given round: one sojourn point per round, wrapping."""
-    pts = sojourn_points(t)
-    return pts[round_idx % len(pts)]
+    return _sojourn_point(t, round_idx % (1 if t.is_static else t.sojourn_count))
 
 
 def path_point_distance(path: Path, q: Point) -> float:

@@ -65,8 +65,9 @@ def _defaulted(cls, d: dict, prefix: str = "") -> dict:
             for f in fields(cls) if f.default is not MISSING and f.name in d}
 
 
-def _strict_keys(where: str, cls, d) -> dict:
-    unknown = sorted(set(_object(where, d)) - {f.name for f in fields(cls)})
+def _strict_keys(where: str, cls, d, extra: tuple[str, ...] = ()) -> dict:
+    """``d`` if it is an object whose keys are fields of ``cls`` or ``extra``."""
+    unknown = sorted(set(_object(where, d)) - {f.name for f in fields(cls)} - set(extra))
     if unknown:
         raise ConfigurationError(f"unknown {where} key(s): {', '.join(unknown)}")
     return d
@@ -106,6 +107,11 @@ def _path_to_dict(p: Path) -> dict:
     return {"path": "static", "point": _point_to_list(p.point)}
 
 
+# Keys each trajectory path kind takes besides the Trajectory fields.
+_PATH_KEYS = {"square_perimeter": ("center", "side"), "circle": ("center", "radius"),
+              "static": ("point",)}
+
+
 def _path_from_dict(d: dict) -> Path:
     kind = d.get("path")
     if kind == "square_perimeter":
@@ -128,9 +134,9 @@ def _trajectory_to_dict(t: Trajectory) -> dict:
 
 
 def _trajectory_from_dict(d) -> Trajectory:
-    # Allowed keys depend on the path, so unknown ones are not rejected here.
-    return Trajectory(path=_path_from_dict(_object("trajectory", d)),
-                      **_defaulted(Trajectory, d, "trajectory."))
+    path = _path_from_dict(_object("trajectory", d))
+    _strict_keys("trajectory", Trajectory, d, _PATH_KEYS[d["path"]])
+    return Trajectory(path=path, **_defaulted(Trajectory, d, "trajectory."))
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:

@@ -36,6 +36,10 @@ CL_SEP = "cl-sep"
 SRP = "srp"
 PROTOCOLS = (SEP, CL_SEP, SRP)
 
+# Most nodes a network may have. Each sep round builds (members x heads)
+# distance arrays, about 72 MB each at this size.
+MAX_NODES = 10_000
+
 
 @dataclass(frozen=True)
 class NetworkParams:
@@ -48,8 +52,8 @@ class NetworkParams:
     p_opt: float = 0.1    # target cluster-head probability per round
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_NODES:
+            raise ConfigurationError(f"n must be in [1, {MAX_NODES}], got {self.n}")
         if not 0.0 <= self.m <= 1.0:
             raise ConfigurationError(f"m must be in [0, 1], got {self.m}")
         if self.alpha < 0:
@@ -224,50 +228,65 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
         # Fallback: nobody advertised, everyone reports directly.
         return direct_round(state, uplink)
 
-    alive_before = state.alive_count()
-    energy = state.energy
+    # Members and heads act on plain Python lists, written back once below.
     xs = state.xs
     ys = state.ys
+    energy = state.energy.tolist()
+    alive = state.alive.tolist()
+    sent = state.packets_sent.tolist()
+    rx = rx_energy(radio, k)
+    # aggregation_energy(radio, k, m) is (e_da*k)*m, so pricing one message
+    # and scaling it by m gives the same bits.
+    per_msg = aggregation_energy(radio, k, 1)
+    cost = 0.0
+    deaths = 0
 
     member_ids = np.flatnonzero(state.alive & ~is_ch)
-    received = {int(ch): 0 for ch in ch_ids.tolist()}
+    received = dict.fromkeys(ch_ids.tolist(), 0)
 
     if len(member_ids) > 0:
-        # Nearest alive head by Euclidean distance, lowest id on ties.
+        # Nearest alive head by Euclidean distance, lowest id on ties. One
+        # array tx_energy call prices every member's hop.
         dx = xs[member_ids, None] - xs[None, ch_ids]
         dy = ys[member_ids, None] - ys[None, ch_ids]
         dists = np.sqrt(dx * dx + dy * dy)
         nearest = np.argmin(dists, axis=1)
-        rx_cost = rx_energy(radio, k)
-        for row, i in enumerate(member_ids.tolist()):
-            ch = int(ch_ids[nearest[row]])
-            c = tx_energy(radio, k, float(dists[row, nearest[row]]))
-            if float(energy[i]) >= c:
+        heads = ch_ids[nearest].tolist()
+        tx = tx_energy(radio, k, dists[np.arange(len(member_ids)), nearest]).tolist()
+        for i, ch, c in zip(member_ids.tolist(), heads, tx):
+            if energy[i] >= c:
                 energy[i] -= c
-                state.packets_sent[i] += 1
-                out.cost += c
-                if state.alive[ch]:
-                    if float(energy[ch]) >= rx_cost:
-                        energy[ch] -= rx_cost
-                        out.cost += rx_cost
+                sent[i] += 1
+                cost += c
+                if alive[ch]:
+                    if energy[ch] >= rx:
+                        energy[ch] -= rx
+                        cost += rx
                         received[ch] += 1
                     else:
-                        state.alive[ch] = False
+                        alive[ch] = False
+                        deaths += 1
             else:
-                state.alive[i] = False
+                alive[i] = False
+                deaths += 1
 
     for ch in ch_ids.tolist():
-        if not state.alive[ch]:
+        if not alive[ch]:
             continue
         n_msgs = received[ch] + 1  # members' packets plus the head's own
-        c = aggregation_energy(radio, k, n_msgs) + float(uplink.costs[ch])
-        if float(energy[ch]) >= c:
+        c = per_msg * n_msgs + float(uplink.costs[ch])
+        if energy[ch] >= c:
             energy[ch] -= c
-            state.packets_sent[ch] += 1
+            sent[ch] += 1
             out.packets += 1
-            out.cost += c
+            cost += c
         else:
-            state.alive[ch] = False
+            alive[ch] = False
+            deaths += 1
 
-    out.deaths = alive_before - state.alive_count()
+    state.energy[:] = energy
+    state.alive[:] = alive
+    state.packets_sent[:] = sent
+    out.cost = cost
+    out.deaths = deaths
     return out

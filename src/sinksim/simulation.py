@@ -27,6 +27,10 @@ STOP_ALL_DEAD = "all_dead"
 STOP_MAX_ROUNDS = "max_rounds"
 STOP_RULES = (STOP_ALL_DEAD, STOP_MAX_ROUNDS)
 
+# Longest horizon a run may have. A run holds its four per-round series and
+# their scratch arrays, about 60 MB per million rounds.
+MAX_ROUNDS = 10_000_000
+
 
 def rng_stream(seed: int, label: str) -> np.random.Generator:
     """Independent, reproducible random substream for (seed, label).
@@ -68,8 +72,8 @@ class ScenarioConfig:
             raise ConfigurationError(f"unknown stop_rule {self.stop_rule!r}; expected one of {STOP_RULES}")
         if not -2**63 <= self.seed < 2**63:
             raise ConfigurationError(f"seed must be in [-2**63, 2**63), got {self.seed}")
-        if self.max_rounds < 1:
-            raise ConfigurationError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        if not 1 <= self.max_rounds <= MAX_ROUNDS:
+            raise ConfigurationError(f"max_rounds must be in [1, {MAX_ROUNDS}], got {self.max_rounds}")
         if self.protocol == SRP:
             if self.trajectory.is_static:
                 raise ConfigurationError("srp requires a moving trajectory, not a static point")

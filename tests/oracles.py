@@ -2,18 +2,27 @@
 
 * ``srp_round``   — one srp round that recomputes the sink position and every
   distance each round; the oracle for the reach table.
+* ``sep_round``   — one sep round that pays member by member on numpy
+  scalars, with one scalar ``tx_energy`` call per member; the oracle for the
+  library's list-based ``sep_round``. ``sep_oracle_run`` runs a whole
+  ``Simulation`` with it.
 * ``stepped_run`` — ``Simulation.run`` as a plain loop of ``Simulation.step``
   calls, one per round; the oracle for the per-node fold of srp and cl-sep
   and for sep's filled dead tail.
 """
 
+from unittest import mock
+
 import numpy as np
 
-from sinksim.energy import RadioParams, tx_energy
+from sinksim import simulation
+from sinksim.energy import RadioParams, aggregation_energy, rx_energy, tx_energy
 from sinksim.errors import ConfigurationError
 from sinksim.geometry import Trajectory, sink_position
-from sinksim.protocols import NodeState, RoundOutcome
-from sinksim.simulation import STOP_ALL_DEAD, RunMetrics, Simulation
+from sinksim.protocols import (ADVANCED, NORMAL, NetworkParams, NodeState,
+                               RoundOutcome, Slot, _epoch, ch_probability,
+                               direct_round, election_threshold)
+from sinksim.simulation import STOP_ALL_DEAD, RunMetrics, ScenarioConfig, Simulation
 
 
 def srp_round(state: NodeState, trajectory: Trajectory, round_idx: int,
@@ -51,6 +60,107 @@ def srp_round(state: NodeState, trajectory: Trajectory, round_idx: int,
     out.cost = float(sum(cost[can_pay].tolist()))
     out.deaths = int(exhausted.sum())
     return out
+
+
+def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
+              radio: RadioParams, uplink: Slot,
+              rng: np.random.Generator) -> RoundOutcome:
+    """One clustered round against a static sink.
+
+    ``uplink`` is the static sink's reach slot: it lists every node, so its
+    ``costs`` of transmitting straight to the sink are indexed by id.
+
+    Phases: epoch bookkeeping and head self-election; members join the nearest
+    alive head; member-to-head transmissions (head pays reception per packet);
+    heads aggregate (received messages plus their own) and forward one packet
+    to the sink. If no head is elected every alive node falls back to
+    transmitting directly to the sink. Members do not re-route when their head
+    dies mid-round; those packets are lost.
+    """
+    out = RoundOutcome()
+    # One draw per node id, consumed every round, so the stream does not
+    # depend on which nodes are alive.
+    draws = rng.random(state.n)
+    if not state.alive.any():
+        return out
+
+    k = radio.packet_bits
+    p_nrm = ch_probability(net, NORMAL)
+    p_adv = ch_probability(net, ADVANCED)
+
+    # Epoch boundaries re-admit every alive node of that kind to set G.
+    if round_idx % _epoch(p_nrm) == 0:
+        state.in_set_g[state.alive & ~state.is_advanced] = True
+    if round_idx % _epoch(p_adv) == 0:
+        state.in_set_g[state.alive & state.is_advanced] = True
+
+    t_nrm = election_threshold(p_nrm, round_idx)
+    t_adv = election_threshold(p_adv, round_idx)
+    thresholds = np.where(state.is_advanced, t_adv, t_nrm)
+    thresholds = np.where(state.in_set_g, thresholds, 0.0)
+    is_ch = state.alive & (draws < thresholds)
+    ch_ids = np.flatnonzero(is_ch)
+    state.in_set_g[ch_ids] = False
+    out.cluster_heads = len(ch_ids)
+
+    if len(ch_ids) == 0:
+        # Fallback: nobody advertised, everyone reports directly.
+        return direct_round(state, uplink)
+
+    alive_before = state.alive_count()
+    energy = state.energy
+    xs = state.xs
+    ys = state.ys
+
+    member_ids = np.flatnonzero(state.alive & ~is_ch)
+    received = {int(ch): 0 for ch in ch_ids.tolist()}
+
+    if len(member_ids) > 0:
+        # Nearest alive head by Euclidean distance, lowest id on ties.
+        dx = xs[member_ids, None] - xs[None, ch_ids]
+        dy = ys[member_ids, None] - ys[None, ch_ids]
+        dists = np.sqrt(dx * dx + dy * dy)
+        nearest = np.argmin(dists, axis=1)
+        rx_cost = rx_energy(radio, k)
+        for row, i in enumerate(member_ids.tolist()):
+            ch = int(ch_ids[nearest[row]])
+            c = tx_energy(radio, k, float(dists[row, nearest[row]]))
+            if float(energy[i]) >= c:
+                energy[i] -= c
+                state.packets_sent[i] += 1
+                out.cost += c
+                if state.alive[ch]:
+                    if float(energy[ch]) >= rx_cost:
+                        energy[ch] -= rx_cost
+                        out.cost += rx_cost
+                        received[ch] += 1
+                    else:
+                        state.alive[ch] = False
+            else:
+                state.alive[i] = False
+
+    for ch in ch_ids.tolist():
+        if not state.alive[ch]:
+            continue
+        n_msgs = received[ch] + 1  # members' packets plus the head's own
+        c = aggregation_energy(radio, k, n_msgs) + float(uplink.costs[ch])
+        if float(energy[ch]) >= c:
+            energy[ch] -= c
+            state.packets_sent[ch] += 1
+            out.packets += 1
+            out.cost += c
+        else:
+            state.alive[ch] = False
+
+    out.deaths = alive_before - state.alive_count()
+    return out
+
+
+def sep_oracle_run(cfg: ScenarioConfig) -> tuple[Simulation, RunMetrics]:
+    """``Simulation(cfg).run()`` with every sep round played by ``sep_round``."""
+    with mock.patch.object(simulation, "sep_round", sep_round):
+        sim = Simulation(cfg)
+        return sim, sim.run()
 
 
 def stepped_run(sim: Simulation) -> RunMetrics:

@@ -61,6 +61,16 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [["--rounds", "1000000000000"],
+                                      ["--override", "net.n=100000000"]],
+                             ids=["rounds", "net.n"])
+    def test_oversized_run_exits_2(self, args, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        code = main(["simulate", "--scenario", "sc40-srp", *args, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_unwritable_output_exits_3(self, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "run.csv"
         code = main(["simulate", "--scenario", "cl-sep", "--rounds", "10",

@@ -2,7 +2,8 @@
 
 srp and cl-sep runs are per-node folds and sep stops stepping at its last
 death; every preset at the full horizon, under both stop rules, must match
-the stepped loop bit for bit.
+the stepped loop bit for bit. sep's rounds must also match the numpy-scalar
+``sep_round`` of ``oracles``, since ``run`` and ``step`` share one round.
 """
 
 import dataclasses
@@ -14,9 +15,9 @@ import pytest
 from sinksim import load_preset
 from sinksim.presets import PRESET_NAMES
 from sinksim.protocols import NetworkParams
-from sinksim.simulation import STOP_ALL_DEAD, STOP_RULES, Simulation
+from sinksim.simulation import STOP_ALL_DEAD, STOP_MAX_ROUNDS, STOP_RULES, Simulation
 
-from oracles import assert_same_run, stepped_run
+from oracles import assert_same_run, sep_oracle_run, stepped_run
 
 
 @pytest.mark.parametrize("stop_rule", STOP_RULES)
@@ -30,6 +31,30 @@ def test_run_equals_stepped_loop(name, stop_rule):
     m_ref = stepped_run(ref)
     assert_same_run(fast, m_fast, ref, m_ref)
     assert m_ref.first_death_round is not None  # the horizon covered real deaths
+
+
+SEP_NETS = {
+    "n300": NetworkParams(n=300),
+    "n30-m0.5-a3": NetworkParams(n=30, m=0.5, alpha=3.0),
+    "e0.05": NetworkParams(e0=0.05),
+    "n8-e1e-4": NetworkParams(n=8, e0=1e-4),
+}
+SEP_CASES = ([(seed, rule, None) for seed in range(6) for rule in STOP_RULES]
+             + [(0, STOP_MAX_ROUNDS, name) for name in SEP_NETS])
+
+
+@pytest.mark.parametrize("seed,stop_rule,net", SEP_CASES,
+                         ids=[f"seed{s}-{r}-{n or 'preset'}" for s, r, n in SEP_CASES])
+def test_sep_round_matches_oracle(seed, stop_rule, net):
+    cfg = dataclasses.replace(load_preset("sep", seed=seed), stop_rule=stop_rule)
+    if net is not None:
+        cfg = dataclasses.replace(cfg, net=SEP_NETS[net])
+    assert cfg.max_rounds == 50_000
+    fast = Simulation(cfg)
+    m_fast = fast.run()
+    ref, m_ref = sep_oracle_run(cfg)
+    assert_same_run(fast, m_fast, ref, m_ref)
+    assert m_ref.last_death_round is not None  # every round with a live node compared
 
 
 def test_cl_sep_round_sums_at_large_n():

@@ -101,6 +101,14 @@ class TestSinkPosition:
         for r in (0, 3, 17, 10_000):
             assert sink_position(t, r) == CENTER
 
+    @pytest.mark.parametrize("t", [square_traj(), circle_traj(40.0),
+                                   Trajectory(StaticPath(CENTER), sojourn_count=3)],
+                             ids=["square", "circle", "static"])
+    def test_matches_sojourn_points(self, t):
+        pts = sojourn_points(t)
+        for r in range(0, 3 * len(pts) + 5, 7):
+            assert sink_position(t, r) == pts[r % len(pts)]
+
     def test_periodic(self):
         t = circle_traj(20.0, count=36)
         for r in range(36):

@@ -114,12 +114,22 @@ class TestConfigSerialization:
         ("seed", str(2**63)), ("seed", str(-2**63 - 1)), ("seed", str(2**64 - 1)),
         ("net.bogus", "1"), ("radio.bogus", "1"), ("bogus", "1"),
         ("net", "5"), ("radio", "[1]"),
+        ("max_rounds", str(10**7 + 1)), ("net.n", str(10**4 + 1)),
+    ]
+    # (scenario, key, JSON text): trajectory keys are checked per path kind.
+    TRAJECTORY_CASES = [
+        ("ss-srp", "trajectory.bogus", "1"), ("ss-srp", "trajectory.radius", "5"),
+        ("sc40-srp", "trajectory.side", "5"), ("sc40-srp", "trajectory.point", "[1, 2]"),
+        ("sep", "trajectory.center", "[1, 2]"), ("sep", "trajectory.bogus", "1"),
     ]
 
-    @pytest.mark.parametrize("key,raw", STRICT_CASES,
-                             ids=[f"{k}={r[:20]}" for k, r in STRICT_CASES])
-    def test_strict_values_and_keys(self, key, raw):
-        d = preset_dict("sep")
+    @pytest.mark.parametrize(
+        "scenario,key,raw",
+        [("sep", k, r) for k, r in STRICT_CASES] + TRAJECTORY_CASES,
+        ids=[f"{k}={r[:20]}" for k, r in STRICT_CASES]
+        + [f"{s}:{k}={r}" for s, k, r in TRAJECTORY_CASES])
+    def test_strict_values_and_keys(self, scenario, key, raw):
+        d = preset_dict(scenario)
         *parents, last = key.split(".")
         target = d
         for part in parents:
@@ -130,7 +140,7 @@ class TestConfigSerialization:
 
     @pytest.mark.parametrize("key,value,expected", [
         ("n", 60.0, 60), ("e0", 1, 1.0), ("seed", -2**63, -2**63),
-        ("seed", 2**63 - 1, 2**63 - 1),
+        ("seed", 2**63 - 1, 2**63 - 1), ("max_rounds", 10**7, 10**7), ("n", 10**4, 10**4),
     ])
     def test_integral_and_boundary_numbers_accepted(self, key, value, expected):
         d = preset_dict("sep")

@@ -2,7 +2,9 @@
 
 Every drawn run is checked against the stepped loop of ``oracles`` and for
 the physical invariants: no node energy below zero, alive counts that never
-rise, and a residual series that is the exact fold of the round costs.
+rise, and a residual series that is the exact fold of the round costs. Drawn
+sep runs are also checked against runs whose rounds are played by the
+oracle ``sep_round``.
 """
 
 import numpy as np
@@ -14,14 +16,14 @@ from sinksim.geometry import (CirclePath, Point, SquareField, SquarePath,
 from sinksim.protocols import PROTOCOLS, SEP, SRP, NetworkParams
 from sinksim.simulation import STOP_RULES, ScenarioConfig, Simulation
 
-from oracles import assert_same_run, stepped_run
+from oracles import assert_same_run, sep_oracle_run, stepped_run
 
 CENTER = Point(50.0, 50.0)
 
 
 @st.composite
-def configs(draw):
-    protocol = draw(st.sampled_from(PROTOCOLS))
+def configs(draw, protocols=PROTOCOLS):
+    protocol = draw(st.sampled_from(protocols))
     if protocol == SRP:
         if draw(st.booleans()):
             path = SquarePath(CENTER, draw(st.floats(2.0, 100.0)))
@@ -59,3 +61,13 @@ def test_run_invariants(cfg):
     for cost, res in zip(m.round_cost_j.tolist(), m.residual_j.tolist()):
         acc -= cost
         assert acc == res
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs(protocols=(SEP,)))
+def test_sep_round_matches_oracle(cfg):
+    sim = Simulation(cfg)
+    m = sim.run()
+    ref, m_ref = sep_oracle_run(cfg)
+    assert_same_run(sim, m, ref, m_ref)
