@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConfigurationError
 
@@ -116,6 +117,11 @@ class StaticPath:
 Path = SquarePath | CirclePath | StaticPath
 
 
+# Most sojourn points a tour may have. A run's reach table holds one entry per
+# sojourn point and node in range, so its memory grows as sojourn_count * n.
+MAX_SOJOURNS = 10_000
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A sink tour: a closed path sampled at `sojourn_count` equally spaced stops.
@@ -131,8 +137,9 @@ class Trajectory:
     r_max: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.sojourn_count < 1:
-            raise ConfigurationError(f"sojourn_count must be >= 1, got {self.sojourn_count}")
+        if not 1 <= self.sojourn_count <= MAX_SOJOURNS:
+            raise ConfigurationError(
+                f"sojourn_count must be in [1, {MAX_SOJOURNS}], got {self.sojourn_count}")
         if self.sensing_range is not None and not self.sensing_range > 0:
             raise ConfigurationError(f"sensing_range must be > 0, got {self.sensing_range}")
         if not self.r_max > 0:
@@ -153,15 +160,22 @@ class Trajectory:
             return 0.0
         return self.path.length() / self.sojourn_count
 
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        """Sojourn locations in visiting order, built once per trajectory.
+
+        Square perimeters start at the lowest-left corner and run
+        counterclockwise; circles start at angle 0 (center + (radius, 0)) and
+        run counterclockwise. A static path yields its single point regardless
+        of sojourn_count.
+        """
+        return tuple(_sojourn_point(self, k)
+                     for k in range(1 if self.is_static else self.sojourn_count))
+
 
 def sojourn_points(t: Trajectory) -> list[Point]:
-    """Sojourn locations in visiting order.
-
-    Square perimeters start at the lowest-left corner and run counterclockwise;
-    circles start at angle 0 (center + (radius, 0)) and run counterclockwise.
-    A static path yields its single point regardless of sojourn_count.
-    """
-    return [_sojourn_point(t, k) for k in range(1 if t.is_static else t.sojourn_count)]
+    """Sojourn locations in visiting order (see :attr:`Trajectory.points`)."""
+    return list(t.points)
 
 
 def _sojourn_point(t: Trajectory, k: int) -> Point:

@@ -279,8 +279,11 @@ def validate_run_csv(path: str | Path) -> list[str]:
     problems: list[str] = []
     rows = 0
     # Lines end only at "\n" (as str.split("\n") would cut them) and are
-    # read one at a time, so a long run's file is never held whole.
-    with open(path, "r", encoding="utf-8", newline="\n") as f:
+    # read one at a time, so a long run's file is never held whole. A byte
+    # that is not UTF-8 decodes to a lone surrogate, which no int() or
+    # float() parses, so its row is reported as unparsable.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="\n") as f:
         lines = (line[:-1] if line.endswith("\n") else line for line in f)
         header = next(lines, None)
         if header is None:
@@ -307,6 +310,8 @@ def validate_run_csv(path: str | Path) -> list[str]:
                 break
             if rnd != idx:
                 problems.append(f"row {idx}: round column is {rnd}, expected {idx}")
+            if res - res != 0.0:                          # nan or +-inf
+                problems.append(f"row {idx}: non-finite residual energy {fields[2]}")
             if alive < 0:
                 problems.append(f"row {idx}: negative alive count")
             if prev_alive is not None and alive > prev_alive:

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .energy import RadioParams, tx_energy
 from .errors import ConfigurationError
-from .geometry import (Field, Point, SquareField, Trajectory, sojourn_points,
-                       trajectory_in_field)
+from .geometry import Field, Point, SquareField, Trajectory, trajectory_in_field
 from .protocols import (PROTOCOLS, SEP, SRP, NetworkParams, NodeState,
                         RoundOutcome, Slot, direct_round, sep_round)
 
@@ -84,7 +84,7 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{self.protocol} requires a static-point trajectory")
         if not trajectory_in_field(self.trajectory, self.field):
             raise ConfigurationError("trajectory does not lie inside the field")
-        for p in sojourn_points(self.trajectory):
+        for p in self.trajectory.points:
             if not self.field.contains(p):
                 raise ConfigurationError(f"sojourn point ({p.x}, {p.y}) lies outside the field")
 
@@ -184,7 +184,7 @@ class Reach:
         return Slot(self.id[lo:hi], self.cost[lo:hi])
 
 
-def reach(state: NodeState, radio: RadioParams, points: list[Point],
+def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
           sensing_range: float | None) -> Reach:
     """The reach table of ``points``: range is inclusive, ``None`` is unlimited."""
     limit = math.inf if sensing_range is None else sensing_range
@@ -204,7 +204,7 @@ def reach(state: NodeState, radio: RadioParams, points: list[Point],
                  tx_energy(radio, radio.packet_bits, np.concatenate(dists)), offsets)
 
 
-# Most elements one pass of the node folds, or one chunk of a slot's epoch
+# Most elements one block of the node folds, or one chunk of a slot's epoch
 # sums, holds at a time, so the engine's scratch memory stays small whatever
 # n, the epoch count and max_rounds are.
 _CHUNK = 1 << 14
@@ -242,7 +242,7 @@ class Simulation:
         # A static sink does not gate by range (see Trajectory): its one slot
         # lists every node, so sep's head uplink indexes its costs by id.
         sensing = None if traj.is_static else traj.sensing_range
-        self._reach = reach(self.state, cfg.radio, sojourn_points(traj), sensing)
+        self._reach = reach(self.state, cfg.radio, traj.points, sensing)
 
     def step(self, round_idx: int) -> RoundOutcome:
         """Execute one protocol round."""
@@ -341,8 +341,11 @@ class Simulation:
         Node i's attempts, in round order, repeat its entries in slot order
         over every tour. Its residual before each attempt is a sequential
         ``np.subtract.accumulate`` of those costs from its energy, and the
-        first attempt it cannot pay is its death. Leaves each node's energy,
-        alive flag and packet count as stepping the rounds would.
+        first attempt it cannot pay is its death. The folds run a block of
+        attempts per node at a time, one row per node, so each row is the
+        same sequence of subtractions as the node's own fold. Leaves each
+        node's energy, alive flag and packet count as stepping the rounds
+        would.
         """
         state = self.state
         table = self._reach
@@ -353,49 +356,32 @@ class Simulation:
         k = np.bincount(table.id, minlength=n)            # attempts per tour
         first = np.cumsum(k) - k                          # node i's pattern start
         horizon = (R // S) * k + np.bincount(table.id[table.slot < R % S], minlength=n)
-        cheapest = np.full(n, np.inf)
-        cheapest[k > 0] = np.minimum.reduceat(pat_cost, first[k > 0])
 
         dies = np.where(state.alive, R, -1)
         paid = np.zeros(n, dtype=np.int64)
-        folding = state.alive & (k > 0)
-        while True:
-            pending = np.flatnonzero(folding & (paid < horizon))
-            if not len(pending):
-                break
-            # Each payment takes at least the cheapest cost, so a node fails
-            # within floor(e / cheapest) + 1 attempts; one more absorbs
-            # rounding. A pass folds at most _CHUNK attempts, and later
-            # passes take up every node still short.
-            length = np.minimum(horizon[pending] - paid[pending],
-                                np.floor(state.energy[pending] / cheapest[pending]) + 2)
-            length = np.minimum(length, _CHUNK).astype(np.int64)
-            ends = np.cumsum(length)
-            take = max(1, int(np.searchsorted(ends, _CHUNK, side="right")))
-            nodes, length = pending[:take], length[:take]
-            start = ends[:take] - length
-            block = np.repeat(np.arange(take), length)
-            attempt = np.arange(len(block)) + (paid[nodes] - start)[block]
-            cost = pat_cost[first[nodes][block] + attempt % k[nodes][block]]
-            before = np.empty(len(cost))                  # residual before each attempt
-            before[1:] = cost[:-1]
-            before[start] = state.energy[nodes]
-            for lo, hi in zip(start.tolist(), (start + length).tolist()):
-                np.subtract.accumulate(before[lo:hi], out=before[lo:hi])
+        nodes = np.flatnonzero(state.alive & (horizon > 0))
+        while len(nodes):
+            attempt = paid[nodes, None] + np.arange(max(1, _CHUNK // len(nodes)))
+            # An attempt past the horizon costs 0.0: it leaves the residual
+            # as it is and, as a residual is never below 0.0, never fails.
+            cost = np.where(attempt < horizon[nodes, None],
+                            pat_cost[first[nodes, None] + attempt % k[nodes, None]], 0.0)
+            before = np.empty_like(cost)                  # residual before each attempt
+            before[:, 0] = state.energy[nodes]
+            before[:, 1:] = cost[:, :-1]
+            np.subtract.accumulate(before, axis=1, out=before)
 
-            fail = np.flatnonzero(before < cost)
-            failed, at = np.unique(block[fail], return_index=True)
-            at = fail[at]                                 # each failing node's first failure
-            end = start + length - 1
-            energy = before[end] - cost[end]
-            energy[failed] = before[at]
-            length[failed] = at - start[failed]
-            state.energy[nodes] = energy
-            paid[nodes] += length
-            dead = nodes[failed]
+            short = before < cost
+            at = np.argmax(short, axis=1)                 # each row's first failure
+            rows = np.arange(len(nodes))
+            died = short[rows, at]
+            state.energy[nodes] = np.where(died, before[rows, at], before[:, -1] - cost[:, -1])
+            paid[nodes] = np.where(died, paid[nodes] + at,
+                                   np.minimum(attempt[:, -1] + 1, horizon[nodes]))
+            dead = nodes[died]
             tries = paid[dead]                            # the failed attempt's index
             dies[dead] = tries // k[dead] * S + pat_slot[first[dead] + tries % k[dead]]
-            folding[dead] = False
+            nodes = nodes[~died & (paid[nodes] < horizon[nodes])]
         state.alive[(dies >= 0) & (dies < R)] = False
         state.packets_sent += paid
         return dies

@@ -62,8 +62,9 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [["--rounds", "1000000000000"],
-                                      ["--override", "net.n=100000000"]],
-                             ids=["rounds", "net.n"])
+                                      ["--override", "net.n=100000000"],
+                                      ["--override", "trajectory.sojourn_count=1000000"]],
+                             ids=["rounds", "net.n", "sojourn_count"])
     def test_oversized_run_exits_2(self, args, tmp_path, capsys):
         out = tmp_path / "run.csv"
         code = main(["simulate", "--scenario", "sc40-srp", *args, "--out", str(out)])
@@ -128,6 +129,20 @@ class TestValidate:
         bad = tmp_path / "bad.csv"
         bad.write_text(CSV_HEADER + "\n0,5,10.0,1\n1,5,11.0,2\n", encoding="utf-8")
         assert main(["validate", str(bad)]) == 4
+
+    def test_non_utf8_fails(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(CSV_HEADER.encode() + b"\n0,5,10.0,1\n1,\xff\xfe,9.0,2\n")
+        assert main(["validate", str(bad)]) == 4
+        assert validate_run_csv(bad) == ["row 1: unparsable fields '1,\\udcff\\udcfe,9.0,2'"]
+
+    @pytest.mark.parametrize("first,second", [("nan", "nan"), ("inf", "-inf")])
+    def test_non_finite_residual_fails(self, first, second, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(CSV_HEADER + f"\n0,5,{first},1\n1,5,{second},2\n", encoding="utf-8")
+        assert main(["validate", str(bad)]) == 4
+        assert validate_run_csv(bad) == [f"row 0: non-finite residual energy {first}",
+                                         f"row 1: non-finite residual energy {second}"]
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.csv")]) == 3

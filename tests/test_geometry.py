@@ -1,5 +1,6 @@
 """Geometry: sojourn discretization, sink motion, coverage radii."""
 
+import dataclasses
 import math
 
 import pytest
@@ -77,6 +78,13 @@ class TestSojournPoints:
     def test_zero_sojourns_rejected(self):
         with pytest.raises(ConfigurationError):
             Trajectory(StaticPath(CENTER), sojourn_count=0)
+
+    def test_points_built_once_per_trajectory(self):
+        t = circle_traj(40.0)
+        assert t.points is t.points
+        assert list(t.points) == sojourn_points(t)
+        halved = dataclasses.replace(t, sojourn_count=t.sojourn_count // 2)
+        assert len(halved.points) == t.sojourn_count // 2
 
 
 class TestSinkPosition:

@@ -115,6 +115,7 @@ class TestConfigSerialization:
         ("net.bogus", "1"), ("radio.bogus", "1"), ("bogus", "1"),
         ("net", "5"), ("radio", "[1]"),
         ("max_rounds", str(10**7 + 1)), ("net.n", str(10**4 + 1)),
+        ("trajectory.sojourn_count", str(10**4 + 1)),
     ]
     # (scenario, key, JSON text): trajectory keys are checked per path kind.
     TRAJECTORY_CASES = [
@@ -141,12 +142,14 @@ class TestConfigSerialization:
     @pytest.mark.parametrize("key,value,expected", [
         ("n", 60.0, 60), ("e0", 1, 1.0), ("seed", -2**63, -2**63),
         ("seed", 2**63 - 1, 2**63 - 1), ("max_rounds", 10**7, 10**7), ("n", 10**4, 10**4),
+        ("sojourn_count", 10**4, 10**4),
     ])
     def test_integral_and_boundary_numbers_accepted(self, key, value, expected):
         d = preset_dict("sep")
-        (d["net"] if key in d["net"] else d)[key] = value
+        part = next((p for p in ("net", "trajectory") if key in d[p]), None)
+        (d[part] if part else d)[key] = value
         cfg = config_from_dict(d)
-        got = getattr(cfg.net if key in d["net"] else cfg, key)
+        got = getattr(getattr(cfg, part) if part else cfg, key)
         assert got == expected and type(got) is type(expected)
 
 

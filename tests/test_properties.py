@@ -2,15 +2,20 @@
 
 Every drawn run is checked against the stepped loop of ``oracles`` and for
 the physical invariants: no node energy below zero, alive counts that never
-rise, and a residual series that is the exact fold of the round costs. Drawn
-sep runs are also checked against runs whose rounds are played by the
-oracle ``sep_round``.
+rise, and a residual series that is the exact fold of the round costs. Each
+run also draws the fold's block size (``_CHUNK``) as 1, 7 or its real value,
+so node folds carry energy across many blocks and stop at their horizon or
+die inside one. Drawn sep runs are also checked against runs whose rounds are
+played by the oracle ``sep_round``.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sinksim import simulation
 from sinksim.geometry import (CirclePath, Point, SquareField, SquarePath,
                               StaticPath, Trajectory)
 from sinksim.protocols import PROTOCOLS, SEP, SRP, NetworkParams
@@ -45,10 +50,11 @@ def configs(draw, protocols=PROTOCOLS):
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(configs())
-def test_run_invariants(cfg):
+@given(configs(), st.sampled_from([1, 7, simulation._CHUNK]))
+def test_run_invariants(cfg, chunk):
     sim = Simulation(cfg)
-    m = sim.run()
+    with mock.patch.object(simulation, "_CHUNK", chunk):
+        m = sim.run()
     ref = Simulation(cfg)
     assert_same_run(sim, m, ref, stepped_run(ref))
 

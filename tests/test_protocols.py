@@ -165,6 +165,19 @@ class TestSepRound:
         own = aggregation_energy(RADIO, K, 1) + tx_energy(RADIO, K, 30.0)
         assert float(state.energy[1]) == pytest.approx(before_far - own, rel=1e-15)
 
+    def test_tie_goes_to_lowest_head_id(self):
+        # the member at (50, 50) is exactly 10 m from both heads
+        state = make_state([(40.0, 50.0), (50.0, 50.0), (60.0, 50.0)])
+        rng = StubRng([0.0, 0.99, 0.0])
+        out = sep_round(state, 0, NET, RADIO, uplink(state), rng)
+        assert out.cluster_heads == 2
+        uplink_cost = tx_energy(RADIO, K, 10.0)
+        low = rx_energy(RADIO, K) + aggregation_energy(RADIO, K, 2) + uplink_cost
+        high = aggregation_energy(RADIO, K, 1) + uplink_cost
+        assert float(state.energy[0]) == pytest.approx(0.5 - low, rel=1e-15)
+        assert float(state.energy[2]) == pytest.approx(0.5 - high, rel=1e-15)
+        assert float(state.energy[1]) == pytest.approx(0.5 - uplink_cost, rel=1e-15)
+
     def test_head_election_consumes_eligibility(self):
         state = make_state([(50.0, 50.0)])
         rng = StubRng([0.0])
