@@ -100,7 +100,7 @@ def _cmd_sweep(args) -> int:
     radii = [_radius(v) for v in args.values.split(",") if v.strip()]
     if not radii:
         raise ConfigurationError("sweep needs at least one radius value")
-    rows = harness.sweep_radius(d, radii, args.seeds, args.rounds)
+    rows = harness.sweep_radius(d, radii, args.seeds)
     out = args.out or "sweep.csv"
     harness.write_sweep_csv(out, rows)
     print(f"wrote {out}")

@@ -118,7 +118,8 @@ Path = SquarePath | CirclePath | StaticPath
 
 
 # Most sojourn points a tour may have. A run's reach table holds one entry per
-# sojourn point and node in range, so its memory grows as sojourn_count * n.
+# visited sojourn point and node in range, so its memory grows as
+# min(sojourn_count, max_rounds) * n.
 MAX_SOJOURNS = 10_000
 
 
@@ -173,11 +174,6 @@ class Trajectory:
                      for k in range(1 if self.is_static else self.sojourn_count))
 
 
-def sojourn_points(t: Trajectory) -> list[Point]:
-    """Sojourn locations in visiting order (see :attr:`Trajectory.points`)."""
-    return list(t.points)
-
-
 def _sojourn_point(t: Trajectory, k: int) -> Point:
     """Sojourn point ``k`` of a tour, 0 <= k < its number of points."""
     p = t.path
@@ -201,11 +197,6 @@ def _sojourn_point(t: Trajectory, k: int) -> Point:
     if edge == 2:
         return Point(x0 + s - along, y0 + s)
     return Point(x0, y0 + s - along)
-
-
-def sink_position(t: Trajectory, round_idx: int) -> Point:
-    """Sink location during a given round: one sojourn point per round, wrapping."""
-    return _sojourn_point(t, round_idx % (1 if t.is_static else t.sojourn_count))
 
 
 def path_point_distance(path: Path, q: Point) -> float:
@@ -248,7 +239,7 @@ def coverage_radius(t: Trajectory, f: Field) -> float:
     This is max over field points q of the minimum distance from q to the
     continuous path. Closed forms are implemented for the square-in-square,
     circle-in-square and circle-in-circle shape pairs (plus static sinks);
-    `coverage_radius_grid` provides the independent numerical check.
+    ``tests/oracles.py`` holds the independent numerical check, a grid scan.
     """
     if not trajectory_in_field(t, f):
         raise ConfigurationError("trajectory does not lie inside the field")
@@ -279,50 +270,3 @@ def _max_distance_to_point(f: Field, q: Point) -> float:
     if isinstance(f, SquareField):
         return max(distance(c, q) for c in f.corners())
     return distance(f.center, q) + f.radius
-
-
-def _field_bounds(f: Field) -> tuple[float, float, float, float]:
-    if isinstance(f, SquareField):
-        return 0.0, f.side, 0.0, f.side
-    return (f.center.x - f.radius, f.center.x + f.radius,
-            f.center.y - f.radius, f.center.y + f.radius)
-
-
-def coverage_radius_grid(t: Trajectory, f: Field,
-                         coarse: float = 1.0, fine: float = 0.01) -> float:
-    """Numerical coverage radius: coarse grid scan plus local refinement.
-
-    Independent of the closed forms in `coverage_radius`; used to validate
-    them. Scans the field on a `coarse`-spaced grid, then refines around the
-    worst point down to `fine` resolution.
-    """
-    if not trajectory_in_field(t, f):
-        raise ConfigurationError("trajectory does not lie inside the field")
-    xmin, xmax, ymin, ymax = _field_bounds(f)
-
-    def scan(x0: float, x1: float, y0: float, y1: float, step: float) -> tuple[float, Point]:
-        best = -1.0
-        best_pt = Point(x0, y0)
-        nx = max(1, int(round((x1 - x0) / step)))
-        ny = max(1, int(round((y1 - y0) / step)))
-        for i in range(nx + 1):
-            x = x0 + (x1 - x0) * i / nx
-            for j in range(ny + 1):
-                y = y0 + (y1 - y0) * j / ny
-                q = Point(x, y)
-                if not f.contains(q):
-                    continue
-                d = path_point_distance(t.path, q)
-                if d > best:
-                    best = d
-                    best_pt = q
-        return best, best_pt
-
-    best, best_pt = scan(xmin, xmax, ymin, ymax, coarse)
-    # Refine around the coarse maximum, clipped to the bounding box.
-    rx0 = max(xmin, best_pt.x - coarse)
-    rx1 = min(xmax, best_pt.x + coarse)
-    ry0 = max(ymin, best_pt.y - coarse)
-    ry1 = min(ymax, best_pt.y + coarse)
-    refined, _ = scan(rx0, rx1, ry0, ry1, fine)
-    return max(best, refined)

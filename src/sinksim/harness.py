@@ -225,8 +225,7 @@ def write_compare_csv(path: str | Path, rows: list[dict]) -> None:
 # sweep
 # ---------------------------------------------------------------------------
 
-def sweep_radius(base: dict, radii: list[float], seed_count: int,
-                 max_rounds: int | None = None) -> list[dict]:
+def sweep_radius(base: dict, radii: list[float], seed_count: int) -> list[dict]:
     """Vary a circular trajectory's radius; one aggregated row per value.
 
     The base config must itself be valid. Each radius gets the
@@ -236,7 +235,7 @@ def sweep_radius(base: dict, radii: list[float], seed_count: int,
     """
     if seed_count < 1:
         raise ConfigurationError("sweep needs at least one seed")
-    cfg = config_from_dict(base if max_rounds is None else {**base, "max_rounds": max_rounds})
+    cfg = config_from_dict(base)
     if not isinstance(cfg.trajectory.path, CirclePath):
         raise ConfigurationError("sweep requires a base scenario with a circular trajectory")
     rows = []

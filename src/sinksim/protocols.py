@@ -106,7 +106,12 @@ class NodeState:
         return int(self.alive.sum())
 
     def total_energy(self) -> float:
-        return float(sum(self.energy.tolist()))
+        """Residual energies added in id order, one by one.
+
+        A cumsum, never ``sum()``: Python 3.12 made the builtin sum
+        compensated, which would change the result with the interpreter.
+        """
+        return float(np.cumsum(self.energy)[-1])
 
 
 @dataclass
@@ -132,6 +137,11 @@ def ch_probability(net: NetworkParams, kind: str) -> float:
     raise ValueError(f"unknown node kind: {kind!r}")
 
 
+def _epoch(p: float) -> int:
+    """Rounds in one election epoch for probability ``p``."""
+    return math.ceil(1.0 / p)
+
+
 def election_threshold(p: float, round_idx: int) -> float:
     """Rotating self-election threshold for a node in the eligible set G.
 
@@ -142,16 +152,11 @@ def election_threshold(p: float, round_idx: int) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    epoch = math.ceil(1.0 / p)
-    slot = round_idx % epoch
+    slot = round_idx % _epoch(p)
     denom = 1.0 - p * slot
     if denom <= 0.0:
         return 1.0
     return min(1.0, p / denom)
-
-
-def _epoch(p: float) -> int:
-    return math.ceil(1.0 / p)
 
 
 class Slot(NamedTuple):

@@ -130,34 +130,34 @@ class RunMetrics:
 def deploy(cfg: ScenarioConfig) -> NodeState:
     """Place nodes uniformly in the field; a pure function of the seed.
 
-    Positions are drawn in id order (circular fields use rejection sampling
-    from the bounding box), then round(m*n) advanced ids are picked by a
-    single shuffle.
+    Positions are drawn as (x, y) pairs in id order. A circular field keeps
+    the pairs from its bounding box that fall inside it, drawing only as many
+    pairs per pass as it still needs, so the stream stops at the last
+    accepted pair. Then round(m*n) advanced ids are picked by a single
+    shuffle.
     """
     rng = rng_stream(cfg.seed, "deploy")
     f = cfg.field
     n = cfg.net.n
-    xs: list[float] = []
-    ys: list[float] = []
     if isinstance(f, SquareField):
-        for _ in range(n):
-            xs.append(rng.uniform(0.0, f.side))
-            ys.append(rng.uniform(0.0, f.side))
+        xy = rng.uniform(0.0, f.side, size=(n, 2))
     else:
         cx, cy, r = f.center.x, f.center.y, f.radius
-        for _ in range(n):
-            while True:
-                x = rng.uniform(cx - r, cx + r)
-                y = rng.uniform(cy - r, cy + r)
-                if f.contains(Point(x, y)):
-                    xs.append(x)
-                    ys.append(y)
-                    break
+        kept = []
+        need = n
+        while need:
+            pairs = rng.uniform((cx - r, cy - r), (cx + r, cy + r), size=(need, 2))
+            dx = pairs[:, 0] - cx
+            dy = pairs[:, 1] - cy
+            pairs = pairs[np.sqrt(dx * dx + dy * dy) <= r]   # as CircleField.contains
+            kept.append(pairs)
+            need -= len(pairs)
+        xy = np.concatenate(kept)
     is_advanced = np.zeros(n, dtype=bool)
     is_advanced[rng.permutation(n)[: cfg.net.advanced_count]] = True
     energy = np.where(is_advanced, cfg.net.advanced_energy, cfg.net.e0)
-    return NodeState(np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64),
-                     is_advanced, energy)
+    xs, ys = xy.T.copy()
+    return NodeState(xs, ys, is_advanced, energy)
 
 
 class Reach:
@@ -242,10 +242,11 @@ class Simulation:
         # A static sink does not gate by range (see Trajectory): its one slot
         # lists every node, so sep's head uplink indexes its costs by id.
         sensing = None if traj.is_static else traj.sensing_range
-        self._reach = reach(self.state, cfg.radio, traj.points, sensing)
+        # A run shorter than the tour visits only its first max_rounds points.
+        self._reach = reach(self.state, cfg.radio, traj.points[:cfg.max_rounds], sensing)
 
     def step(self, round_idx: int) -> RoundOutcome:
-        """Execute one protocol round."""
+        """Execute round ``round_idx``, 0 <= round_idx < max_rounds."""
         cfg = self.cfg
         if cfg.protocol == SEP:
             return sep_round(self.state, round_idx, cfg.net, cfg.radio,

@@ -1,5 +1,11 @@
-"""Reference engines that only the tests use.
+"""Reference implementations that only the tests use.
 
+* ``deploy``       — node placement with one scalar draw per coordinate; the
+  oracle for the library's array ``deploy``.
+* ``sink_position`` — the sink's point in a round, computed from the tour
+  alone; ``srp_round`` places the sink with it.
+* ``coverage_radius_grid`` — a grid scan of the field; the independent check
+  of the closed forms in ``geometry.coverage_radius``.
 * ``srp_round``   — one srp round that recomputes the sink position and every
   distance each round; the oracle for the reach table.
 * ``sep_round``   — one sep round that pays member by member on numpy
@@ -18,11 +24,99 @@ import numpy as np
 from sinksim import simulation
 from sinksim.energy import RadioParams, aggregation_energy, rx_energy, tx_energy
 from sinksim.errors import ConfigurationError
-from sinksim.geometry import Trajectory, sink_position
+from sinksim.geometry import (Field, Point, SquareField, Trajectory,
+                              _sojourn_point, path_point_distance,
+                              trajectory_in_field)
 from sinksim.protocols import (ADVANCED, NORMAL, NetworkParams, NodeState,
                                RoundOutcome, Slot, _epoch, ch_probability,
                                direct_round, election_threshold)
-from sinksim.simulation import STOP_ALL_DEAD, RunMetrics, ScenarioConfig, Simulation
+from sinksim.simulation import (STOP_ALL_DEAD, RunMetrics, ScenarioConfig, Simulation,
+                                rng_stream)
+
+
+def deploy(cfg: ScenarioConfig) -> NodeState:
+    """Place nodes uniformly in the field, one scalar draw per coordinate.
+
+    Positions are drawn in id order (circular fields use rejection sampling
+    from the bounding box), then round(m*n) advanced ids are picked by a
+    single shuffle.
+    """
+    rng = rng_stream(cfg.seed, "deploy")
+    f = cfg.field
+    n = cfg.net.n
+    xs: list[float] = []
+    ys: list[float] = []
+    if isinstance(f, SquareField):
+        for _ in range(n):
+            xs.append(rng.uniform(0.0, f.side))
+            ys.append(rng.uniform(0.0, f.side))
+    else:
+        cx, cy, r = f.center.x, f.center.y, f.radius
+        for _ in range(n):
+            while True:
+                x = rng.uniform(cx - r, cx + r)
+                y = rng.uniform(cy - r, cy + r)
+                if f.contains(Point(x, y)):
+                    xs.append(x)
+                    ys.append(y)
+                    break
+    is_advanced = np.zeros(n, dtype=bool)
+    is_advanced[rng.permutation(n)[: cfg.net.advanced_count]] = True
+    energy = np.where(is_advanced, cfg.net.advanced_energy, cfg.net.e0)
+    return NodeState(np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64),
+                     is_advanced, energy)
+
+
+def sink_position(t: Trajectory, round_idx: int) -> Point:
+    """Sink location during a given round: one sojourn point per round, wrapping."""
+    return _sojourn_point(t, round_idx % (1 if t.is_static else t.sojourn_count))
+
+
+def _field_bounds(f: Field) -> tuple[float, float, float, float]:
+    if isinstance(f, SquareField):
+        return 0.0, f.side, 0.0, f.side
+    return (f.center.x - f.radius, f.center.x + f.radius,
+            f.center.y - f.radius, f.center.y + f.radius)
+
+
+def coverage_radius_grid(t: Trajectory, f: Field,
+                         coarse: float = 1.0, fine: float = 0.01) -> float:
+    """Numerical coverage radius: coarse grid scan plus local refinement.
+
+    Independent of the closed forms in `coverage_radius`; used to validate
+    them. Scans the field on a `coarse`-spaced grid, then refines around the
+    worst point down to `fine` resolution.
+    """
+    if not trajectory_in_field(t, f):
+        raise ConfigurationError("trajectory does not lie inside the field")
+    xmin, xmax, ymin, ymax = _field_bounds(f)
+
+    def scan(x0: float, x1: float, y0: float, y1: float, step: float) -> tuple[float, Point]:
+        best = -1.0
+        best_pt = Point(x0, y0)
+        nx = max(1, int(round((x1 - x0) / step)))
+        ny = max(1, int(round((y1 - y0) / step)))
+        for i in range(nx + 1):
+            x = x0 + (x1 - x0) * i / nx
+            for j in range(ny + 1):
+                y = y0 + (y1 - y0) * j / ny
+                q = Point(x, y)
+                if not f.contains(q):
+                    continue
+                d = path_point_distance(t.path, q)
+                if d > best:
+                    best = d
+                    best_pt = q
+        return best, best_pt
+
+    best, best_pt = scan(xmin, xmax, ymin, ymax, coarse)
+    # Refine around the coarse maximum, clipped to the bounding box.
+    rx0 = max(xmin, best_pt.x - coarse)
+    rx1 = min(xmax, best_pt.x + coarse)
+    ry0 = max(ymin, best_pt.y - coarse)
+    ry1 = min(ymax, best_pt.y + coarse)
+    refined, _ = scan(rx0, rx1, ry0, ry1, fine)
+    return max(best, refined)
 
 
 def srp_round(state: NodeState, trajectory: Trajectory, round_idx: int,
@@ -56,8 +150,10 @@ def srp_round(state: NodeState, trajectory: Trajectory, round_idx: int,
     state.alive[exhausted] = False
 
     out.packets = int(can_pay.sum())
-    # Deterministic order: costs summed in node-id order.
-    out.cost = float(sum(cost[can_pay].tolist()))
+    # Deterministic order: costs added one by one in node-id order, never
+    # by the builtin sum(), which Python 3.12 made compensated.
+    paid = cost[can_pay]
+    out.cost = float(np.cumsum(paid)[-1]) if len(paid) else 0.0
     out.deaths = int(exhausted.sum())
     return out
 

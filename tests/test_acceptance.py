@@ -17,11 +17,12 @@ import pytest
 from sinksim import load_preset
 from sinksim.cli import main as cli_main
 from sinksim.energy import tx_energy
-from sinksim.geometry import (Point, StaticPath, Trajectory, coverage_radius,
-                              coverage_radius_grid)
+from sinksim.geometry import Point, StaticPath, Trajectory, coverage_radius
 from sinksim.presets import PRESET_NAMES
 from sinksim.protocols import NodeState, direct_round, sep_round
 from sinksim.simulation import Simulation, deploy, reach, rng_stream, run
+
+from oracles import coverage_radius_grid
 
 SEEDS = range(10)
 HORIZON = 50_000

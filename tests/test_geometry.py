@@ -8,9 +8,9 @@ import pytest
 from sinksim.errors import ConfigurationError
 from sinksim.geometry import (CircleField, CirclePath, Point, SquareField,
                               SquarePath, StaticPath, Trajectory,
-                              coverage_radius, coverage_radius_grid, distance,
-                              sink_position, sojourn_points,
-                              trajectory_in_field)
+                              coverage_radius, distance, trajectory_in_field)
+
+from oracles import coverage_radius_grid, sink_position
 
 SQUARE_100 = SquareField(100.0)
 CIRCLE_50 = CircleField(Point(50.0, 50.0), 50.0)
@@ -45,12 +45,12 @@ class TestDistance:
 class TestSojournPoints:
     def test_square_corners(self):
         t = square_traj(count=4, r_max=50.0)
-        pts = [(p.x, p.y) for p in sojourn_points(t)]
+        pts = [(p.x, p.y) for p in t.points]
         assert pts == [(25, 25), (75, 25), (75, 75), (25, 75)]
 
     def test_circle_quarters(self):
         t = circle_traj(40.0, count=4, r_max=70.0)
-        pts = sojourn_points(t)
+        pts = t.points
         expect = [(90, 50), (50, 90), (10, 50), (50, 10)]
         for p, (ex, ey) in zip(pts, expect):
             assert p.x == pytest.approx(ex, abs=1e-12)
@@ -58,12 +58,12 @@ class TestSojournPoints:
 
     def test_static_single_point(self):
         t = Trajectory(StaticPath(CENTER), sojourn_count=8)
-        assert sojourn_points(t) == [CENTER]
+        assert t.points == (CENTER,)
 
     @pytest.mark.parametrize("traj", [square_traj(count=200), circle_traj(40.0),
                                       circle_traj(10.0), circle_traj(25.0, count=360)])
     def test_spacing_constant_and_bounded(self, traj):
-        pts = sojourn_points(traj)
+        pts = traj.points
         assert len(pts) == traj.sojourn_count
         gaps = [distance(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
         # chord length is constant and below the arc-length spacing bound
@@ -82,7 +82,7 @@ class TestSojournPoints:
     def test_points_built_once_per_trajectory(self):
         t = circle_traj(40.0)
         assert t.points is t.points
-        assert list(t.points) == sojourn_points(t)
+        assert list(t.points) == [sink_position(t, k) for k in range(t.sojourn_count)]
         halved = dataclasses.replace(t, sojourn_count=t.sojourn_count // 2)
         assert len(halved.points) == t.sojourn_count // 2
 
@@ -113,7 +113,7 @@ class TestSinkPosition:
                                    Trajectory(StaticPath(CENTER), sojourn_count=3)],
                              ids=["square", "circle", "static"])
     def test_matches_sojourn_points(self, t):
-        pts = sojourn_points(t)
+        pts = t.points
         for r in range(0, 3 * len(pts) + 5, 7):
             assert sink_position(t, r) == pts[r % len(pts)]
 

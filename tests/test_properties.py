@@ -6,9 +6,11 @@ rise, and a residual series that is the exact fold of the round costs. Each
 run also draws the fold's block size (``_CHUNK``) as 1, 7 or its real value,
 so node folds carry energy across many blocks and stop at their horizon or
 die inside one. Drawn sep runs are also checked against runs whose rounds are
-played by the oracle ``sep_round``.
+played by the oracle ``sep_round``. Drawn configs of every shape must also
+survive the trip through their JSON form unchanged.
 """
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -16,10 +18,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sinksim import simulation
-from sinksim.geometry import (CirclePath, Point, SquareField, SquarePath,
-                              StaticPath, Trajectory)
-from sinksim.protocols import PROTOCOLS, SEP, SRP, NetworkParams
-from sinksim.simulation import STOP_RULES, ScenarioConfig, Simulation
+from sinksim.energy import RadioParams
+from sinksim.geometry import (CircleField, CirclePath, Point, SquareField,
+                              SquarePath, StaticPath, Trajectory)
+from sinksim.presets import config_from_dict, config_to_dict
+from sinksim.protocols import MAX_NODES, PROTOCOLS, SEP, SRP, NetworkParams
+from sinksim.simulation import MAX_ROUNDS, STOP_RULES, ScenarioConfig, Simulation
 
 from oracles import assert_same_run, sep_oracle_run, stepped_run
 
@@ -77,3 +81,50 @@ def test_sep_round_matches_oracle(cfg):
     m = sim.run()
     ref, m_ref = sep_oracle_run(cfg)
     assert_same_run(sim, m, ref, m_ref)
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def any_configs(draw):
+    """A valid config of any field, path and protocol, with every field drawn."""
+    if draw(st.booleans()):
+        field = SquareField(draw(finite(1e-3, 1e4)))
+        center = field.center
+        half = field.side / 2.0    # the largest circle path radius
+    else:
+        center = Point(draw(finite(-1e3, 1e3)), draw(finite(-1e3, 1e3)))
+        field = CircleField(center, draw(finite(1e-3, 1e4)))
+        half = field.radius / 2.0  # keeps a square path's corners inside
+    protocol = draw(st.sampled_from(PROTOCOLS))
+    if protocol == SRP:
+        size = half * draw(finite(0.01, 0.9))
+        path = draw(st.sampled_from([SquarePath(center, 2.0 * size), CirclePath(center, size)]))
+        count = draw(st.integers(1, 200))
+        trajectory = Trajectory(path, sojourn_count=count,
+                                sensing_range=draw(finite(1e-3, 1e4)),
+                                r_max=path.length() / count * draw(finite(1.0, 4.0)))
+    else:
+        trajectory = Trajectory(StaticPath(center), sojourn_count=draw(st.integers(1, 200)),
+                                sensing_range=draw(st.none() | finite(1e-3, 1e4)),
+                                r_max=draw(finite(1e-3, 1e4)))
+    net = NetworkParams(n=draw(st.integers(1, MAX_NODES)), m=draw(finite(0.0, 1.0)),
+                        alpha=draw(finite(0.0, 2.0)), e0=draw(finite(1e-6, 1e3)),
+                        p_opt=draw(finite(1e-3, 0.3)))
+    radio = RadioParams(*(draw(finite(1e-15, 1e-6)) for _ in range(4)),
+                        packet_bits=draw(st.integers(1, 10**6)))
+    return ScenarioConfig(field, trajectory, protocol, net=net, radio=radio,
+                          seed=draw(st.integers(-2**63, 2**63 - 1)),
+                          max_rounds=draw(st.integers(1, MAX_ROUNDS)),
+                          stop_rule=draw(st.sampled_from(STOP_RULES)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(any_configs())
+def test_config_round_trips_through_json(cfg):
+    text = json.dumps(config_to_dict(cfg))
+    back = config_from_dict(json.loads(text))
+    assert back == cfg
+    assert json.dumps(config_to_dict(back)) == text  # same types, not just equal values

@@ -15,6 +15,7 @@ from sinksim.protocols import NetworkParams
 from sinksim.simulation import (ScenarioConfig, Simulation, deploy,
                                 rng_stream, run)
 
+from oracles import deploy as deploy_oracle
 from oracles import srp_round
 
 
@@ -95,6 +96,40 @@ class TestDeploy:
         assert all(field.contains(Point(x, y))
                    for x, y in zip(state.xs.tolist(), state.ys.tolist()))
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_matches_scalar_oracle(self, name):
+        # the array draws give the scalar loop's positions bit for bit and
+        # leave the stream where it did, so the advanced-node shuffle agrees
+        base = load_preset(name)
+        for n in (1, 7, 100, 1000):
+            for seed in (0, 1, 2, -5, 2**62):
+                cfg = dataclasses.replace(base, seed=seed,
+                                          net=dataclasses.replace(base.net, n=n))
+                assert_same_deployment(deploy(cfg), deploy_oracle(cfg))
+
+    @pytest.mark.parametrize("field", [
+        CircleField(Point(0.0, 0.0), 1.0),
+        CircleField(Point(-3.25, 1e3), 1e-3),
+        CircleField(Point(1e6, -2e5), 12345.678),
+        CircleField(Point(0.1, 0.7), 1e-9),
+        CircleField(Point(50.0, 50.0), 1e7),
+    ])
+    def test_disk_matches_scalar_oracle(self, field):
+        for seed in (0, 3, -5, 2**62):
+            cfg = static_cfg(field=field, trajectory=Trajectory(StaticPath(field.center)),
+                             seed=seed, net=NetworkParams(n=257, m=0.3))
+            assert_same_deployment(deploy(cfg), deploy_oracle(cfg))
+
+    def test_total_energy_is_sequential_sum(self):
+        # a compensated sum (Python 3.12's builtin sum()) gives 11.0 here
+        cfg = load_preset("sc40-srp")
+        cfg = dataclasses.replace(cfg, net=dataclasses.replace(cfg.net, e0=0.1))
+        state = deploy(cfg)
+        acc = 0.0
+        for e in state.energy.tolist():
+            acc += e
+        assert state.total_energy() == acc == 10.99999999999998
+
     def test_ids_sequential(self):
         # node i is index i of every per-node array
         state = deploy(static_cfg())
@@ -102,6 +137,12 @@ class TestDeploy:
                   state.alive, state.in_set_g, state.packets_sent)
         assert [len(a) for a in arrays] == [100] * len(arrays)
         assert state.n == 100
+
+
+def assert_same_deployment(a, b):
+    for name in ("xs", "ys", "is_advanced", "energy"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 class TestConfigValidation:
@@ -245,26 +286,46 @@ class TestRun:
 SRP_PRESETS = [name for name in PRESET_NAMES if name.endswith("-srp")]
 
 
+def srp_reference(cfg):
+    """``cfg``'s node state and per-round series, stepped with the oracle ``srp_round``."""
+    sim = Simulation(cfg)  # drive the reference engine by hand
+    residual = sim.state.total_energy()
+    cum = 0
+    series = {"residual_j": [], "cumulative_packets": [], "alive": [], "round_cost_j": []}
+    for r in range(cfg.max_rounds):
+        out = srp_round(sim.state, cfg.trajectory, r, cfg.radio)
+        residual -= out.cost
+        cum += out.packets
+        series["residual_j"].append(residual)
+        series["cumulative_packets"].append(cum)
+        series["alive"].append(sim.state.alive_count())
+        series["round_cost_j"].append(out.cost)
+    return sim.state, series
+
+
 class TestSrpFastPath:
     @pytest.mark.parametrize("name", SRP_PRESETS)
     def test_bitwise_equivalent_to_reference_engine(self, name):
         cfg = load_preset(name, seed=3, max_rounds=6000)
         fast = run(cfg)
+        _, ref = srp_reference(cfg)
+        for series, values in ref.items():
+            assert getattr(fast, series).tolist() == values, series
+        assert ref["alive"][-1] < 100  # the window covered real deaths
 
-        sim = Simulation(cfg)  # drive the reference engine by hand
-        residual = sim.state.total_energy()
-        cum = 0
-        res_series, pk_series, alive_series, cost_series = [], [], [], []
-        for r in range(cfg.max_rounds):
-            out = srp_round(sim.state, cfg.trajectory, r, cfg.radio)
-            residual -= out.cost
-            cum += out.packets
-            res_series.append(residual)
-            pk_series.append(cum)
-            alive_series.append(sim.state.alive_count())
-            cost_series.append(out.cost)
-        assert fast.residual_j.tolist() == res_series
-        assert fast.cumulative_packets.tolist() == pk_series
-        assert fast.alive.tolist() == alive_series
-        assert fast.round_cost_j.tolist() == cost_series
-        assert alive_series[-1] < 100  # the window covered real deaths
+    @pytest.mark.parametrize("max_rounds", (1, 7, 359))
+    def test_short_run_builds_only_visited_slots(self, max_rounds):
+        # a run shorter than the 360-point tour gets one slot per round it
+        # plays, and still plays every round as the oracle does
+        cfg = load_preset("sc40-srp", seed=3, max_rounds=max_rounds)
+        cfg = dataclasses.replace(cfg, net=dataclasses.replace(cfg.net, e0=1e-3))
+        sim = Simulation(cfg)
+        assert len(sim._reach) == max_rounds < cfg.trajectory.sojourn_count
+        fast = sim.run()
+        state, ref = srp_reference(cfg)
+        for series, values in ref.items():
+            assert getattr(fast, series).tolist() == values, series
+        for name in ("energy", "alive", "packets_sent"):
+            assert getattr(sim.state, name).tobytes() == getattr(state, name).tobytes(), name
+        # the window covers real deaths, except round 0, which every node can pay
+        assert (ref["alive"][-1] < cfg.net.n) == (max_rounds > 1)
