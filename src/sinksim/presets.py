@@ -13,10 +13,11 @@ import json
 import math
 from dataclasses import MISSING, asdict, fields, is_dataclass
 from importlib import resources
+from typing import get_type_hints
 
 from .errors import ConfigurationError
-from .geometry import (CircleField, CirclePath, Field, Path, Point,
-                       SquareField, SquarePath, StaticPath, Trajectory)
+from .geometry import (CircleField, CirclePath, Point, SquareField, SquarePath,
+                       StaticPath, Trajectory)
 from .simulation import ScenarioConfig
 
 PRESET_NAMES = ("sep", "cl-sep", "ss-srp", "sc10-srp", "sc20-srp", "sc40-srp", "cc-srp")
@@ -73,77 +74,51 @@ def _strict_keys(where: str, cls, d, extra: tuple[str, ...] = ()) -> dict:
     return d
 
 
-def _point_to_list(p: Point) -> list[float]:
-    return [p.x, p.y]
+# Each field shape and trajectory path kind, by the name its tag key gives.
+_SHAPES = {"square": SquareField, "circle": CircleField}
+_PATHS = {"square_perimeter": SquarePath, "circle": CirclePath, "static": StaticPath}
 
 
-def _point_from_list(where: str, v) -> Point:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ConfigurationError(f"expected [x, y] point for {where}, got {v!r}")
-    return Point(_value(where, v[0], 0.0), _value(where, v[1], 0.0))
+def _kind_from_dict(where: str, tag: str, table: dict, d, extra: tuple[str, ...] = ()):
+    """The ``table`` class that ``d[tag]`` names, built from one key per field.
+
+    ``d`` may hold only ``tag``, the class's fields and ``extra``. A field
+    declared as Point reads an ``[x, y]`` list; every other one is a float.
+    """
+    kind = _object(where, d).get(tag)
+    cls = table.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigurationError(f"unknown {where} {tag} {kind!r}")
+    _strict_keys(where, cls, d, (tag, *extra))
+    hints = get_type_hints(cls)
+    args = {}
+    for f in fields(cls):
+        key, v = f"{where}.{f.name}", d[f.name]
+        if hints[f.name] is not Point:
+            args[f.name] = _value(key, v, 0.0)
+        elif isinstance(v, (list, tuple)) and len(v) == 2:
+            args[f.name] = Point(_value(key, v[0], 0.0), _value(key, v[1], 0.0))
+        else:
+            raise ConfigurationError(f"expected [x, y] point for {key}, got {v!r}")
+    return cls(**args)
 
 
-def _field_to_dict(f: Field) -> dict:
-    if isinstance(f, SquareField):
-        return {"shape": "square", "side": f.side}
-    return {"shape": "circle", "center": _point_to_list(f.center), "radius": f.radius}
-
-
-def _field_from_dict(d) -> Field:
-    shape = _object("field", d).get("shape")
-    if shape == "square":
-        return SquareField(side=_value("field.side", d["side"], 0.0))
-    if shape == "circle":
-        return CircleField(center=_point_from_list("field.center", d["center"]),
-                           radius=_value("field.radius", d["radius"], 0.0))
-    raise ConfigurationError(f"unknown field shape {shape!r}")
-
-
-def _path_to_dict(p: Path) -> dict:
-    if isinstance(p, SquarePath):
-        return {"path": "square_perimeter", "center": _point_to_list(p.center), "side": p.side}
-    if isinstance(p, CirclePath):
-        return {"path": "circle", "center": _point_to_list(p.center), "radius": p.radius}
-    return {"path": "static", "point": _point_to_list(p.point)}
-
-
-# Keys each trajectory path kind takes besides the Trajectory fields.
-_PATH_KEYS = {"square_perimeter": ("center", "side"), "circle": ("center", "radius"),
-              "static": ("point",)}
-
-
-def _path_from_dict(d: dict) -> Path:
-    kind = d.get("path")
-    if kind == "square_perimeter":
-        return SquarePath(center=_point_from_list("trajectory.center", d["center"]),
-                          side=_value("trajectory.side", d["side"], 0.0))
-    if kind == "circle":
-        return CirclePath(center=_point_from_list("trajectory.center", d["center"]),
-                          radius=_value("trajectory.radius", d["radius"], 0.0))
-    if kind == "static":
-        return StaticPath(point=_point_from_list("trajectory.point", d["point"]))
-    raise ConfigurationError(f"unknown trajectory path {kind!r}")
-
-
-def _trajectory_to_dict(t: Trajectory) -> dict:
-    d = _path_to_dict(t.path)
-    d["sojourn_count"] = t.sojourn_count
-    d["sensing_range"] = t.sensing_range
-    d["r_max"] = t.r_max
+def _kind_to_dict(tag: str, table: dict, obj) -> dict:
+    """``obj`` as its ``table`` name under ``tag`` plus each of its fields, a Point as ``[x, y]``."""
+    d = {tag: next(name for name, cls in table.items() if type(obj) is cls)}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        d[f.name] = [v.x, v.y] if isinstance(v, Point) else v
     return d
-
-
-def _trajectory_from_dict(d) -> Trajectory:
-    path = _path_from_dict(_object("trajectory", d))
-    _strict_keys("trajectory", Trajectory, d, _PATH_KEYS[d["path"]])
-    return Trajectory(path=path, **_defaulted(Trajectory, d, "trajectory."))
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """Full resolved config as a JSON-ready dict."""
+    t = cfg.trajectory
     return {
-        "field": _field_to_dict(cfg.field),
-        "trajectory": _trajectory_to_dict(cfg.trajectory),
+        "field": _kind_to_dict("shape", _SHAPES, cfg.field),
+        # The path's tag and fields replace asdict's nested path object.
+        "trajectory": {**asdict(t), **_kind_to_dict("path", _PATHS, t.path)},
         "protocol": cfg.protocol,
         "net": asdict(cfg.net),
         "radio": asdict(cfg.radio),
@@ -161,9 +136,13 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     """
     _strict_keys("top-level", ScenarioConfig, d)
     try:
+        t = d["trajectory"]
         return ScenarioConfig(
-            field=_field_from_dict(d["field"]),
-            trajectory=_trajectory_from_dict(d["trajectory"]),
+            field=_kind_from_dict("field", "shape", _SHAPES, d["field"]),
+            trajectory=Trajectory(
+                path=_kind_from_dict("trajectory", "path", _PATHS, t,
+                                     tuple(f.name for f in fields(Trajectory))),
+                **_defaulted(Trajectory, t, "trajectory.")),
             protocol=str(d["protocol"]),
             **_defaulted(ScenarioConfig, d),
         )

@@ -39,6 +39,9 @@ PROTOCOLS = (SEP, CL_SEP, SRP)
 # Most nodes a network may have. Each sep round builds (members x heads)
 # distance arrays, about 72 MB each at this size.
 MAX_NODES = 10_000
+# Most total initial energy a network may hold, J. It sits far below the float
+# limit, so no sum of node energies a run takes can overflow to inf.
+MAX_TOTAL_ENERGY = 1e300
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,13 @@ class NetworkParams:
             raise ConfigurationError(f"e0 must be > 0, got {self.e0}")
         if not 0.0 < self.p_opt <= 1.0:
             raise ConfigurationError(f"p_opt must be in (0, 1], got {self.p_opt}")
-        if self.advanced_count > 0 and ch_probability(self, ADVANCED) >= 1.0:
+        # sep prices both thresholds every round, even with no advanced node;
+        # alpha >= 0 makes the advanced probability the larger one.
+        if ch_probability(self, ADVANCED) >= 1.0:
             raise ConfigurationError("advanced election probability reaches 1; lower p_opt or alpha")
+        if not self.total_initial_energy <= MAX_TOTAL_ENERGY:
+            raise ConfigurationError(f"total initial energy must be at most {MAX_TOTAL_ENERGY} J, "
+                                     f"got {self.total_initial_energy}")
 
     @property
     def advanced_count(self) -> int:

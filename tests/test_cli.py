@@ -72,6 +72,22 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario,overrides", [
+        ("sep", ["net.m=0", "net.p_opt=1.0"]),
+        ("sep", ["net.m=0", "net.p_opt=0.6"]),
+        ("sep", ["net.m=0.001", "net.p_opt=0.6"]),  # m*n rounds to no advanced node
+        ("cl-sep", ["net.e0=1e308"]),
+        ("cl-sep", ["net.e0=1e307", "net.n=10000"]),
+    ], ids=["p_opt=1", "p_opt=0.6", "m=0.001", "e0=1e308", "e0=1e307-n=10000"])
+    def test_unrunnable_network_exits_2(self, scenario, overrides, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        args = [a for o in overrides for a in ("--override", o)]
+        code = main(["simulate", "--scenario", scenario, "--rounds", "5", *args,
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_unwritable_output_exits_3(self, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "run.csv"
         code = main(["simulate", "--scenario", "cl-sep", "--rounds", "10",

@@ -1,6 +1,7 @@
 """Preset catalog and config serialization round-trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from sinksim.presets import (PRESET_NAMES, apply_override, config_from_dict,
                              config_to_dict, load_preset, preset_dict)
 from sinksim.protocols import NetworkParams
 from sinksim.simulation import ScenarioConfig
+
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
 
 
 class TestPresetCatalog:
@@ -116,12 +119,15 @@ class TestConfigSerialization:
         ("net", "5"), ("radio", "[1]"),
         ("max_rounds", str(10**7 + 1)), ("net.n", str(10**4 + 1)),
         ("trajectory.sojourn_count", str(10**4 + 1)),
+        ("field.bogus", "1"), ("field.radius", "5"), ("field.center", "[1, 2]"),
+        ("field.shape", "[1]"), ("field.side", "[1, 2]"),
     ]
-    # (scenario, key, JSON text): trajectory keys are checked per path kind.
+    # (scenario, key, JSON text): field and trajectory keys are checked per kind.
     TRAJECTORY_CASES = [
         ("ss-srp", "trajectory.bogus", "1"), ("ss-srp", "trajectory.radius", "5"),
         ("sc40-srp", "trajectory.side", "5"), ("sc40-srp", "trajectory.point", "[1, 2]"),
         ("sep", "trajectory.center", "[1, 2]"), ("sep", "trajectory.bogus", "1"),
+        ("sep", "trajectory.point", "5"), ("cc-srp", "field.side", "5"),
     ]
 
     @pytest.mark.parametrize(
@@ -138,6 +144,11 @@ class TestConfigSerialization:
         target[last] = json.loads(raw)
         with pytest.raises(ConfigurationError, match=last):
             config_from_dict(d)
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+    def test_shipped_config_round_trips(self, path):
+        d = json.loads(path.read_text(encoding="utf-8"))
+        assert config_to_dict(config_from_dict(d)) == d
 
     @pytest.mark.parametrize("key,value,expected", [
         ("n", 60.0, 60), ("e0", 1, 1.0), ("seed", -2**63, -2**63),

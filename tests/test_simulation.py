@@ -11,7 +11,7 @@ from sinksim.errors import ConfigurationError
 from sinksim.geometry import (CircleField, CirclePath, Point, SquareField,
                               StaticPath, Trajectory, distance)
 from sinksim.presets import PRESET_NAMES
-from sinksim.protocols import NetworkParams
+from sinksim.protocols import MAX_NODES, MAX_TOTAL_ENERGY, NetworkParams
 from sinksim.simulation import (ScenarioConfig, Simulation, deploy,
                                 rng_stream, run)
 
@@ -64,6 +64,19 @@ class TestDeploy:
         total = sum(state.energy.tolist())
         assert total == pytest.approx(100 * 0.5 * (1 + 1.0 * 0.1), rel=1e-12)  # 55 J
         assert cfg.net.total_initial_energy == pytest.approx(total, rel=1e-12)
+
+    def test_total_initial_energy_capped(self):
+        e0 = MAX_TOTAL_ENERGY / (1.1 * MAX_NODES)  # 10 % advanced nodes at 2 * e0
+        with pytest.raises(ConfigurationError, match="total initial energy"):
+            NetworkParams(n=MAX_NODES, e0=1.01 * e0)
+        with pytest.raises(ConfigurationError, match="total initial energy"):
+            NetworkParams(e0=1e308)  # the total overflows to inf
+        with pytest.raises(ConfigurationError, match="total initial energy"):
+            # No advanced node, but e0 * (1 + alpha) overflows and 0 * inf is nan.
+            NetworkParams(m=0.001, alpha=1e12, e0=1e297, p_opt=1e-5)
+        m = run(static_cfg(net=NetworkParams(n=MAX_NODES, e0=0.99 * e0), max_rounds=3))
+        assert m.initial_energy_j <= MAX_TOTAL_ENERGY
+        assert np.isfinite(m.residual_j).all()
 
     def test_advanced_count_and_energy(self):
         state = deploy(static_cfg())
