@@ -32,9 +32,12 @@ def _load_base(args) -> tuple[dict, str | None]:
         raise ConfigurationError("one of --scenario or --config is required")
     with open(path, "r", encoding="utf-8") as f:
         try:
-            return json.load(f), None
-        except json.JSONDecodeError as e:
-            raise ConfigurationError(f"config file {path} is not valid JSON: {e}") from e
+            d = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+            raise ConfigurationError(f"config file {path} is not valid UTF-8 JSON: {e}") from e
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"config file {path} is not a JSON object")
+    return d, None
 
 
 def _apply_common(d: dict, args) -> None:

@@ -10,6 +10,7 @@ censored median as "beyond the horizon".
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -21,9 +22,10 @@ from .presets import config_from_dict, config_to_dict
 from .simulation import RunMetrics, ScenarioConfig, rng_identity, run
 
 CSV_HEADER = "round,alive,residual_energy_j,cumulative_packets"
-COMPARE_HEADER = "scenario,seed,first_death,half_death,last_death,total_packets"
-SWEEP_HEADER = ("radius_m,valid,coverage_radius_m,first_death_median,"
-                "half_death_median,last_death_median,total_packets_median")
+METRIC_KEYS = ("first_death", "half_death", "last_death", "total_packets")
+COMPARE_HEADER = ",".join(("scenario", "seed", *METRIC_KEYS))
+SWEEP_HEADER = ",".join(("radius_m", "valid", "coverage_radius_m",
+                         *(f"{k}_median" for k in METRIC_KEYS)))
 THROUGHPUT_UNIT = "packets"
 CSV_BLOCK_ROWS = 4096
 
@@ -33,12 +35,20 @@ def fmt_float(x: float) -> str:
 
 
 def _opt(v) -> str:
-    """Optional int/float as a CSV field; None encodes as empty."""
+    """One CSV field: None encodes as empty, a float as ``fmt_float``, else ``str``."""
     if v is None:
         return ""
     if isinstance(v, float):
         return fmt_float(v)
     return str(v)
+
+
+def _write_table(path: str | Path, header: str, rows: list[dict]) -> None:
+    """CSV of ``rows``, each field looked up by its header name and ``_opt``-encoded."""
+    keys = header.split(",")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(header + "\n")
+        f.writelines(",".join(_opt(row[k]) for k in keys) + "\n" for row in rows)
 
 
 def write_run_csv(path: str | Path, metrics: RunMetrics) -> None:
@@ -135,34 +145,23 @@ def censored_stats(values: list) -> dict:
 
 def ordering_verdict(stats_a: dict, stats_b: dict) -> str:
     """Compare two medians where a censored median exceeds any defined one."""
-    a, b = stats_a["median"], stats_b["median"]
-    if a is None and b is None:
-        return "indeterminate"
-    if a is None:
-        return "greater"
-    if b is None:
-        return "less"
-    if a > b:
-        return "greater"
-    if a < b:
-        return "less"
-    return "equal"
+    a, b = (math.inf if s["median"] is None else s["median"] for s in (stats_a, stats_b))
+    if a == b:
+        return "indeterminate" if math.isinf(a) else "equal"
+    return "greater" if a > b else "less"
 
 
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
 
-METRIC_KEYS = ("first_death", "half_death", "last_death", "total_packets")
-
-
 def _per_seed(cfg: ScenarioConfig, seed_count: int) -> list[dict]:
     """The METRIC_KEYS of ``cfg`` run on seeds 0..seed_count-1, in seed order."""
     out = []
     for seed in range(seed_count):
         m = run(replace(cfg, seed=seed))
-        out.append({"first_death": m.first_death_round, "half_death": m.half_death_round,
-                    "last_death": m.last_death_round, "total_packets": m.total_packets})
+        out.append(dict(zip(METRIC_KEYS, (m.first_death_round, m.half_death_round,
+                                          m.last_death_round, m.total_packets))))
     return out
 
 
@@ -183,23 +182,15 @@ def compare_scenarios(scenario_dicts: dict[str, dict], seed_count: int,
     scenarios = {}
     resolved_configs: dict[str, dict] = {}
     for name, base in scenario_dicts.items():
-        cfg = config_from_dict({**base, "seed": 0, **horizon})
+        cfg = replace(config_from_dict({**base, **horizon}), seed=0)
         resolved_configs[name] = config_to_dict(cfg)
         per_seed = _per_seed(cfg, seed_count)
         rows += [{"scenario": name, "seed": s, **m} for s, m in enumerate(per_seed)]
         scenarios[name] = {k: censored_stats([m[k] for m in per_seed]) for k in METRIC_KEYS}
 
-    names = list(scenario_dicts)
-    orderings = []
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            for k in METRIC_KEYS:
-                orderings.append({
-                    "metric": k,
-                    "a": a,
-                    "b": b,
-                    "verdict": ordering_verdict(scenarios[a][k], scenarios[b][k]),
-                })
+    orderings = [{"metric": k, "a": a, "b": b,
+                  "verdict": ordering_verdict(scenarios[a][k], scenarios[b][k])}
+                 for a, b in itertools.combinations(scenario_dicts, 2) for k in METRIC_KEYS]
     report = {
         "seeds": list(range(seed_count)),
         "max_rounds": max_rounds,
@@ -213,12 +204,7 @@ def compare_scenarios(scenario_dicts: dict[str, dict], seed_count: int,
 
 
 def write_compare_csv(path: str | Path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(COMPARE_HEADER + "\n")
-        for row in rows:
-            f.write(f"{row['scenario']},{row['seed']},{_opt(row['first_death'])},"
-                    f"{_opt(row['half_death'])},{_opt(row['last_death'])},"
-                    f"{row['total_packets']}\n")
+    _write_table(path, COMPARE_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +231,7 @@ def sweep_radius(base: dict, radii: list[float], seed_count: int) -> list[dict]:
             traj = replace(traj, sensing_range=coverage_radius(traj, cfg.field))
             swept = replace(cfg, trajectory=traj)
         except ConfigurationError:
-            rows.append({"radius_m": radius, "valid": 0, "coverage_radius_m": None,
-                         "first_death_median": None, "half_death_median": None,
-                         "last_death_median": None, "total_packets_median": None})
+            rows.append({**dict.fromkeys(SWEEP_HEADER.split(",")), "radius_m": radius, "valid": 0})
             continue
         per_seed = _per_seed(swept, seed_count)
         rows.append({"radius_m": radius, "valid": 1, "coverage_radius_m": traj.sensing_range,
@@ -257,13 +241,7 @@ def sweep_radius(base: dict, radii: list[float], seed_count: int) -> list[dict]:
 
 
 def write_sweep_csv(path: str | Path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(SWEEP_HEADER + "\n")
-        for row in rows:
-            f.write(f"{fmt_float(row['radius_m'])},{row['valid']},"
-                    f"{_opt(row['coverage_radius_m'])},{_opt(row['first_death_median'])},"
-                    f"{_opt(row['half_death_median'])},{_opt(row['last_death_median'])},"
-                    f"{_opt(row['total_packets_median'])}\n")
+    _write_table(path, SWEEP_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,22 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("content,args", [
+        (b"[1]", ["simulate", "--seed", "1"]),
+        (b'"abc"', ["simulate", "--rounds", "5"]),
+        (b"[1]", ["sweep", "--values", "10", "--rounds", "5"]),
+        (b"\xff\xfe{", ["simulate", "--rounds", "5"]),
+        (b'{"field": ' + b"[" * 100000 + b"]" * 100000 + b"}", ["simulate", "--rounds", "5"]),
+    ], ids=["list", "string", "sweep-list", "not-utf8", "too-deep"])
+    def test_malformed_config_file_exits_2(self, content, args, tmp_path, capsys):
+        cfg = tmp_path / "f.json"
+        cfg.write_bytes(content)
+        code = main([args[0], "--config", str(cfg), *args[1:],
+                     "--out", str(tmp_path / "run.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: config file {cfg} is not ")
+        assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+
     def test_unwritable_output_exits_3(self, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "run.csv"
         code = main(["simulate", "--scenario", "cl-sep", "--rounds", "10",
@@ -206,6 +222,23 @@ class TestCompare:
         assert capsys.readouterr().err == "error: duplicate scenario 'sep'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["abc", "1.5", "9223372036854775808"])
+    def test_bad_seed_override_rejected(self, seed, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", "--scenarios", "sep,cl-sep", "--seeds", "1", "--rounds", "5",
+                     "--override", f"seed={seed}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_seed_override_still_runs_seeds_from_0(self, tmp_path):
+        for name, extra in (("plain", []), ("seeded", ["--override", "seed=5"])):
+            assert main(["compare", "--scenarios", "sep,cc-srp", "--seeds", "2",
+                         "--rounds", "300", *extra, "--out", str(tmp_path / f"{name}.csv")]) == 0
+        for suffix in (".csv", ".report.json"):
+            assert ((tmp_path / f"plain{suffix}").read_bytes()
+                    == (tmp_path / f"seeded{suffix}").read_bytes())
+
     def test_single_seed_degenerate_iqr(self, tmp_path):
         out = tmp_path / "cmp.csv"
         main(["compare", "--scenarios", "sep,cl-sep", "--seeds", "1",
@@ -234,12 +267,12 @@ class TestSweep:
                      "--seeds", "1", "--rounds", "200", "--out", str(out)])
         assert code == 0
         lines = read(out).splitlines()
-        assert lines[0].startswith("radius_m,valid,coverage_radius_m")
+        assert lines[0] == ("radius_m,valid,coverage_radius_m,first_death_median,"
+                            "half_death_median,last_death_median,total_packets_median")
+        assert lines[3] == "60,0,,,,,"  # outside the 50 m field
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 3
         by_radius = {float(r[0]): r for r in rows}
-        assert by_radius[60.0][1] == "0"  # outside the 50 m field
-        assert by_radius[60.0][2] == ""
         valid = {r: float(by_radius[r][2]) for r in (10.0, 25.0)}
         assert min(valid, key=valid.get) == 25.0  # coverage-optimal radius
 
