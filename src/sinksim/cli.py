@@ -33,7 +33,7 @@ def _load_base(args) -> tuple[dict, str | None]:
     with open(path, "r", encoding="utf-8") as f:
         try:
             d = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        except (ValueError, RecursionError) as e:      # also not UTF-8, or an int too long
             raise ConfigurationError(f"config file {path} is not valid UTF-8 JSON: {e}") from e
     if not isinstance(d, dict):
         raise ConfigurationError(f"config file {path} is not a JSON object")

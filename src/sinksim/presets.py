@@ -184,6 +184,8 @@ def apply_override(d: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except (ValueError, RecursionError) as e:     # nested too deep, or an int too long
+        raise ConfigurationError(f"override {key!r} is not readable JSON: {e}") from e
     parts = key.strip().split(".")
     target = d
     for part in parts[:-1]:

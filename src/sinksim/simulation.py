@@ -27,8 +27,8 @@ STOP_ALL_DEAD = "all_dead"
 STOP_MAX_ROUNDS = "max_rounds"
 STOP_RULES = (STOP_ALL_DEAD, STOP_MAX_ROUNDS)
 
-# Longest horizon a run may have. A run holds its four per-round series and
-# their scratch arrays, about 60 MB per million rounds.
+# Longest horizon a run may have. A run's four per-round series and their
+# scratch arrays peak at about 58 MB per million rounds.
 MAX_ROUNDS = 10_000_000
 
 
@@ -204,25 +204,11 @@ def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
                  tx_energy(radio, radio.packet_bits, np.concatenate(dists)), offsets)
 
 
-# Most elements one block of the node folds, or one chunk of a slot's epoch
-# sums, holds at a time, so the engine's scratch memory stays small whatever
-# n, the epoch count and max_rounds are.
+# Most elements one block of the engine's folds holds: a block of node folds,
+# or of (slot, dead count) rows, each row padded to the widest slot with an
+# entry that never pays. Blocks stay small whatever n, slot widths and
+# max_rounds are.
 _CHUNK = 1 << 14
-
-
-def _id_order_sums(cost: np.ndarray, dies: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Per bound ``b``, the sum of ``cost`` over the entries with ``dies > b``.
-
-    The terms are added one by one in id order (a cumsum, never the pairwise
-    ``np.sum``), exactly as a round adds its payers' costs; a skipped entry
-    adds 0.0, which changes no sum.
-    """
-    out = np.empty(len(bounds))
-    step = max(1, _CHUNK // len(cost))
-    for i in range(0, len(bounds), step):
-        live = dies > bounds[i:i + step, None]
-        out[i:i + step] = np.cumsum(np.where(live, cost, 0.0), axis=1)[:, -1]
-    return out
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -311,30 +297,42 @@ class Simulation:
     def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """srp and cl-sep per-round (cost, packets, deaths) from per-node folds.
 
-        Round ``r`` serves slot ``r % S``. Once every node's death round is
-        known (``_fold_nodes``), a slot's paying set changes only at its
-        members' death rounds, and each of its sums adds the payers' costs in
-        id order, as a stepped round does.
+        Round ``r`` serves slot ``s = r % S``; once every node's death round
+        is known (``_fold_nodes``), its payers are the slot's entries that die
+        after ``r``. With the entries sorted by ``slot·(rows+1) + min(death,
+        rows)``, one ``searchsorted`` counts, per round, the entries of earlier
+        slots plus slot ``s``'s dead ones. Rounds with the same (slot, dead
+        count) pair pay alike, so each pair is summed once, at its first
+        round: its row is the slot's entries padded to the widest slot with an
+        appended entry that never pays (death -1, cost 0.0), and one
+        ``cumsum`` adds the payers' costs in id order, as a stepped round does.
+        A padding or dead entry adds 0.0, which is exact.
         """
         table = self._reach
-        S = len(table)
+        S, E = len(table), len(table.id)
         dies = self._fold_nodes()
         rows = self._rows(int(dies.max()) if (dies < self.cfg.max_rounds).all() else None)
-        cost = np.zeros(rows)
-        packets = np.zeros(rows, dtype=np.int64)
-        for s in range(min(S, rows)):
-            lo, hi = table.offsets[s], table.offsets[s + 1]
-            if lo == hi:
-                continue
-            d = dies[table.id[lo:hi]]
-            marks = np.unique(d[(d >= 0) & (d < rows)])   # where the paying set shrinks
-            bounds = np.concatenate(([-1], marks))        # epoch e pays the d > bounds[e]
-            rounds = np.arange(s, rows, S)
-            which = np.searchsorted(marks, rounds, side="right")
-            cost[rounds] = _id_order_sums(table.cost[lo:hi], d, bounds)[which]
-            payers = len(d) - np.searchsorted(np.sort(d), bounds, side="right")
-            packets[rounds] = payers[which]
-        return cost, packets, np.bincount(dies[(dies >= 0) & (dies < rows)], minlength=rows)
+        d = np.append(dies[table.id], -1)                # entry E pads every row
+        s = np.arange(rows) % S
+        keys = np.minimum(d[:E], rows)
+        keys += table.slot * (rows + 1)
+        keys.sort()
+        c = np.append(table.cost, 0.0)                   # after the sort, to keep the peak low
+        seen = np.searchsorted(keys, s * (rows + 1) + np.arange(rows), side="right")
+        seen += s * (E + 1)                              # one value per (slot, dead count)
+        _, first, pair = np.unique(seen, return_index=True, return_inverse=True)
+        slot = first % S                                 # first is the pair's first round
+        lo, hi = table.offsets[slot], table.offsets[slot + 1]
+        payers = hi - (seen[first] - slot * (E + 1))     # the slot's entries past its dead
+        W = int((hi - lo).max(initial=1))
+        sums = np.empty(len(first))
+        step = max(1, _CHUNK // W)
+        for i in range(0, len(first), step):
+            e = lo[i:i + step, None] + np.arange(W)
+            e[e >= hi[i:i + step, None]] = E             # past its slot: the padding entry
+            paying = d[e] > first[i:i + step, None]
+            sums[i:i + step] = np.cumsum(np.where(paying, c[e], 0.0), axis=1)[:, -1]
+        return sums[pair], payers[pair], np.bincount(dies[(dies >= 0) & (dies < rows)], minlength=rows)
 
     def _fold_nodes(self) -> np.ndarray:
         """Each node's death round: -1 if dead at the start, max_rounds if never.

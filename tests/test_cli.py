@@ -1,12 +1,19 @@
 """CLI contracts: outputs, exit codes, determinism, validate."""
 
+import contextlib
+import io
 import json
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sinksim import load_preset, run
+from sinksim import PRESET_NAMES, load_preset, run
 from sinksim.cli import main
 from sinksim.harness import CSV_HEADER, validate_run_csv
+from sinksim.presets import preset_dict
 
 
 def read(path):
@@ -52,7 +59,10 @@ class TestSimulate:
         assert main(["simulate", "--scenario", "nosuch", "--rounds", "10"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override", ["net.m=abc", "max_rounds=NaN", "net=5"])
+    @pytest.mark.parametrize("override", ["net.m=abc", "max_rounds=NaN", "net=5",
+                                          pytest.param("net=" + "[" * 20_000 + "]" * 20_000,
+                                                       id="net=deep"),
+                                          pytest.param("seed=1" + "0" * 5000, id="seed=long-int")])
     def test_malformed_value_exits_2(self, override, tmp_path, capsys):
         out = tmp_path / "run.csv"
         code = main(["simulate", "--scenario", "sep", "--rounds", "10",
@@ -94,7 +104,8 @@ class TestSimulate:
         (b"[1]", ["sweep", "--values", "10", "--rounds", "5"]),
         (b"\xff\xfe{", ["simulate", "--rounds", "5"]),
         (b'{"field": ' + b"[" * 100000 + b"]" * 100000 + b"}", ["simulate", "--rounds", "5"]),
-    ], ids=["list", "string", "sweep-list", "not-utf8", "too-deep"])
+        (b'{"seed": 1' + b"0" * 5000 + b"}", ["simulate", "--rounds", "5"]),
+    ], ids=["list", "string", "sweep-list", "not-utf8", "too-deep", "long-int"])
     def test_malformed_config_file_exits_2(self, content, args, tmp_path, capsys):
         cfg = tmp_path / "f.json"
         cfg.write_bytes(content)
@@ -318,3 +329,46 @@ class TestSweep:
         assert capsys.readouterr().err == (
             f"error: --values item {bad!r} is not a finite number\n")
         assert not out.exists()
+
+
+def _paths(d, prefix=""):
+    for key, value in d.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _paths(value, f"{prefix}{key}.")
+
+
+OVERRIDE_KEYS = sorted({p for name in PRESET_NAMES for p in _paths(preset_dict(name))})
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([2**63, -2**64, 10**300]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6).map(json.dumps)
+_deep_values = st.builds(lambda depth, shape: shape[0] * depth + "0" + shape[1] * depth,
+                         st.integers(1, 20_000), st.sampled_from([("[", "]"), ('{"a":', "}")]))
+_overrides = st.lists(st.builds("{}={}".format, st.sampled_from(OVERRIDE_KEYS),
+                                _json_values | _deep_values | st.text(max_size=6)
+                                | st.sampled_from(["1" + "0" * 5000, "[-" + "9" * 5000 + "]"])),
+                      max_size=3)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(["simulate", "sweep"]), st.sampled_from(PRESET_NAMES), _overrides)
+def test_fuzzed_overrides_exit_0_or_2(command, scenario, overrides):
+    """Any override a user can type either runs or exits 2 with an error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out.csv"
+        argv = [command, "--scenario", scenario, "--rounds", "3", "--out", str(out)]
+        if command == "sweep":
+            argv += ["--values", "20", "--seeds", "1"]
+        for assignment in overrides:
+            argv += ["--override", assignment]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert not any(pathlib.Path(tmp).iterdir())

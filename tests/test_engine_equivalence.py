@@ -33,6 +33,22 @@ def test_run_equals_stepped_loop(name, stop_rule):
     assert m_ref.first_death_round is not None  # the horizon covered real deaths
 
 
+DEAD_AT_START = {"three": [0, 3, 57], "all": slice(None)}
+
+
+@pytest.mark.parametrize("dead", DEAD_AT_START)
+@pytest.mark.parametrize("stop_rule", STOP_RULES)
+@pytest.mark.parametrize("name", ["cl-sep", "sc10-srp", "ss-srp", "sep"])
+def test_run_with_dead_nodes_at_start(name, stop_rule, dead):
+    """Nodes dead before round 0 have death round -1, below every round."""
+    cfg = dataclasses.replace(load_preset(name, seed=0), stop_rule=stop_rule, max_rounds=4000)
+    fast = Simulation(cfg)
+    ref = Simulation(cfg)
+    for sim in (fast, ref):
+        sim.state.alive[DEAD_AT_START[dead]] = False
+    assert_same_run(fast, fast.run(), ref, stepped_run(ref))
+
+
 SEP_NETS = {
     "n300": NetworkParams(n=300),
     "n30-m0.5-a3": NetworkParams(n=30, m=0.5, alpha=3.0),
