@@ -117,9 +117,8 @@ class StaticPath:
 Path = SquarePath | CirclePath | StaticPath
 
 
-# Most sojourn points a tour may have. A run's reach table holds one entry per
-# visited sojourn point and node in range, so its memory grows as
-# min(sojourn_count, max_rounds) * n.
+# Most sojourn points a tour may have. A run's reach table, one entry per
+# visited sojourn point and node in range, has its own cap in simulation.py.
 MAX_SOJOURNS = 10_000
 
 
@@ -145,7 +144,7 @@ class Trajectory:
             raise ConfigurationError(f"sensing_range must be > 0, got {self.sensing_range}")
         if not self.r_max > 0:
             raise ConfigurationError(f"r_max must be > 0, got {self.r_max}")
-        if not self.is_static and self.spacing() > self.r_max:
+        if self.spacing() > self.r_max:
             raise ConfigurationError(
                 f"sojourn spacing {self.spacing():.3f} m exceeds r_max={self.r_max} m; "
                 f"increase sojourn_count"
@@ -157,8 +156,6 @@ class Trajectory:
 
     def spacing(self) -> float:
         """Arc length between consecutive sojourn points (0 for a static sink)."""
-        if self.is_static:
-            return 0.0
         return self.path.length() / self.sojourn_count
 
     @cached_property

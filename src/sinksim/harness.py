@@ -95,8 +95,7 @@ def write_json(path: str | Path, payload: dict) -> None:
 
 def sidecar_path(out: str | Path, kind: str) -> Path:
     """`run.csv` -> `run.<kind>.json` next to the main output."""
-    p = Path(out)
-    base = p.with_suffix("") if p.suffix else p
+    base = Path(out).with_suffix("")
     return base.with_name(base.name + f".{kind}.json")
 
 

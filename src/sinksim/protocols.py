@@ -1,10 +1,10 @@
 """Per-round protocol engines over one network state.
 
-* ``direct_round`` — the one direct-transmission rule. Every alive node listed
-  in a reach slot (the nodes in range of the sink's current point, with their
+* ``direct_round`` — the one direct-transmission rule. Every alive node
+  listed (the nodes in range of the sink's current point, with their
   precomputed transmission costs) sends one packet straight to the sink. It
-  is one stepped round of srp (one slot per sojourn point) and cl-sep (one
-  slot, every node, static sink), and sep's no-head fallback.
+  is one stepped round of srp (the nodes in range of one sojourn point) and
+  cl-sep (every node, static sink), and sep's no-head fallback.
   ``Simulation.run`` folds srp and cl-sep per node instead of stepping them.
 * ``sep_round``    — clustered routing to a static sink. Nodes self-elect as
   cluster heads with a rotating threshold weighted by energy heterogeneity,
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -167,22 +166,15 @@ def election_threshold(p: float, round_idx: int) -> float:
     return min(1.0, p / denom)
 
 
-class Slot(NamedTuple):
-    """The nodes in range of one sink point, in id order, with their tx costs."""
-
-    ids: np.ndarray
-    costs: np.ndarray
-
-
-def direct_round(state: NodeState, slot: Slot) -> RoundOutcome:
-    """Every alive node in ``slot`` sends one packet straight to the sink.
+def direct_round(state: NodeState, ids: np.ndarray, costs: np.ndarray) -> RoundOutcome:
+    """Each alive node ``ids[j]`` sends one packet straight to the sink at cost ``costs[j]``.
 
     A node that cannot pay its cost is marked dead instead.
     """
     out = RoundOutcome()
     alive = state.alive
     energy = state.energy
-    for i, cost in zip(slot.ids.tolist(), slot.costs.tolist()):
+    for i, cost in zip(ids.tolist(), costs.tolist()):
         if not alive[i]:
             continue
         if energy[i] >= cost:
@@ -197,12 +189,12 @@ def direct_round(state: NodeState, slot: Slot) -> RoundOutcome:
 
 
 def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
-              radio: RadioParams, uplink: Slot,
+              radio: RadioParams, uplink: np.ndarray,
               rng: np.random.Generator) -> RoundOutcome:
     """One clustered round against a static sink.
 
-    ``uplink`` is the static sink's reach slot: it lists every node, so its
-    ``costs`` of transmitting straight to the sink are indexed by id.
+    ``uplink`` holds each node's cost of transmitting straight to the sink,
+    indexed by id.
 
     Phases: epoch bookkeeping and head self-election; members join the nearest
     alive head; member-to-head transmissions (head pays reception per packet);
@@ -239,7 +231,7 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
 
     if len(ch_ids) == 0:
         # Fallback: nobody advertised, everyone reports directly.
-        return direct_round(state, uplink)
+        return direct_round(state, np.arange(state.n), uplink)
 
     # Members and heads act on plain Python lists, written back once below.
     xs = state.xs
@@ -287,7 +279,7 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
         if not alive[ch]:
             continue
         n_msgs = received[ch] + 1  # members' packets plus the head's own
-        c = per_msg * n_msgs + float(uplink.costs[ch])
+        c = per_msg * n_msgs + float(uplink[ch])
         if energy[ch] >= c:
             energy[ch] -= c
             sent[ch] += 1

@@ -18,7 +18,7 @@ from .energy import RadioParams, tx_energy
 from .errors import ConfigurationError
 from .geometry import Field, Point, SquareField, Trajectory, trajectory_in_field
 from .protocols import (PROTOCOLS, SEP, SRP, NetworkParams, NodeState,
-                        RoundOutcome, Slot, direct_round, sep_round)
+                        RoundOutcome, direct_round, sep_round)
 
 RNG_GENERATOR = "numpy.PCG64"
 RNG_DERIVATION = "SeedSequence([seed & 2**64-1, sha256(label)[:8] as uint64])"
@@ -160,48 +160,41 @@ def deploy(cfg: ScenarioConfig) -> NodeState:
     return NodeState(xs, ys, is_advanced, energy)
 
 
-class Reach:
-    """Flat reach table: per sink point, every node in range and its tx cost.
-
-    Entry ``e`` says that node ``id[e]`` reaches sink point ``slot[e]`` at
-    cost ``cost[e]``. Entries are in (slot, id) order, and slot ``s`` holds
-    entries ``offsets[s]:offsets[s + 1]``. Node positions and sink points never
-    change during a run, so the table holds for the whole run.
-    """
-
-    def __init__(self, slot: np.ndarray, id: np.ndarray, cost: np.ndarray,
-                 offsets: np.ndarray):
-        self.slot = slot
-        self.id = id
-        self.cost = cost
-        self.offsets = offsets
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def __getitem__(self, s: int) -> Slot:
-        lo, hi = self.offsets[s], self.offsets[s + 1]
-        return Slot(self.id[lo:hi], self.cost[lo:hi])
+# Most entries a run's reach table may hold. The table grows as
+# min(sojourn_count, max_rounds) x nodes in range, which no other cap bounds;
+# a one-tour srp run at the cap peaks at about 660 MB.
+MAX_REACH_ENTRIES = 10_000_000
 
 
 def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
-          sensing_range: float | None) -> Reach:
-    """The reach table of ``points``: range is inclusive, ``None`` is unlimited."""
+          sensing_range: float | None) -> tuple[np.ndarray, ...]:
+    """The reach table of ``points``: range is inclusive, ``None`` is unlimited.
+
+    Returns the arrays ``(slot, id, cost, offsets)``. Entry ``e`` says that
+    node ``id[e]`` reaches point ``slot[e]`` at cost ``cost[e]``. Entries are
+    in (slot, id) order, and slot ``s`` holds entries
+    ``offsets[s]:offsets[s + 1]``. Node positions and sink points never
+    change during a run, so the table holds for the whole run. A table over
+    ``MAX_REACH_ENTRIES`` entries raises before it is priced.
+    """
     limit = math.inf if sensing_range is None else sensing_range
     ids = []
     dists = []
+    offsets = [0]
     for p in points:
         dx = state.xs - p.x
         dy = state.ys - p.y
         d = np.sqrt(dx * dx + dy * dy)
         inside = np.flatnonzero(d <= limit)
+        offsets.append(offsets[-1] + len(inside))
+        if offsets[-1] > MAX_REACH_ENTRIES:
+            raise ConfigurationError(f"the reach table needs more than {MAX_REACH_ENTRIES} "
+                                     "entries; lower max_rounds, sojourn_count, n or sensing_range")
         ids.append(inside)
         dists.append(d[inside])
-    counts = np.array([len(i) for i in ids], dtype=np.int64)
-    offsets = np.zeros(len(points) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return Reach(np.repeat(np.arange(len(points)), counts), np.concatenate(ids),
-                 tx_energy(radio, radio.packet_bits, np.concatenate(dists)), offsets)
+    offsets = np.array(offsets, dtype=np.int64)
+    return (np.repeat(np.arange(len(points)), np.diff(offsets)), np.concatenate(ids),
+            tx_energy(radio, radio.packet_bits, np.concatenate(dists)), offsets)
 
 
 # Most elements one block of the engine's folds holds: a block of node folds,
@@ -229,15 +222,18 @@ class Simulation:
         # lists every node, so sep's head uplink indexes its costs by id.
         sensing = None if traj.is_static else traj.sensing_range
         # A run shorter than the tour visits only its first max_rounds points.
-        self._reach = reach(self.state, cfg.radio, traj.points[:cfg.max_rounds], sensing)
+        self._slot, self._id, self._cost, self._offsets = reach(
+            self.state, cfg.radio, traj.points[:cfg.max_rounds], sensing)
 
     def step(self, round_idx: int) -> RoundOutcome:
         """Execute round ``round_idx``, 0 <= round_idx < max_rounds."""
         cfg = self.cfg
         if cfg.protocol == SEP:
             return sep_round(self.state, round_idx, cfg.net, cfg.radio,
-                             self._reach[0], self._election_rng)
-        return direct_round(self.state, self._reach[round_idx % len(self._reach)])
+                             self._cost, self._election_rng)
+        s = round_idx % (len(self._offsets) - 1)
+        lo, hi = self._offsets[s], self._offsets[s + 1]
+        return direct_round(self.state, self._id[lo:hi], self._cost[lo:hi])
 
     def run(self) -> RunMetrics:
         """Run until the stop rule fires; record per-round metrics.
@@ -308,21 +304,21 @@ class Simulation:
         ``cumsum`` adds the payers' costs in id order, as a stepped round does.
         A padding or dead entry adds 0.0, which is exact.
         """
-        table = self._reach
-        S, E = len(table), len(table.id)
+        ids, offsets = self._id, self._offsets
+        S, E = len(offsets) - 1, len(ids)
         dies = self._fold_nodes()
         rows = self._rows(int(dies.max()) if (dies < self.cfg.max_rounds).all() else None)
-        d = np.append(dies[table.id], -1)                # entry E pads every row
+        d = np.append(dies[ids], -1)                     # entry E pads every row
         s = np.arange(rows) % S
         keys = np.minimum(d[:E], rows)
-        keys += table.slot * (rows + 1)
+        keys += self._slot * (rows + 1)
         keys.sort()
-        c = np.append(table.cost, 0.0)                   # after the sort, to keep the peak low
+        c = np.append(self._cost, 0.0)                   # after the sort, to keep the peak low
         seen = np.searchsorted(keys, s * (rows + 1) + np.arange(rows), side="right")
         seen += s * (E + 1)                              # one value per (slot, dead count)
         _, first, pair = np.unique(seen, return_index=True, return_inverse=True)
         slot = first % S                                 # first is the pair's first round
-        lo, hi = table.offsets[slot], table.offsets[slot + 1]
+        lo, hi = offsets[slot], offsets[slot + 1]
         payers = hi - (seen[first] - slot * (E + 1))     # the slot's entries past its dead
         W = int((hi - lo).max(initial=1))
         sums = np.empty(len(first))
@@ -347,14 +343,14 @@ class Simulation:
         would.
         """
         state = self.state
-        table = self._reach
-        n, S, R = state.n, len(table), self.cfg.max_rounds
-        order = np.argsort(table.id, kind="stable")
-        pat_slot = table.slot[order]
-        pat_cost = table.cost[order]
-        k = np.bincount(table.id, minlength=n)            # attempts per tour
+        ids, offsets = self._id, self._offsets
+        n, S, R = state.n, len(offsets) - 1, self.cfg.max_rounds
+        order = np.argsort(ids, kind="stable")
+        pat_slot = self._slot[order]
+        pat_cost = self._cost[order]
+        k = np.bincount(ids, minlength=n)                 # attempts per tour
         first = np.cumsum(k) - k                          # node i's pattern start
-        horizon = (R // S) * k + np.bincount(table.id[table.slot < R % S], minlength=n)
+        horizon = (R // S) * k + np.bincount(ids[:offsets[R % S]], minlength=n)
 
         dies = np.where(state.alive, R, -1)
         paid = np.zeros(n, dtype=np.int64)

@@ -28,7 +28,7 @@ from sinksim.geometry import (Field, Point, SquareField, Trajectory,
                               _sojourn_point, path_point_distance,
                               trajectory_in_field)
 from sinksim.protocols import (ADVANCED, NORMAL, NetworkParams, NodeState,
-                               RoundOutcome, Slot, _epoch, ch_probability,
+                               RoundOutcome, _epoch, ch_probability,
                                direct_round, election_threshold)
 from sinksim.simulation import (STOP_ALL_DEAD, RunMetrics, ScenarioConfig, Simulation,
                                 rng_stream)
@@ -159,12 +159,12 @@ def srp_round(state: NodeState, trajectory: Trajectory, round_idx: int,
 
 
 def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
-              radio: RadioParams, uplink: Slot,
+              radio: RadioParams, uplink: np.ndarray,
               rng: np.random.Generator) -> RoundOutcome:
     """One clustered round against a static sink.
 
-    ``uplink`` is the static sink's reach slot: it lists every node, so its
-    ``costs`` of transmitting straight to the sink are indexed by id.
+    ``uplink`` holds each node's cost of transmitting straight to the sink,
+    indexed by id.
 
     Phases: epoch bookkeeping and head self-election; members join the nearest
     alive head; member-to-head transmissions (head pays reception per packet);
@@ -201,7 +201,7 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
 
     if len(ch_ids) == 0:
         # Fallback: nobody advertised, everyone reports directly.
-        return direct_round(state, uplink)
+        return direct_round(state, np.arange(state.n), uplink)
 
     alive_before = state.alive_count()
     energy = state.energy
@@ -239,7 +239,7 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
         if not state.alive[ch]:
             continue
         n_msgs = received[ch] + 1  # members' packets plus the head's own
-        c = aggregation_energy(radio, k, n_msgs) + float(uplink.costs[ch])
+        c = aggregation_energy(radio, k, n_msgs) + float(uplink[ch])
         if float(energy[ch]) >= c:
             energy[ch] -= c
             state.packets_sent[ch] += 1

@@ -103,10 +103,10 @@ def test_criterion_1_exact_single_node_oracles():
     state = NodeState(np.array([150.0]), np.array([50.0]), np.array([False]),
                       np.array([0.5]))
     sink = Point(50.0, 50.0)
-    slot = reach(state, probe.radio, [sink], None)[0]
+    _, ids, costs, _ = reach(state, probe.radio, [sink], None)
     death_100 = 0
     while state.alive[0]:
-        direct_round(state, slot)
+        direct_round(state, ids, costs)
         death_100 += 1
     death_100 -= 1
     expect_100 = int(0.5 // tx_energy(probe.radio, 4000, 100.0))
@@ -231,7 +231,7 @@ def test_criterion_9_election_statistics():
     cfg = load_preset("sep", seed=42)
     state = deploy(cfg)
     rng = rng_stream(cfg.seed, "election")
-    uplink = reach(state, cfg.radio, [Point(50.0, 50.0)], None)[0]
+    _, _, uplink, _ = reach(state, cfg.radio, [Point(50.0, 50.0)], None)
     epoch = math.ceil(1.0 / cfg.net.p_opt)
     counts = [sep_round(state, r, cfg.net, cfg.radio, uplink, rng).cluster_heads
               for r in range(20 * epoch)]

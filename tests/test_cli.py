@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinksim import PRESET_NAMES, load_preset, run
+from sinksim import PRESET_NAMES, load_preset, run, simulation
 from sinksim.cli import main
 from sinksim.harness import CSV_HEADER, validate_run_csv
 from sinksim.presets import preset_dict
@@ -329,6 +329,28 @@ class TestSweep:
         assert capsys.readouterr().err == (
             f"error: --values item {bad!r} is not a finite number\n")
         assert not out.exists()
+
+
+# Each of these runs reaches every one of its 100 nodes from some sojourn
+# point, so its reach table holds at least 100 entries; cl-sep's holds exactly
+# 100, in one slot.
+@pytest.mark.parametrize("argv", [["simulate", "--scenario", "cl-sep"],
+                                  ["compare", "--scenarios", "sep,cl-sep", "--seeds", "1"],
+                                  ["sweep", "--scenario", "cc-srp", "--values", "25",
+                                   "--seeds", "1"]],
+                         ids=["simulate", "compare", "sweep"])
+def test_reach_table_over_cap_exits_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simulation, "MAX_REACH_ENTRIES", 99)
+    code = main([*argv, "--rounds", "360", "--out", str(tmp_path / "out.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: the reach table needs more than 99 ")
+    assert not any(tmp_path.iterdir())
+
+
+def test_reach_table_at_cap_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulation, "MAX_REACH_ENTRIES", 100)
+    assert main(["simulate", "--scenario", "cl-sep", "--rounds", "360",
+                 "--out", str(tmp_path / "out.csv")]) == 0
 
 
 def _paths(d, prefix=""):

@@ -97,7 +97,7 @@ def test_cl_sep_round_sums_at_large_n():
     assert peak < epochs * cfg.net.n / 2
 
     sent = sim.state.packets_sent
-    costs = sim._reach[0].costs
+    costs = sim._cost
     for r in range(0, m.rounds_executed, 97):
         paying = sent > r
         assert m.round_cost_j[r] == sum(costs[paying].tolist())

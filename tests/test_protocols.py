@@ -31,9 +31,15 @@ def make_state(positions, energies=None, kinds=None):
                      np.array(energies, dtype=np.float64))
 
 
+def static_slot(state, radio=RADIO, sink=SINK):
+    """The static sink's one reach slot: every node in id order, with its cost to ``sink``."""
+    _, ids, costs, _ = reach(state, radio, [sink], None)
+    return ids, costs
+
+
 def uplink(state, radio=RADIO, sink=SINK):
-    """The static sink's reach slot: every node's direct cost to ``sink``."""
-    return reach(state, radio, [sink], None)[0]
+    """Every node's direct cost to ``sink``, indexed by id."""
+    return static_slot(state, radio, sink)[1]
 
 
 class StubRng:
@@ -114,11 +120,11 @@ class TestSepRound:
         per_round = aggregation_energy(RADIO, K, 1) + tx_energy(RADIO, K, 0.0)
         expect = int(0.5 // per_round)
         assert expect == 2272
-        slot = uplink(state)
+        costs = uplink(state)
         r = 0
         while state.alive[0]:
             state.in_set_g[0] = True  # keep it eligible every round
-            sep_round(state, r, NET, RADIO, slot, rng)
+            sep_round(state, r, NET, RADIO, costs, rng)
             r += 1
         assert r - 1 == expect
         assert float(state.energy[0]) >= 0.0
@@ -191,8 +197,8 @@ class TestSepRound:
         state = deploy(cfg)
         rng = rng_stream(42, "election")
         epoch = math.ceil(1 / cfg.net.p_opt)
-        slot = uplink(state, cfg.radio)
-        counts = [sep_round(state, r, cfg.net, cfg.radio, slot, rng).cluster_heads
+        costs = uplink(state, cfg.radio)
+        counts = [sep_round(state, r, cfg.net, cfg.radio, costs, rng).cluster_heads
                   for r in range(20 * epoch)]
         sigma = math.sqrt(cfg.net.n * cfg.net.p_opt * (1 - cfg.net.p_opt) / epoch)
         for e in range(20):
@@ -203,27 +209,27 @@ class TestSepRound:
 class TestClSepRound:
     def test_node_at_sink_dies_at_2500(self):
         state = make_state([(50.0, 50.0)])
-        slot = uplink(state)
+        slot = static_slot(state)
         r = 0
         while state.alive[0]:
-            direct_round(state, slot)
+            direct_round(state, *slot)
             r += 1
         assert r - 1 == 2500
         assert int(state.packets_sent[0]) == 2500
 
     def test_node_at_100m_dies_at_694(self):
         state = make_state([(150.0, 50.0)])
-        slot = uplink(state)
+        slot = static_slot(state)
         r = 0
         while state.alive[0]:
-            direct_round(state, slot)
+            direct_round(state, *slot)
             r += 1
         assert r - 1 == 694
 
     def test_all_dead_zero_cost(self):
         state = make_state([(10.0, 10.0), (20.0, 20.0)])
         state.alive[:] = False
-        out = direct_round(state, uplink(state))
+        out = direct_round(state, *static_slot(state))
         assert out.packets == 0 and out.cost == 0.0
 
     def test_rounds_to_death_matches_floor_oracle(self):
@@ -235,10 +241,10 @@ class TestClSepRound:
         expect = [int(e // tx_energy(RADIO, K, distance(Point(*p), SINK)))
                   for p, e in zip(positions, energies)]
         deaths = [None] * len(positions)
-        slot = uplink(state)
+        slot = static_slot(state)
         r = 0
         while state.alive.any():
-            direct_round(state, slot)
+            direct_round(state, *slot)
             for i in range(len(positions)):
                 if deaths[i] is None and not state.alive[i]:
                     deaths[i] = r
@@ -308,23 +314,23 @@ class TestRoundInvariants:
         energies = [1.0 if k == ADVANCED else 0.5 for k in kinds]
         state = make_state(positions, energies=energies, kinds=kinds)
         election = np.random.default_rng(12)
-        slot = uplink(state)
+        costs = uplink(state)
         for r in range(300):
             before = state.total_energy()
-            out = sep_round(state, r, NET, RADIO, slot, election)
+            out = sep_round(state, r, NET, RADIO, costs, election)
             after = state.total_energy()
             assert before - after == pytest.approx(out.cost, abs=1e-12)
             assert (state.energy >= 0.0).all()
 
     def test_dead_nodes_stay_dead_and_idle(self):
         state = make_state([(50.0, 50.0), (150.0, 50.0)])
-        slot = uplink(state)
+        slot = static_slot(state)
         seen_dead = False
         sent_after_death = 0
         for r in range(1000):
             dead_before = ~state.alive.copy()
             packets_before = state.packets_sent.copy()
-            direct_round(state, slot)
+            direct_round(state, *slot)
             if dead_before.any():
                 seen_dead = True
                 assert not state.alive[dead_before].any()

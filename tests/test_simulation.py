@@ -295,6 +295,19 @@ class TestRun:
             cfg, trajectory=dataclasses.replace(cfg.trajectory, sensing_range=10.0))
         assert run(gated) == run(cfg)
 
+    @pytest.mark.parametrize("name", ("sep", "cl-sep"))
+    @pytest.mark.parametrize("sensing_range", (None, 10.0))
+    def test_static_sink_table_is_one_slot_of_every_id(self, name, sensing_range):
+        # sep indexes the table's costs by node id for its head uplinks, and
+        # its no-head fallback pairs them with arange(n)
+        cfg = load_preset(name, seed=2, max_rounds=10)
+        cfg = dataclasses.replace(
+            cfg, trajectory=dataclasses.replace(cfg.trajectory, sensing_range=sensing_range))
+        sim = Simulation(cfg)
+        assert sim._offsets.tolist() == [0, cfg.net.n]
+        assert sim._id.tolist() == list(range(cfg.net.n))
+        assert not sim._slot.any()
+
 
 SRP_PRESETS = [name for name in PRESET_NAMES if name.endswith("-srp")]
 
@@ -333,7 +346,7 @@ class TestSrpFastPath:
         cfg = load_preset("sc40-srp", seed=3, max_rounds=max_rounds)
         cfg = dataclasses.replace(cfg, net=dataclasses.replace(cfg.net, e0=1e-3))
         sim = Simulation(cfg)
-        assert len(sim._reach) == max_rounds < cfg.trajectory.sojourn_count
+        assert len(sim._offsets) - 1 == max_rounds < cfg.trajectory.sojourn_count
         fast = sim.run()
         state, ref = srp_reference(cfg)
         for series, values in ref.items():
