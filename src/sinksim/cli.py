@@ -15,7 +15,7 @@ import sys
 
 from . import harness
 from .errors import ConfigurationError
-from .presets import PRESET_NAMES, apply_override, config_from_dict, preset_dict
+from .presets import PRESET_NAMES, config_from_dict, layer, preset_dict
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -24,34 +24,25 @@ EXIT_INVALID = 4
 
 
 def _load_base(args) -> tuple[dict, str | None]:
-    """Scenario dict from --scenario or --config, plus the preset name if any."""
-    if getattr(args, "scenario", None):
-        return preset_dict(args.scenario), args.scenario
-    path = getattr(args, "config", None)
-    if not path:
+    """Layered scenario dict from --scenario or --config, plus the preset name if any."""
+    name, path = args.scenario or None, args.config
+    if name:
+        d = preset_dict(name)
+    elif not path:
         raise ConfigurationError("one of --scenario or --config is required")
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            d = json.load(f)
-        except (ValueError, RecursionError) as e:      # also not UTF-8, or an int too long
-            raise ConfigurationError(f"config file {path} is not valid UTF-8 JSON: {e}") from e
-    if not isinstance(d, dict):
-        raise ConfigurationError(f"config file {path} is not a JSON object")
-    return d, None
-
-
-def _apply_common(d: dict, args) -> None:
-    if getattr(args, "seed", None) is not None:
-        d["seed"] = args.seed
-    if getattr(args, "rounds", None) is not None:
-        d["max_rounds"] = args.rounds
-    for assignment in getattr(args, "override", None) or []:
-        apply_override(d, assignment)
+    else:
+        with open(path, "r", encoding="utf-8") as f:
+            try:
+                d = json.load(f)
+            except (ValueError, RecursionError) as e:      # also not UTF-8, or an int too long
+                raise ConfigurationError(f"config file {path} is not valid UTF-8 JSON: {e}") from e
+        if not isinstance(d, dict):
+            raise ConfigurationError(f"config file {path} is not a JSON object")
+    return layer(d, getattr(args, "seed", None), args.rounds, args.override), name
 
 
 def _cmd_simulate(args) -> int:
     d, name = _load_base(args)
-    _apply_common(d, args)
     cfg = config_from_dict(d)
     out = args.out or f"{name or 'custom'}-seed{cfg.seed}.csv"
     summary = harness.simulate_to_files(cfg, out, name)
@@ -69,10 +60,7 @@ def _cmd_compare(args) -> int:
     for name in names:
         if name in scenario_dicts:
             raise ConfigurationError(f"duplicate scenario {name!r}")
-        d = preset_dict(name)
-        for assignment in args.override or []:
-            apply_override(d, assignment)
-        scenario_dicts[name] = d
+        scenario_dicts[name] = layer(preset_dict(name), None, args.rounds, args.override)
     result = harness.compare_scenarios(scenario_dicts, args.seeds, args.rounds)
     out = args.out or "compare.csv"
     harness.write_compare_csv(out, result["rows"])
@@ -99,7 +87,6 @@ def _radius(item: str) -> float:
 
 def _cmd_sweep(args) -> int:
     d, _ = _load_base(args)
-    _apply_common(d, args)
     radii = [_radius(v) for v in args.values.split(",") if v.strip()]
     if not radii:
         raise ConfigurationError("sweep needs at least one radius value")
@@ -131,34 +118,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scenario_args(p: argparse.ArgumentParser, with_seed: bool) -> None:
-        p.add_argument("--scenario", help=f"preset name: {', '.join(PRESET_NAMES)}")
-        p.add_argument("--config", help="path to a scenario config JSON file")
-        if with_seed:
-            p.add_argument("--seed", type=int, default=None, help="run seed")
-        p.add_argument("--rounds", type=int, default=None, help="maximum rounds")
-        p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--override", action="append", metavar="KEY=VALUE",
-                       help="config override, e.g. trajectory.sensing_range=51.35")
+    run_opts = argparse.ArgumentParser(add_help=False)
+    run_opts.add_argument("--rounds", type=int, default=None, help="maximum rounds")
+    run_opts.add_argument("--out", default=None, help="output CSV path")
+    run_opts.add_argument("--override", action="append", metavar="KEY=VALUE",
+                          help="config override, e.g. trajectory.sensing_range=51.35")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--scenario", help=f"preset name: {', '.join(PRESET_NAMES)}")
+    source.add_argument("--config", help="path to a scenario config JSON file")
+    seeds = argparse.ArgumentParser(add_help=False)
+    seeds.add_argument("--seeds", type=int, default=10, help="number of seeds (default 10)")
 
-    p_sim = sub.add_parser("simulate", help="run one scenario, write CSV + summary JSON")
-    add_scenario_args(p_sim, with_seed=True)
+    p_sim = sub.add_parser("simulate", parents=[source, run_opts],
+                           help="run one scenario, write CSV + summary JSON")
+    p_sim.add_argument("--seed", type=int, default=None, help="run seed")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_cmp = sub.add_parser("compare", help="run several scenarios over seeds 0..N-1")
+    p_cmp = sub.add_parser("compare", parents=[seeds, run_opts],
+                           help="run several scenarios over seeds 0..N-1")
     p_cmp.add_argument("--scenarios", required=True,
                        help="comma-separated preset names (at least two)")
-    p_cmp.add_argument("--seeds", type=int, default=10, help="number of seeds (default 10)")
-    p_cmp.add_argument("--rounds", type=int, default=None, help="maximum rounds")
-    p_cmp.add_argument("--out", default=None, help="output CSV path")
-    p_cmp.add_argument("--override", action="append", metavar="KEY=VALUE",
-                       help="override applied to every scenario")
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_swp = sub.add_parser("sweep", help="sweep a circular trajectory radius")
-    add_scenario_args(p_swp, with_seed=False)
+    p_swp = sub.add_parser("sweep", parents=[source, run_opts, seeds],
+                           help="sweep a circular trajectory radius")
     p_swp.add_argument("--values", required=True, help="comma-separated radii in meters")
-    p_swp.add_argument("--seeds", type=int, default=10, help="number of seeds (default 10)")
     p_swp.set_defaults(func=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="check an emitted per-round CSV")

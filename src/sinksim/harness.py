@@ -168,20 +168,19 @@ def compare_scenarios(scenario_dicts: dict[str, dict], seed_count: int,
                       max_rounds: int | None = None) -> dict:
     """Run every scenario on seeds 0..seed_count-1 and build the report.
 
-    Runs execute and aggregate in (scenario, seed) order, so the report is
-    independent of any scheduling.
+    Each dict holds its own horizon; ``max_rounds`` is only echoed. Runs execute
+    and aggregate in (scenario, seed) order, so the report is independent of any scheduling.
     """
     if len(scenario_dicts) < 2:
         raise ConfigurationError("compare needs at least two scenarios")
     if seed_count < 1:
         raise ConfigurationError("compare needs at least one seed")
-    horizon = {} if max_rounds is None else {"max_rounds": max_rounds}
 
     rows = []
     scenarios = {}
     resolved_configs: dict[str, dict] = {}
     for name, base in scenario_dicts.items():
-        cfg = replace(config_from_dict({**base, **horizon}), seed=0)
+        cfg = replace(config_from_dict(base), seed=0)
         resolved_configs[name] = config_to_dict(cfg)
         per_seed = _per_seed(cfg, seed_count)
         rows += [{"scenario": name, "seed": s, **m} for s, m in enumerate(per_seed)]
@@ -253,7 +252,6 @@ def validate_run_csv(path: str | Path) -> list[str]:
     Returns a list of problems; empty means the file is valid.
     """
     problems: list[str] = []
-    rows = 0
     # Lines end only at "\n" (as str.split("\n") would cut them) and are
     # read one at a time, so a long run's file is never held whole. A byte
     # that is not UTF-8 decodes to a lone surrogate, which no int() or
@@ -267,11 +265,10 @@ def validate_run_csv(path: str | Path) -> list[str]:
         if header != CSV_HEADER:
             return [f"bad header: expected {CSV_HEADER!r}, got {header!r}"]
 
-        prev_alive = None
-        prev_res = None
-        prev_pk = None
+        # The first row compares against bounds that no row can cross.
+        prev_alive, prev_res, prev_pk = math.inf, math.inf, -math.inf
+        idx = -1
         for idx, line in enumerate(lines):
-            rows += 1
             fields = line.split(",")
             if len(fields) != 4:
                 problems.append(f"row {idx}: expected 4 fields, got {len(fields)}")
@@ -290,16 +287,16 @@ def validate_run_csv(path: str | Path) -> list[str]:
                 problems.append(f"row {idx}: non-finite residual energy {fields[2]}")
             if alive < 0:
                 problems.append(f"row {idx}: negative alive count")
-            if prev_alive is not None and alive > prev_alive:
+            if alive > prev_alive:
                 problems.append(f"row {idx}: alive count increased {prev_alive} -> {alive}")
-            if prev_res is not None and res > prev_res:
+            if res > prev_res:
                 problems.append(f"row {idx}: residual energy increased {prev_res} -> {res}")
-            if prev_pk is not None and pk < prev_pk:
+            if pk < prev_pk:
                 problems.append(f"row {idx}: cumulative packets decreased {prev_pk} -> {pk}")
             prev_alive, prev_res, prev_pk = alive, res, pk
             if len(problems) >= 20:
                 problems.append("too many problems; stopping")
                 break
-    if not rows:
+    if idx < 0:
         return ["no data rows"]
     return problems

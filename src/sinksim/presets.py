@@ -163,12 +163,23 @@ def preset_dict(name: str) -> dict:
 def load_preset(name: str, seed: int | None = None,
                 max_rounds: int | None = None) -> ScenarioConfig:
     """Preset scenario by name, optionally overriding seed and horizon."""
-    d = preset_dict(name)
-    if seed is not None:
-        d["seed"] = seed
-    if max_rounds is not None:
-        d["max_rounds"] = max_rounds
-    return config_from_dict(d)
+    return config_from_dict(layer(preset_dict(name), seed, max_rounds))
+
+
+def layer(d: dict, seed: int | None = None, max_rounds: int | None = None,
+          overrides: list[str] | None = None) -> dict:
+    """``d`` with ``seed`` and ``max_rounds`` set unless None, then each override applied.
+
+    ``d`` changes in place. Overriding a key set that way raises, so neither wins silently.
+    """
+    given = {k: v for k, v in (("seed", seed), ("max_rounds", max_rounds)) if v is not None}
+    d.update(given)
+    for assignment in overrides or ():
+        apply_override(d, assignment)
+        key = assignment.split("=", 1)[0].strip()
+        if key in given:
+            raise ConfigurationError(f"{key} is given both as a flag and as --override {assignment!r}")
+    return d
 
 
 def apply_override(d: dict, assignment: str) -> None:

@@ -207,8 +207,6 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     # One draw per node id, consumed every round, so the stream does not
     # depend on which nodes are alive.
     draws = rng.random(state.n)
-    if not state.alive.any():
-        return out
 
     k = radio.packet_bits
     p_nrm = ch_probability(net, NORMAL)
@@ -223,8 +221,7 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     t_nrm = election_threshold(p_nrm, round_idx)
     t_adv = election_threshold(p_adv, round_idx)
     thresholds = np.where(state.is_advanced, t_adv, t_nrm)
-    thresholds = np.where(state.in_set_g, thresholds, 0.0)
-    is_ch = state.alive & (draws < thresholds)
+    is_ch = state.alive & state.in_set_g & (draws < thresholds)
     ch_ids = np.flatnonzero(is_ch)
     state.in_set_g[ch_ids] = False
     out.cluster_heads = len(ch_ids)

@@ -162,7 +162,7 @@ def deploy(cfg: ScenarioConfig) -> NodeState:
 
 # Most entries a run's reach table may hold. The table grows as
 # min(sojourn_count, max_rounds) x nodes in range, which no other cap bounds;
-# a one-tour srp run at the cap peaks at about 660 MB.
+# a one-tour srp run at the cap peaks at about 500 MB.
 MAX_REACH_ENTRIES = 10_000_000
 
 
@@ -192,9 +192,10 @@ def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
                                      "entries; lower max_rounds, sojourn_count, n or sensing_range")
         ids.append(inside)
         dists.append(d[inside])
+    dists = np.concatenate(dists)  # rebinding frees the per-point arrays before pricing
+    cost = tx_energy(radio, radio.packet_bits, dists)
     offsets = np.array(offsets, dtype=np.int64)
-    return (np.repeat(np.arange(len(points)), np.diff(offsets)), np.concatenate(ids),
-            tx_energy(radio, radio.packet_bits, np.concatenate(dists)), offsets)
+    return np.repeat(np.arange(len(points)), np.diff(offsets)), np.concatenate(ids), cost, offsets
 
 
 # Most elements one block of the engine's folds holds: a block of node folds,

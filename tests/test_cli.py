@@ -190,6 +190,13 @@ class TestValidate:
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.csv")]) == 3
 
+    def test_first_row_is_checked_against_nothing(self, tmp_path):
+        # Only a later row can rise or fall; an alive count past any float
+        # and negative packets in the one row raise no monotonicity problem.
+        one = tmp_path / "one.csv"
+        one.write_text(CSV_HEADER + f"\n0,{10**400},1.0,-5\n", encoding="utf-8")
+        assert validate_run_csv(one) == []
+
 
 class TestCompare:
     def test_report_and_rows(self, tmp_path):
@@ -344,6 +351,21 @@ def test_reach_table_over_cap_exits_2(argv, tmp_path, capsys, monkeypatch):
     code = main([*argv, "--rounds", "360", "--out", str(tmp_path / "out.csv")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: the reach table needs more than 99 ")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,override", [
+    (["simulate", "--scenario", "sep", "--rounds", "5"], "max_rounds=6"),
+    (["compare", "--scenarios", "sep,cl-sep", "--seeds", "1", "--rounds", "5"], "max_rounds=6"),
+    (["sweep", "--scenario", "cc-srp", "--values", "25", "--seeds", "1", "--rounds", "5"],
+     "max_rounds=6"),
+    (["simulate", "--scenario", "sep", "--seed", "1", "--rounds", "5"], " seed=2"),
+], ids=["simulate", "compare", "sweep", "simulate-seed"])
+def test_flag_and_override_of_one_key_exit_2(argv, override, tmp_path, capsys):
+    code = main([*argv, "--override", override, "--out", str(tmp_path / "out.csv")])
+    assert code == 2
+    key = override.split("=")[0].strip()
+    assert capsys.readouterr().err.startswith(f"error: {key} is given both as a flag and ")
     assert not any(tmp_path.iterdir())
 
 
