@@ -124,8 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_opts.add_argument("--override", action="append", metavar="KEY=VALUE",
                           help="config override, e.g. trajectory.sensing_range=51.35")
     source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--scenario", help=f"preset name: {', '.join(PRESET_NAMES)}")
-    source.add_argument("--config", help="path to a scenario config JSON file")
+    one_source = source.add_mutually_exclusive_group()
+    one_source.add_argument("--scenario", help=f"preset name: {', '.join(PRESET_NAMES)}")
+    one_source.add_argument("--config", help="path to a scenario config JSON file")
     seeds = argparse.ArgumentParser(add_help=False)
     seeds.add_argument("--seeds", type=int, default=10, help="number of seeds (default 10)")
 

@@ -16,6 +16,8 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .geometry import CirclePath, coverage_radius
 from .presets import config_from_dict, config_to_dict
@@ -27,7 +29,7 @@ COMPARE_HEADER = ",".join(("scenario", "seed", *METRIC_KEYS))
 SWEEP_HEADER = ",".join(("radius_m", "valid", "coverage_radius_m",
                          *(f"{k}_median" for k in METRIC_KEYS)))
 THROUGHPUT_UNIT = "packets"
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_ROWS = 2048  # rows per write; a block's rows and their tails are live at once
 
 
 def fmt_float(x: float) -> str:
@@ -52,16 +54,30 @@ def _write_table(path: str | Path, header: str, rows: list[dict]) -> None:
 
 
 def write_run_csv(path: str | Path, metrics: RunMetrics) -> None:
-    """Per-round series as plot-ready CSV, converted a block of rows at a time."""
+    """Per-round series as plot-ready CSV, converted a block of rows at a time.
+
+    Most rows repeat the row above but for the round number, so each block
+    formats the ``,alive,residual,packets`` tail only at the rows where a
+    field changes and repeats it over the run that follows. The residual is
+    compared by its bits, so ``-0.0`` and ``nan`` format as they are.
+    """
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(CSV_HEADER + "\n")
-        for lo in range(0, metrics.rounds_executed, CSV_BLOCK_ROWS):
-            hi = lo + CSV_BLOCK_ROWS
-            rows = zip(range(lo, hi), metrics.alive[lo:hi].tolist(),
-                       metrics.residual_j[lo:hi].tolist(),
-                       metrics.cumulative_packets[lo:hi].tolist())
-            f.write("".join(f"{r},{alive},{fmt_float(res)},{pk}\n"
-                            for r, alive, res, pk in rows))
+        rounds = metrics.rounds_executed
+        for lo in range(0, rounds, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, rounds)
+            alive = metrics.alive[lo:hi]
+            res = metrics.residual_j[lo:hi]
+            pk = metrics.cumulative_packets[lo:hi]
+            bits = res.view(np.int64)
+            new = np.ones(hi - lo, dtype=bool)
+            new[1:] = (alive[1:] != alive[:-1]) | (bits[1:] != bits[:-1]) | (pk[1:] != pk[:-1])
+            starts = np.flatnonzero(new)
+            tails = [f",{a},{fmt_float(r)},{p}\n" for a, r, p in
+                     zip(alive[starts].tolist(), res[starts].tolist(), pk[starts].tolist())]
+            runs = np.diff(starts, append=hi - lo).tolist()
+            f.write("".join(map(str.__add__, map(str, range(lo, hi)),
+                                itertools.chain.from_iterable(map(itertools.repeat, tails, runs)))))
 
 
 def summary_dict(cfg: ScenarioConfig, metrics: RunMetrics,
@@ -258,17 +274,27 @@ def validate_run_csv(path: str | Path) -> list[str]:
     # float() parses, so its row is reported as unparsable.
     with open(path, "r", encoding="utf-8", errors="surrogateescape",
               newline="\n") as f:
-        lines = (line[:-1] if line.endswith("\n") else line for line in f)
-        header = next(lines, None)
+        header = next(f, None)
         if header is None:
             return ["file is empty"]
+        header = header.removesuffix("\n")
         if header != CSV_HEADER:
             return [f"bad header: expected {CSV_HEADER!r}, got {header!r}"]
 
         # The first row compares against bounds that no row can cross.
         prev_alive, prev_res, prev_pk = math.inf, math.inf, -math.inf
+        # A row whose round field is its index and whose tail (the text after
+        # the first comma, line end included) repeats that of a row that
+        # raised no problem raises none either and leaves the previous values
+        # as they are, so it is not parsed again.
+        prev_tail = None
         idx = -1
-        for idx, line in enumerate(lines):
+        for idx, line in enumerate(f):
+            rnd_field, _, tail = line.partition(",")
+            if tail == prev_tail and rnd_field == str(idx):
+                continue
+            line = line.removesuffix("\n")
+            found = len(problems)
             fields = line.split(",")
             if len(fields) != 4:
                 problems.append(f"row {idx}: expected 4 fields, got {len(fields)}")
@@ -287,6 +313,8 @@ def validate_run_csv(path: str | Path) -> list[str]:
                 problems.append(f"row {idx}: non-finite residual energy {fields[2]}")
             if alive < 0:
                 problems.append(f"row {idx}: negative alive count")
+            if pk < 0:
+                problems.append(f"row {idx}: negative cumulative packets")
             if alive > prev_alive:
                 problems.append(f"row {idx}: alive count increased {prev_alive} -> {alive}")
             if res > prev_res:
@@ -294,6 +322,7 @@ def validate_run_csv(path: str | Path) -> list[str]:
             if pk < prev_pk:
                 problems.append(f"row {idx}: cumulative packets decreased {prev_pk} -> {pk}")
             prev_alive, prev_res, prev_pk = alive, res, pk
+            prev_tail = tail if len(problems) == found else None
             if len(problems) >= 20:
                 problems.append("too many problems; stopping")
                 break

@@ -15,8 +15,13 @@
 * ``stepped_run`` — ``Simulation.run`` as a plain loop of ``Simulation.step``
   calls, one per round; the oracle for the per-node fold of srp and cl-sep
   and for sep's filled dead tail.
+* ``write_run_csv`` and ``validate_run_csv`` — the per-round CSV formatted
+  and parsed one row at a time; the oracles for the library's pair, which
+  handle runs of rows that repeat the row above.
 """
 
+import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,6 +32,7 @@ from sinksim.errors import ConfigurationError
 from sinksim.geometry import (Field, Point, SquareField, Trajectory,
                               _sojourn_point, path_point_distance,
                               trajectory_in_field)
+from sinksim.harness import CSV_BLOCK_ROWS, CSV_HEADER, fmt_float
 from sinksim.protocols import (ADVANCED, NORMAL, NetworkParams, NodeState,
                                RoundOutcome, _epoch, ch_probability,
                                direct_round, election_threshold)
@@ -316,3 +322,74 @@ def assert_same_run(a: Simulation, ma: RunMetrics, b: Simulation, mb: RunMetrics
     for name in NODE_ARRAYS:
         x, y = getattr(a.state, name), getattr(b.state, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f"state.{name}"
+
+
+def write_run_csv(path: str | Path, metrics: RunMetrics) -> None:
+    """Per-round series as plot-ready CSV, converted a block of rows at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(CSV_HEADER + "\n")
+        for lo in range(0, metrics.rounds_executed, CSV_BLOCK_ROWS):
+            hi = lo + CSV_BLOCK_ROWS
+            rows = zip(range(lo, hi), metrics.alive[lo:hi].tolist(),
+                       metrics.residual_j[lo:hi].tolist(),
+                       metrics.cumulative_packets[lo:hi].tolist())
+            f.write("".join(f"{r},{alive},{fmt_float(res)},{pk}\n"
+                            for r, alive, res, pk in rows))
+
+
+def validate_run_csv(path: str | Path) -> list[str]:
+    """Check an emitted per-round CSV's header, schema and monotonicity.
+
+    Returns a list of problems; empty means the file is valid.
+    """
+    problems: list[str] = []
+    # Lines end only at "\n" (as str.split("\n") would cut them) and are
+    # read one at a time, so a long run's file is never held whole. A byte
+    # that is not UTF-8 decodes to a lone surrogate, which no int() or
+    # float() parses, so its row is reported as unparsable.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="\n") as f:
+        lines = (line[:-1] if line.endswith("\n") else line for line in f)
+        header = next(lines, None)
+        if header is None:
+            return ["file is empty"]
+        if header != CSV_HEADER:
+            return [f"bad header: expected {CSV_HEADER!r}, got {header!r}"]
+
+        # The first row compares against bounds that no row can cross.
+        prev_alive, prev_res, prev_pk = math.inf, math.inf, -math.inf
+        idx = -1
+        for idx, line in enumerate(lines):
+            fields = line.split(",")
+            if len(fields) != 4:
+                problems.append(f"row {idx}: expected 4 fields, got {len(fields)}")
+                break
+            try:
+                rnd = int(fields[0])
+                alive = int(fields[1])
+                res = float(fields[2])
+                pk = int(fields[3])
+            except ValueError:
+                problems.append(f"row {idx}: unparsable fields {line!r}")
+                break
+            if rnd != idx:
+                problems.append(f"row {idx}: round column is {rnd}, expected {idx}")
+            if res - res != 0.0:                          # nan or +-inf
+                problems.append(f"row {idx}: non-finite residual energy {fields[2]}")
+            if alive < 0:
+                problems.append(f"row {idx}: negative alive count")
+            if pk < 0:
+                problems.append(f"row {idx}: negative cumulative packets")
+            if alive > prev_alive:
+                problems.append(f"row {idx}: alive count increased {prev_alive} -> {alive}")
+            if res > prev_res:
+                problems.append(f"row {idx}: residual energy increased {prev_res} -> {res}")
+            if pk < prev_pk:
+                problems.append(f"row {idx}: cumulative packets decreased {prev_pk} -> {pk}")
+            prev_alive, prev_res, prev_pk = alive, res, pk
+            if len(problems) >= 20:
+                problems.append("too many problems; stopping")
+                break
+    if idx < 0:
+        return ["no data rows"]
+    return problems

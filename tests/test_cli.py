@@ -191,11 +191,12 @@ class TestValidate:
         assert main(["validate", str(tmp_path / "nope.csv")]) == 3
 
     def test_first_row_is_checked_against_nothing(self, tmp_path):
-        # Only a later row can rise or fall; an alive count past any float
-        # and negative packets in the one row raise no monotonicity problem.
+        # Only a later row can rise or fall, so an alive count past any float
+        # and negative packets in the one row raise no monotonicity problem;
+        # the negative packets still fail the per-row sign check.
         one = tmp_path / "one.csv"
         one.write_text(CSV_HEADER + f"\n0,{10**400},1.0,-5\n", encoding="utf-8")
-        assert validate_run_csv(one) == []
+        assert validate_run_csv(one) == ["row 0: negative cumulative packets"]
 
 
 class TestCompare:
@@ -352,6 +353,20 @@ def test_reach_table_over_cap_exits_2(argv, tmp_path, capsys, monkeypatch):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: the reach table needs more than 99 ")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--rounds", "5"],
+                                  ["sweep", "--values", "25", "--seeds", "1", "--rounds", "5"]],
+                         ids=["simulate", "sweep"])
+def test_scenario_and_config_exit_2(argv, tmp_path, capsys):
+    config = tmp_path / "base.json"
+    config.write_text(json.dumps(preset_dict("cc-srp")), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--scenario", "cc-srp", "--config", str(config), "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "error: argument --config: not allowed with argument --scenario" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,override", [

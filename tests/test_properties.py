@@ -6,8 +6,9 @@ rise, and a residual series that is the exact fold of the round costs. Each
 run also draws the fold's block size (``_CHUNK``) as 1, 7 or its real value,
 so node folds carry energy across many blocks and stop at their horizon or
 die inside one. Drawn sep runs are also checked against runs whose rounds are
-played by the oracle ``sep_round``. Drawn configs of every shape must also
-survive the trip through their JSON form unchanged.
+played by the oracle ``sep_round``. Every drawn run's per-round CSV must
+validate. Drawn configs of every shape must also survive the trip through
+their JSON form unchanged.
 """
 
 import json
@@ -21,6 +22,7 @@ from sinksim import simulation
 from sinksim.energy import RadioParams
 from sinksim.geometry import (CircleField, CirclePath, Point, SquareField,
                               SquarePath, StaticPath, Trajectory)
+from sinksim.harness import validate_run_csv, write_run_csv
 from sinksim.presets import config_from_dict, config_to_dict
 from sinksim.protocols import MAX_NODES, PROTOCOLS, SEP, SRP, NetworkParams
 from sinksim.simulation import MAX_ROUNDS, STOP_RULES, ScenarioConfig, Simulation
@@ -81,6 +83,15 @@ def test_sep_round_matches_oracle(cfg):
     m = sim.run()
     ref, m_ref = sep_oracle_run(cfg)
     assert_same_run(sim, m, ref, m_ref)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(cfg=configs())
+def test_emitted_csv_validates(cfg, tmp_path):
+    path = tmp_path / "run.csv"
+    write_run_csv(path, Simulation(cfg).run())
+    assert validate_run_csv(path) == []
 
 
 def finite(lo, hi):
