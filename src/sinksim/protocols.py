@@ -8,7 +8,8 @@
   ``Simulation.run`` folds srp and cl-sep per node instead of stepping them.
 * ``sep_round``    — clustered routing to a static sink. Nodes self-elect as
   cluster heads with a rotating threshold weighted by energy heterogeneity,
-  members transmit to the nearest head, heads aggregate and forward.
+  members transmit to the nearest head, heads aggregate and forward. A
+  ``HopTable`` keeps each member-to-head hop priced for the run.
 
 Death rule (uniform across engines): a node performs an energy-costing action
 only when its residual energy covers the full cost; otherwise it spends
@@ -35,8 +36,8 @@ CL_SEP = "cl-sep"
 SRP = "srp"
 PROTOCOLS = (SEP, CL_SEP, SRP)
 
-# Most nodes a network may have. Each sep round builds (members x heads)
-# distance arrays, about 72 MB each at this size.
+# Most nodes a network may have. A sep run too large for a HopTable builds
+# (members x heads) distance arrays each round, about 72 MB each at this size.
 MAX_NODES = 10_000
 # Most total initial energy a network may hold, J. It sits far below the float
 # limit, so no sum of node energies a run takes can overflow to inf.
@@ -188,13 +189,50 @@ def direct_round(state: NodeState, ids: np.ndarray, costs: np.ndarray) -> RoundO
     return out
 
 
+def _hop_distances(state: NodeState, members: np.ndarray | slice,
+                   heads: np.ndarray) -> np.ndarray:
+    """(members x heads) hop distances ``sqrt(dx*dx + dy*dy)``, ``dx = x[member] - x[head]``."""
+    dx = state.xs[members, None] - state.xs[None, heads]
+    dy = state.ys[members, None] - state.ys[None, heads]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+class HopTable:
+    """sep's hop distances and costs from each head to every node.
+
+    A node gets the next free row the first round it heads. Its row holds
+    the same bits as a round's own (members x heads) block, since both come
+    from ``_hop_distances`` and element-wise ``tx_energy``. Nodes never move,
+    so a row holds for the whole run. A short run prices only the heads it
+    elects, in rows that sit together in memory.
+    """
+
+    def __init__(self, n: int):
+        self.d = np.empty((n, n))
+        self.tx = np.empty((n, n))
+        self.row = np.full(n, -1)     # each node's row, -1 until it heads
+        self.rows = 0
+
+    def rows_of(self, state: NodeState, radio: RadioParams, heads: np.ndarray) -> np.ndarray:
+        """The rows of ``heads``; those not priced yet take one ``tx_energy`` call."""
+        new = heads[self.row[heads] < 0]
+        if len(new):
+            lo, hi = self.rows, self.rows + len(new)
+            self.d[lo:hi] = _hop_distances(state, slice(None), new).T
+            self.tx[lo:hi] = tx_energy(radio, radio.packet_bits, self.d[lo:hi])
+            self.row[new] = np.arange(lo, hi)
+            self.rows = hi
+        return self.row[heads]
+
+
 def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
-              radio: RadioParams, uplink: np.ndarray,
-              rng: np.random.Generator) -> RoundOutcome:
+              radio: RadioParams, uplink: np.ndarray, rng: np.random.Generator,
+              hops: HopTable | None = None) -> RoundOutcome:
     """One clustered round against a static sink.
 
     ``uplink`` holds each node's cost of transmitting straight to the sink,
-    indexed by id.
+    indexed by id. Members read their hops from ``hops`` if given; without
+    it the round prices its (members x heads) hops afresh.
 
     Phases: epoch bookkeeping and head self-election; members join the nearest
     alive head; member-to-head transmissions (head pays reception per packet);
@@ -222,7 +260,7 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     t_adv = election_threshold(p_adv, round_idx)
     thresholds = np.where(state.is_advanced, t_adv, t_nrm)
     is_ch = state.alive & state.in_set_g & (draws < thresholds)
-    ch_ids = np.flatnonzero(is_ch)
+    ch_ids = is_ch.nonzero()[0]
     state.in_set_g[ch_ids] = False
     out.cluster_heads = len(ch_ids)
 
@@ -231,8 +269,6 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
         return direct_round(state, np.arange(state.n), uplink)
 
     # Members and heads act on plain Python lists, written back once below.
-    xs = state.xs
-    ys = state.ys
     energy = state.energy.tolist()
     alive = state.alive.tolist()
     sent = state.packets_sent.tolist()
@@ -243,19 +279,21 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     cost = 0.0
     deaths = 0
 
-    member_ids = np.flatnonzero(state.alive & ~is_ch)
+    member_ids = (state.alive ^ is_ch).nonzero()[0]  # heads are alive
     received = dict.fromkeys(ch_ids.tolist(), 0)
 
     if len(member_ids) > 0:
-        # Nearest alive head by Euclidean distance, lowest id on ties. One
-        # array tx_energy call prices every member's hop.
-        dx = xs[member_ids, None] - xs[None, ch_ids]
-        dy = ys[member_ids, None] - ys[None, ch_ids]
-        dists = np.sqrt(dx * dx + dy * dy)
-        nearest = np.argmin(dists, axis=1)
-        heads = ch_ids[nearest].tolist()
-        tx = tx_energy(radio, k, dists[np.arange(len(member_ids)), nearest]).tolist()
-        for i, ch, c in zip(member_ids.tolist(), heads, tx):
+        # Nearest alive head by Euclidean distance, lowest id on ties. The
+        # table holds the block's bits, so both paths pick and pay alike.
+        if hops is None:
+            dists = _hop_distances(state, member_ids, ch_ids)
+            nearest = dists.argmin(axis=1)
+            tx = tx_energy(radio, k, dists[np.arange(len(member_ids)), nearest])
+        else:
+            rows = hops.rows_of(state, radio, ch_ids)
+            nearest = hops.d.take(rows, axis=0).take(member_ids, axis=1).argmin(axis=0)
+            tx = hops.tx[rows[nearest], member_ids]
+        for i, ch, c in zip(member_ids.tolist(), ch_ids[nearest].tolist(), tx.tolist()):
             if energy[i] >= c:
                 energy[i] -= c
                 sent[i] += 1

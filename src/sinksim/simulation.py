@@ -17,7 +17,7 @@ import numpy as np
 from .energy import RadioParams, tx_energy
 from .errors import ConfigurationError
 from .geometry import Field, Point, SquareField, Trajectory, trajectory_in_field
-from .protocols import (PROTOCOLS, SEP, SRP, NetworkParams, NodeState,
+from .protocols import (PROTOCOLS, SEP, SRP, HopTable, NetworkParams, NodeState,
                         RoundOutcome, direct_round, sep_round)
 
 RNG_GENERATOR = "numpy.PCG64"
@@ -198,6 +198,12 @@ def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
     return np.repeat(np.arange(len(points)), np.diff(offsets)), np.concatenate(ids), cost, offsets
 
 
+# Most nodes for which a sep run keeps a HopTable. Its two n x n float64
+# arrays take 1 MB at this size; a larger run prices each round's
+# (members x heads) hops afresh, which fits every n up to MAX_NODES.
+_HOP_NODES = 256
+
+
 # Most elements one block of the engine's folds holds: a block of node folds,
 # or of (slot, dead count) rows, each row padded to the widest slot with an
 # entry that never pays. Blocks stay small whatever n, slot widths and
@@ -225,13 +231,14 @@ class Simulation:
         # A run shorter than the tour visits only its first max_rounds points.
         self._slot, self._id, self._cost, self._offsets = reach(
             self.state, cfg.radio, traj.points[:cfg.max_rounds], sensing)
+        self._hops = HopTable(cfg.net.n) if cfg.protocol == SEP and cfg.net.n <= _HOP_NODES else None
 
     def step(self, round_idx: int) -> RoundOutcome:
         """Execute round ``round_idx``, 0 <= round_idx < max_rounds."""
         cfg = self.cfg
         if cfg.protocol == SEP:
             return sep_round(self.state, round_idx, cfg.net, cfg.radio,
-                             self._cost, self._election_rng)
+                             self._cost, self._election_rng, self._hops)
         s = round_idx % (len(self._offsets) - 1)
         lo, hi = self._offsets[s], self._offsets[s + 1]
         return direct_round(self.state, self._id[lo:hi], self._cost[lo:hi])

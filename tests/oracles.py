@@ -9,9 +9,10 @@
 * ``srp_round``   — one srp round that recomputes the sink position and every
   distance each round; the oracle for the reach table.
 * ``sep_round``   — one sep round that pays member by member on numpy
-  scalars, with one scalar ``tx_energy`` call per member; the oracle for the
-  library's list-based ``sep_round``. ``sep_oracle_run`` runs a whole
-  ``Simulation`` with it.
+  scalars, with one scalar ``tx_energy`` call per member and every distance
+  computed afresh; the oracle for the library's ``sep_round``, which reads
+  its hops from a ``HopTable`` or prices a (members x heads) block, and pays
+  on Python lists. ``sep_oracle_run`` runs a whole ``Simulation`` with it.
 * ``stepped_run`` — ``Simulation.run`` as a plain loop of ``Simulation.step``
   calls, one per round; the oracle for the per-node fold of srp and cl-sep
   and for sep's filled dead tail.
@@ -165,12 +166,12 @@ def srp_round(state: NodeState, trajectory: Trajectory, round_idx: int,
 
 
 def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
-              radio: RadioParams, uplink: np.ndarray,
-              rng: np.random.Generator) -> RoundOutcome:
+              radio: RadioParams, uplink: np.ndarray, rng: np.random.Generator,
+              hops: object = None) -> RoundOutcome:
     """One clustered round against a static sink.
 
     ``uplink`` holds each node's cost of transmitting straight to the sink,
-    indexed by id.
+    indexed by id. ``hops`` is ignored: every hop is priced afresh.
 
     Phases: epoch bookkeeping and head self-election; members join the nearest
     alive head; member-to-head transmissions (head pays reception per packet);

@@ -6,9 +6,9 @@ rise, and a residual series that is the exact fold of the round costs. Each
 run also draws the fold's block size (``_CHUNK``) as 1, 7 or its real value,
 so node folds carry energy across many blocks and stop at their horizon or
 die inside one. Drawn sep runs are also checked against runs whose rounds are
-played by the oracle ``sep_round``. Every drawn run's per-round CSV must
-validate. Drawn configs of every shape must also survive the trip through
-their JSON form unchanged.
+played by the oracle ``sep_round``, also with nodes on a coarse grid, on both
+hop paths. Every drawn run's per-round CSV must validate. Drawn configs of
+every shape must also survive the trip through their JSON form unchanged.
 """
 
 import json
@@ -25,7 +25,7 @@ from sinksim.geometry import (CircleField, CirclePath, Point, SquareField,
 from sinksim.harness import validate_run_csv, write_run_csv
 from sinksim.presets import config_from_dict, config_to_dict
 from sinksim.protocols import MAX_NODES, PROTOCOLS, SEP, SRP, NetworkParams
-from sinksim.simulation import MAX_ROUNDS, STOP_RULES, ScenarioConfig, Simulation
+from sinksim.simulation import MAX_ROUNDS, STOP_RULES, ScenarioConfig, Simulation, deploy
 
 from oracles import assert_same_run, sep_oracle_run, stepped_run
 
@@ -85,6 +85,30 @@ def test_sep_round_matches_oracle(cfg):
     assert_same_run(sim, m, ref, m_ref)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs(protocols=(SEP,)), st.data())
+def test_sep_on_a_grid_matches_oracle_on_both_hop_paths(cfg, data):
+    """Nodes on a coarse grid, so that hops often tie and nodes may coincide."""
+    step = data.draw(st.sampled_from([10.0, 25.0, 50.0]))
+    cells = st.lists(st.integers(0, int(100.0 // step)), min_size=cfg.net.n, max_size=cfg.net.n)
+    xs = np.array(data.draw(cells)) * step
+    ys = np.array(data.draw(cells)) * step
+
+    def on_grid(cfg):
+        state = deploy(cfg)
+        state.xs, state.ys = xs.copy(), ys.copy()
+        return state
+
+    with mock.patch.object(simulation, "deploy", on_grid):
+        ref, m_ref = sep_oracle_run(cfg)
+        for bound in (0, MAX_NODES):  # each round's own block, then a HopTable
+            with mock.patch.object(simulation, "_HOP_NODES", bound):
+                sim = Simulation(cfg)
+                assert (sim._hops is None) == (bound == 0)
+                assert_same_run(sim, sim.run(), ref, m_ref)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(cfg=configs())
@@ -92,6 +116,15 @@ def test_emitted_csv_validates(cfg, tmp_path):
     path = tmp_path / "run.csv"
     write_run_csv(path, Simulation(cfg).run())
     assert validate_run_csv(path) == []
+
+
+def test_failure_report_imports_under_the_warning_filters():
+    """Hypothesis imports this module to report a falsifying example.
+
+    Under ``filterwarnings = ["error"]`` a warning that the import raises
+    would end the session in an INTERNALERROR, with the example unprinted.
+    """
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def finite(lo, hi):

@@ -1,6 +1,7 @@
 """Protocol engines: election math, per-round traces, death-rule invariants."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from sinksim.energy import (RadioParams, aggregation_energy, rx_energy,
                             tx_energy)
 from sinksim.geometry import CirclePath, Point, Trajectory
-from sinksim.protocols import (ADVANCED, NORMAL, NetworkParams, NodeState,
-                               ch_probability, direct_round,
+from sinksim.protocols import (ADVANCED, NORMAL, HopTable, NetworkParams,
+                               NodeState, ch_probability, direct_round,
                                election_threshold, sep_round)
 from sinksim.simulation import reach
 
@@ -113,6 +114,11 @@ class TestElectionThreshold:
 
 
 class TestSepRound:
+    """The StubRng cases, each round pricing its member hops afresh."""
+
+    def step(self, state, r, net, radio, uplink, rng):
+        return sep_round(state, r, net, radio, uplink, rng)
+
     def test_single_node_forced_head_dies_at_2272(self):
         # per-round cost = aggregation(K, 1) + tx(K, 0); 0.5 J covers 2272 rounds
         state = make_state([(50.0, 50.0)])
@@ -124,7 +130,7 @@ class TestSepRound:
         r = 0
         while state.alive[0]:
             state.in_set_g[0] = True  # keep it eligible every round
-            sep_round(state, r, NET, RADIO, costs, rng)
+            self.step(state, r, NET, RADIO, costs, rng)
             r += 1
         assert r - 1 == expect
         assert float(state.energy[0]) >= 0.0
@@ -133,7 +139,7 @@ class TestSepRound:
         # node 1 elects, node 0 joins it at 30 m, head is 10 m from the sink
         state = make_state([(30.0, 50.0), (60.0, 50.0)])
         rng = StubRng([0.99, 0.0])
-        out = sep_round(state, 0, NET, RADIO, uplink(state), rng)
+        out = self.step(state, 0, NET, RADIO, uplink(state), rng)
         member_cost = tx_energy(RADIO, K, 30.0)
         head_cost = rx_energy(RADIO, K) + aggregation_energy(RADIO, K, 2) + tx_energy(RADIO, K, 10.0)
         assert out.cluster_heads == 1
@@ -146,7 +152,7 @@ class TestSepRound:
     def test_no_heads_falls_back_to_direct(self):
         state = make_state([(40.0, 50.0), (70.0, 50.0)])
         rng = StubRng([0.999])  # nobody clears the threshold
-        out = sep_round(state, 0, NET, RADIO, uplink(state), rng)
+        out = self.step(state, 0, NET, RADIO, uplink(state), rng)
         assert out.cluster_heads == 0
         assert out.packets == 2
         expect = tx_energy(RADIO, K, 10.0) + tx_energy(RADIO, K, 20.0)
@@ -155,7 +161,7 @@ class TestSepRound:
     def test_all_dead_is_empty(self):
         state = make_state([(10.0, 10.0)])
         state.alive[0] = False
-        out = sep_round(state, 0, NET, RADIO, uplink(state), StubRng([0.0]))
+        out = self.step(state, 0, NET, RADIO, uplink(state), StubRng([0.0]))
         assert out.packets == 0 and out.cost == 0.0 and out.cluster_heads == 0
 
     def test_members_join_nearest_head(self):
@@ -163,7 +169,7 @@ class TestSepRound:
         state = make_state([(20.0, 50.0), (80.0, 50.0), (30.0, 50.0)])
         rng = StubRng([0.0, 0.0, 0.99])
         before_far = float(state.energy[1])
-        out = sep_round(state, 0, NET, RADIO, uplink(state), rng)
+        out = self.step(state, 0, NET, RADIO, uplink(state), rng)
         assert out.cluster_heads == 2
         member_cost = tx_energy(RADIO, K, 10.0)
         assert float(state.energy[2]) == pytest.approx(0.5 - member_cost, rel=1e-15)
@@ -175,7 +181,7 @@ class TestSepRound:
         # the member at (50, 50) is exactly 10 m from both heads
         state = make_state([(40.0, 50.0), (50.0, 50.0), (60.0, 50.0)])
         rng = StubRng([0.0, 0.99, 0.0])
-        out = sep_round(state, 0, NET, RADIO, uplink(state), rng)
+        out = self.step(state, 0, NET, RADIO, uplink(state), rng)
         assert out.cluster_heads == 2
         uplink_cost = tx_energy(RADIO, K, 10.0)
         low = rx_energy(RADIO, K) + aggregation_energy(RADIO, K, 2) + uplink_cost
@@ -184,10 +190,23 @@ class TestSepRound:
         assert float(state.energy[2]) == pytest.approx(0.5 - high, rel=1e-15)
         assert float(state.energy[1]) == pytest.approx(0.5 - uplink_cost, rel=1e-15)
 
+    def test_nearest_head_is_by_distance_not_by_cost(self):
+        # head 2 is one ulp nearer than head 1, and both hops cost the same bits
+        x2 = float(np.nextafter(40.0, 50.0))
+        state = make_state([(50.0, 50.0), (60.0, 50.0), (x2, 50.0)])
+        assert tx_energy(RADIO, K, 50.0 - x2) == tx_energy(RADIO, K, 10.0)
+        rng = StubRng([0.99, 0.0, 0.0])
+        self.step(state, 0, NET, RADIO, uplink(state), rng)
+        own = aggregation_energy(RADIO, K, 1)
+        far = own + tx_energy(RADIO, K, 10.0)
+        near = rx_energy(RADIO, K) + 2 * own + tx_energy(RADIO, K, 50.0 - x2)
+        assert float(state.energy[1]) == pytest.approx(0.5 - far, rel=1e-15)
+        assert float(state.energy[2]) == pytest.approx(0.5 - near, rel=1e-15)
+
     def test_head_election_consumes_eligibility(self):
         state = make_state([(50.0, 50.0)])
         rng = StubRng([0.0])
-        sep_round(state, 0, NET, RADIO, uplink(state), rng)
+        self.step(state, 0, NET, RADIO, uplink(state), rng)
         assert not bool(state.in_set_g[0])
 
     def test_mean_heads_near_n_p_opt(self):
@@ -198,12 +217,46 @@ class TestSepRound:
         rng = rng_stream(42, "election")
         epoch = math.ceil(1 / cfg.net.p_opt)
         costs = uplink(state, cfg.radio)
-        counts = [sep_round(state, r, cfg.net, cfg.radio, costs, rng).cluster_heads
+        counts = [self.step(state, r, cfg.net, cfg.radio, costs, rng).cluster_heads
                   for r in range(20 * epoch)]
         sigma = math.sqrt(cfg.net.n * cfg.net.p_opt * (1 - cfg.net.p_opt) / epoch)
         for e in range(20):
             mean = sum(counts[e * epoch:(e + 1) * epoch]) / epoch
             assert abs(mean - cfg.net.n * cfg.net.p_opt) <= 3 * sigma
+
+
+class TestSepRoundHopTable(TestSepRound):
+    """The same cases with member hops read from one HopTable per state."""
+
+    def setup_method(self):
+        self.tables = {}
+
+    def step(self, state, r, net, radio, uplink, rng):
+        if id(state) not in self.tables:
+            self.tables[id(state)] = HopTable(state.n)
+        return sep_round(state, r, net, radio, uplink, rng, self.tables[id(state)])
+
+
+class TestHopTable:
+    def test_rows_hold_the_block_bits_and_are_priced_once(self):
+        # a 3 x 3 grid with one node doubled: many hops tie, one is 0 m long
+        positions = [(20.0 * (i % 3), 20.0 * (i // 3)) for i in range(9)] + [(20.0, 20.0)]
+        state = make_state(positions)
+        hops = HopTable(state.n)
+        with mock.patch("sinksim.protocols.tx_energy", wraps=tx_energy) as priced:
+            assert hops.rows_of(state, RADIO, np.array([4, 9])).tolist() == [0, 1]
+            assert hops.rows_of(state, RADIO, np.array([0, 4, 9])).tolist() == [2, 0, 1]
+            assert hops.rows_of(state, RADIO, np.array([0, 9])).tolist() == [2, 1]
+        assert hops.rows == 3 and priced.call_count == 2
+        members = np.arange(state.n)
+        for head in (0, 4, 9):
+            # a round's own block: members x one head
+            dx = state.xs[members, None] - state.xs[None, [head]]
+            dy = state.ys[members, None] - state.ys[None, [head]]
+            d = np.sqrt(dx * dx + dy * dy)[:, 0]
+            row = hops.row[head]
+            assert hops.d[row].tobytes() == d.tobytes()
+            assert hops.tx[row].tobytes() == tx_energy(RADIO, K, d).tobytes()
 
 
 class TestClSepRound:
