@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import ConfigurationError
 
 
@@ -32,6 +34,18 @@ def distance(a: Point, b: Point) -> float:
     # sqrt(dx*dx + dy*dy) rather than hypot so scalar and vectorized code
     # round identically.
     return math.sqrt(dx * dx + dy * dy)
+
+
+def distances(x: np.ndarray, y: np.ndarray, px: np.ndarray | float,
+              py: np.ndarray | float) -> np.ndarray:
+    """``sqrt(dx*dx + dy*dy)`` with ``dx = x - px``, element-wise over arrays that broadcast."""
+    dx = x - px
+    dy = y - py
+    # In place, so a result holds two arrays of its size at its peak, not four.
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@
   ``Simulation.run`` folds srp and cl-sep per node instead of stepping them.
 * ``sep_round``    — clustered routing to a static sink. Nodes self-elect as
   cluster heads with a rotating threshold weighted by energy heterogeneity,
-  members transmit to the nearest head, heads aggregate and forward. A
-  ``HopTable`` keeps each member-to-head hop priced for the run.
+  members transmit to the nearest head, heads aggregate and forward.
+  ``hop_table`` prices every node-to-node hop once for a run.
 
 Death rule (uniform across engines): a node performs an energy-costing action
 only when its residual energy covers the full cost; otherwise it spends
@@ -27,6 +27,7 @@ import numpy as np
 
 from .energy import RadioParams, aggregation_energy, rx_energy, tx_energy
 from .errors import ConfigurationError
+from .geometry import distances
 
 NORMAL = "normal"
 ADVANCED = "advanced"
@@ -36,7 +37,7 @@ CL_SEP = "cl-sep"
 SRP = "srp"
 PROTOCOLS = (SEP, CL_SEP, SRP)
 
-# Most nodes a network may have. A sep run too large for a HopTable builds
+# Most nodes a network may have. A sep run too large for a hop table builds
 # (members x heads) distance arrays each round, about 72 MB each at this size.
 MAX_NODES = 10_000
 # Most total initial energy a network may hold, J. It sits far below the float
@@ -189,50 +190,23 @@ def direct_round(state: NodeState, ids: np.ndarray, costs: np.ndarray) -> RoundO
     return out
 
 
-def _hop_distances(state: NodeState, members: np.ndarray | slice,
-                   heads: np.ndarray) -> np.ndarray:
-    """(members x heads) hop distances ``sqrt(dx*dx + dy*dy)``, ``dx = x[member] - x[head]``."""
-    dx = state.xs[members, None] - state.xs[None, heads]
-    dy = state.ys[members, None] - state.ys[None, heads]
-    return np.sqrt(dx * dx + dy * dy)
+def hop_table(state: NodeState, radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
+    """Hop distances ``d[h, m]`` from node h to node m, and their ``tx_energy`` prices.
 
-
-class HopTable:
-    """sep's hop distances and costs from each head to every node.
-
-    A node gets the next free row the first round it heads. Its row holds
-    the same bits as a round's own (members x heads) block, since both come
-    from ``_hop_distances`` and element-wise ``tx_energy``. Nodes never move,
-    so a row holds for the whole run. A short run prices only the heads it
-    elects, in rows that sit together in memory.
+    ``[h, m]`` holds the bits of a round's (members x heads) block at ``[m, h]``.
     """
-
-    def __init__(self, n: int):
-        self.d = np.empty((n, n))
-        self.tx = np.empty((n, n))
-        self.row = np.full(n, -1)     # each node's row, -1 until it heads
-        self.rows = 0
-
-    def rows_of(self, state: NodeState, radio: RadioParams, heads: np.ndarray) -> np.ndarray:
-        """The rows of ``heads``; those not priced yet take one ``tx_energy`` call."""
-        new = heads[self.row[heads] < 0]
-        if len(new):
-            lo, hi = self.rows, self.rows + len(new)
-            self.d[lo:hi] = _hop_distances(state, slice(None), new).T
-            self.tx[lo:hi] = tx_energy(radio, radio.packet_bits, self.d[lo:hi])
-            self.row[new] = np.arange(lo, hi)
-            self.rows = hi
-        return self.row[heads]
+    d = distances(state.xs, state.ys, state.xs[:, None], state.ys[:, None])
+    return d, tx_energy(radio, radio.packet_bits, d)
 
 
 def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
               radio: RadioParams, uplink: np.ndarray, rng: np.random.Generator,
-              hops: HopTable | None = None) -> RoundOutcome:
+              hops: tuple[np.ndarray, np.ndarray] | None = None) -> RoundOutcome:
     """One clustered round against a static sink.
 
     ``uplink`` holds each node's cost of transmitting straight to the sink,
-    indexed by id. Members read their hops from ``hops`` if given; without
-    it the round prices its (members x heads) hops afresh.
+    indexed by id. Members read their hops from ``hops``, a ``hop_table``,
+    if given; without it the round prices its (members x heads) hops afresh.
 
     Phases: epoch bookkeeping and head self-election; members join the nearest
     alive head; member-to-head transmissions (head pays reception per packet);
@@ -283,16 +257,16 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     received = dict.fromkeys(ch_ids.tolist(), 0)
 
     if len(member_ids) > 0:
-        # Nearest alive head by Euclidean distance, lowest id on ties. The
-        # table holds the block's bits, so both paths pick and pay alike.
+        # Nearest alive head, lowest id on ties; the table holds the block's bits.
         if hops is None:
-            dists = _hop_distances(state, member_ids, ch_ids)
+            dists = distances(state.xs[member_ids, None], state.ys[member_ids, None],
+                              state.xs[ch_ids], state.ys[ch_ids])
             nearest = dists.argmin(axis=1)
             tx = tx_energy(radio, k, dists[np.arange(len(member_ids)), nearest])
         else:
-            rows = hops.rows_of(state, radio, ch_ids)
-            nearest = hops.d.take(rows, axis=0).take(member_ids, axis=1).argmin(axis=0)
-            tx = hops.tx[rows[nearest], member_ids]
+            d, price = hops
+            nearest = d.take(ch_ids, axis=0).take(member_ids, axis=1).argmin(axis=0)
+            tx = price[ch_ids[nearest], member_ids]
         for i, ch, c in zip(member_ids.tolist(), ch_ids[nearest].tolist(), tx.tolist()):
             if energy[i] >= c:
                 energy[i] -= c

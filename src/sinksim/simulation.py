@@ -16,9 +16,9 @@ import numpy as np
 
 from .energy import RadioParams, tx_energy
 from .errors import ConfigurationError
-from .geometry import Field, Point, SquareField, Trajectory, trajectory_in_field
-from .protocols import (PROTOCOLS, SEP, SRP, HopTable, NetworkParams, NodeState,
-                        RoundOutcome, direct_round, sep_round)
+from .geometry import Field, Point, SquareField, Trajectory, distances, trajectory_in_field
+from .protocols import (PROTOCOLS, SEP, SRP, NetworkParams, NodeState, RoundOutcome,
+                        direct_round, hop_table, sep_round)
 
 RNG_GENERATOR = "numpy.PCG64"
 RNG_DERIVATION = "SeedSequence([seed & 2**64-1, sha256(label)[:8] as uint64])"
@@ -147,9 +147,7 @@ def deploy(cfg: ScenarioConfig) -> NodeState:
         need = n
         while need:
             pairs = rng.uniform((cx - r, cy - r), (cx + r, cy + r), size=(need, 2))
-            dx = pairs[:, 0] - cx
-            dy = pairs[:, 1] - cy
-            pairs = pairs[np.sqrt(dx * dx + dy * dy) <= r]   # as CircleField.contains
+            pairs = pairs[distances(pairs[:, 0], pairs[:, 1], cx, cy) <= r]
             kept.append(pairs)
             need -= len(pairs)
         xy = np.concatenate(kept)
@@ -182,9 +180,7 @@ def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
     dists = []
     offsets = [0]
     for p in points:
-        dx = state.xs - p.x
-        dy = state.ys - p.y
-        d = np.sqrt(dx * dx + dy * dy)
+        d = distances(state.xs, state.ys, p.x, p.y)
         inside = np.flatnonzero(d <= limit)
         offsets.append(offsets[-1] + len(inside))
         if offsets[-1] > MAX_REACH_ENTRIES:
@@ -198,7 +194,7 @@ def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
     return np.repeat(np.arange(len(points)), np.diff(offsets)), np.concatenate(ids), cost, offsets
 
 
-# Most nodes for which a sep run keeps a HopTable. Its two n x n float64
+# Most nodes for which a sep run builds a hop table. Its two n x n float64
 # arrays take 1 MB at this size; a larger run prices each round's
 # (members x heads) hops afresh, which fits every n up to MAX_NODES.
 _HOP_NODES = 256
@@ -214,7 +210,7 @@ _CHUNK = 1 << 14
 def _first(mask: np.ndarray) -> int | None:
     """Index of the first True in ``mask``, or None."""
     i = int(np.argmax(mask))
-    return i if len(mask) and mask[i] else None
+    return i if mask[i] else None
 
 
 class Simulation:
@@ -231,7 +227,8 @@ class Simulation:
         # A run shorter than the tour visits only its first max_rounds points.
         self._slot, self._id, self._cost, self._offsets = reach(
             self.state, cfg.radio, traj.points[:cfg.max_rounds], sensing)
-        self._hops = HopTable(cfg.net.n) if cfg.protocol == SEP and cfg.net.n <= _HOP_NODES else None
+        self._hops = (hop_table(self.state, cfg.radio)
+                      if cfg.protocol == SEP and cfg.net.n <= _HOP_NODES else None)
 
     def step(self, round_idx: int) -> RoundOutcome:
         """Execute round ``round_idx``, 0 <= round_idx < max_rounds."""

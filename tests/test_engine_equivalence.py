@@ -4,10 +4,11 @@ srp and cl-sep runs are per-node folds and sep stops stepping at its last
 death; every preset at the full horizon, under both stop rules, must match
 the stepped loop bit for bit. sep's rounds must also match the numpy-scalar
 ``sep_round`` of ``oracles``, since ``run`` and ``step`` share one round, on
-both hop paths: a HopTable up to its bound and each round's own block above.
+both hop paths: a hop table up to its bound and each round's own block above.
 """
 
 import dataclasses
+import functools
 import tracemalloc
 from unittest import mock
 
@@ -16,7 +17,7 @@ import pytest
 
 from sinksim import load_preset, simulation
 from sinksim.presets import PRESET_NAMES
-from sinksim.protocols import MAX_NODES, HopTable, NetworkParams
+from sinksim.protocols import MAX_NODES, NetworkParams
 from sinksim.simulation import STOP_ALL_DEAD, STOP_MAX_ROUNDS, STOP_RULES, Simulation
 
 from oracles import assert_same_run, sep_oracle_run, stepped_run
@@ -72,30 +73,35 @@ def sep_case(seed, stop_rule, net):
     return cfg
 
 
-def assert_sep_matches_oracle(cfg):
-    fast = Simulation(cfg)
+@functools.cache
+def sep_oracle(seed, stop_rule, net):
+    """The oracle's run of a case, shared by both hop paths' tests: it ignores the path."""
+    return sep_oracle_run(sep_case(seed, stop_rule, net))
+
+
+def assert_sep_matches_oracle(seed, stop_rule, net):
+    fast = Simulation(sep_case(seed, stop_rule, net))
     m_fast = fast.run()
-    ref, m_ref = sep_oracle_run(cfg)
+    ref, m_ref = sep_oracle(seed, stop_rule, net)
     assert_same_run(fast, m_fast, ref, m_ref)
     assert m_ref.last_death_round is not None  # every round with a live node compared
 
 
 def other_hop_path(n):
-    """Move the HopTable bound so that a run of ``n`` nodes takes the other hop path."""
+    """Move the hop table bound so that a run of ``n`` nodes takes the other hop path."""
     return mock.patch.object(simulation, "_HOP_NODES", n - 1 if n <= simulation._HOP_NODES else n)
 
 
 @pytest.mark.parametrize("seed,stop_rule,net", SEP_CASES, ids=SEP_IDS)
 def test_sep_round_matches_oracle(seed, stop_rule, net):
-    assert_sep_matches_oracle(sep_case(seed, stop_rule, net))
+    assert_sep_matches_oracle(seed, stop_rule, net)
 
 
 @pytest.mark.parametrize("seed,stop_rule,net", SEP_CASES, ids=SEP_IDS)
 def test_sep_round_matches_oracle_on_other_hop_path(seed, stop_rule, net):
-    """The same runs with each round's own hop block at preset sizes, a HopTable at n300."""
-    cfg = sep_case(seed, stop_rule, net)
-    with other_hop_path(cfg.net.n):
-        assert_sep_matches_oracle(cfg)
+    """The same runs with each round's own hop block at preset sizes, a hop table at n300."""
+    with other_hop_path(sep_case(seed, stop_rule, net).net.n):
+        assert_sep_matches_oracle(seed, stop_rule, net)
 
 
 @pytest.mark.parametrize("dead", [None, *DEAD_AT_START])
@@ -114,11 +120,11 @@ def test_sep_run_on_other_hop_path(stop_rule, dead):
 
 
 def test_hop_table_up_to_its_bound():
-    """sep keeps a HopTable up to ``_HOP_NODES`` nodes and no n x n array above it."""
+    """sep builds a hop table up to ``_HOP_NODES`` nodes and no n x n array above it."""
     base = load_preset("sep", seed=0)
     for n, kept in ((simulation._HOP_NODES, True), (simulation._HOP_NODES + 1, False)):
         sim = Simulation(dataclasses.replace(base, net=NetworkParams(n=n)))
-        assert isinstance(sim._hops, HopTable) is kept
+        assert (sim._hops is not None) is kept
     cfg = dataclasses.replace(base, net=NetworkParams(n=MAX_NODES), max_rounds=3)
     tracemalloc.start()
     try:

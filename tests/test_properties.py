@@ -102,7 +102,7 @@ def test_sep_on_a_grid_matches_oracle_on_both_hop_paths(cfg, data):
 
     with mock.patch.object(simulation, "deploy", on_grid):
         ref, m_ref = sep_oracle_run(cfg)
-        for bound in (0, MAX_NODES):  # each round's own block, then a HopTable
+        for bound in (0, MAX_NODES):  # each round's own block, then a hop table
             with mock.patch.object(simulation, "_HOP_NODES", bound):
                 sim = Simulation(cfg)
                 assert (sim._hops is None) == (bound == 0)

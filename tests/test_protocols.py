@@ -9,10 +9,11 @@ import pytest
 from sinksim.energy import (RadioParams, aggregation_energy, rx_energy,
                             tx_energy)
 from sinksim.geometry import CirclePath, Point, Trajectory
-from sinksim.protocols import (ADVANCED, NORMAL, HopTable, NetworkParams,
-                               NodeState, ch_probability, direct_round,
-                               election_threshold, sep_round)
-from sinksim.simulation import reach
+from sinksim.presets import load_preset
+from sinksim.protocols import (ADVANCED, NORMAL, NetworkParams, NodeState,
+                               ch_probability, direct_round, election_threshold,
+                               hop_table, sep_round)
+from sinksim.simulation import Simulation, reach
 
 from oracles import srp_round
 
@@ -226,37 +227,37 @@ class TestSepRound:
 
 
 class TestSepRoundHopTable(TestSepRound):
-    """The same cases with member hops read from one HopTable per state."""
+    """The same cases with member hops read from one hop table per state."""
 
     def setup_method(self):
         self.tables = {}
 
     def step(self, state, r, net, radio, uplink, rng):
         if id(state) not in self.tables:
-            self.tables[id(state)] = HopTable(state.n)
+            self.tables[id(state)] = hop_table(state, radio)
         return sep_round(state, r, net, radio, uplink, rng, self.tables[id(state)])
 
 
 class TestHopTable:
-    def test_rows_hold_the_block_bits_and_are_priced_once(self):
+    def test_rows_and_columns_hold_the_block_bits(self):
         # a 3 x 3 grid with one node doubled: many hops tie, one is 0 m long
         positions = [(20.0 * (i % 3), 20.0 * (i // 3)) for i in range(9)] + [(20.0, 20.0)]
         state = make_state(positions)
-        hops = HopTable(state.n)
+        d, price = hop_table(state, RADIO)
+        # a round's own block: every node as a member x every node as a head
+        dx = state.xs[:, None] - state.xs[None, :]
+        dy = state.ys[:, None] - state.ys[None, :]
+        block = np.sqrt(dx * dx + dy * dy)
+        for i in range(state.n):
+            assert d[i].tobytes() == block[:, i].tobytes()       # head i's hops
+            assert d[:, i].tobytes() == block[i].tobytes()       # member i's hops
+            assert price[i].tobytes() == tx_energy(RADIO, K, block[:, i]).tobytes()
+            assert price[:, i].tobytes() == tx_energy(RADIO, K, block[i]).tobytes()
+
+    def test_a_sep_run_prices_its_hops_once(self):
         with mock.patch("sinksim.protocols.tx_energy", wraps=tx_energy) as priced:
-            assert hops.rows_of(state, RADIO, np.array([4, 9])).tolist() == [0, 1]
-            assert hops.rows_of(state, RADIO, np.array([0, 4, 9])).tolist() == [2, 0, 1]
-            assert hops.rows_of(state, RADIO, np.array([0, 9])).tolist() == [2, 1]
-        assert hops.rows == 3 and priced.call_count == 2
-        members = np.arange(state.n)
-        for head in (0, 4, 9):
-            # a round's own block: members x one head
-            dx = state.xs[members, None] - state.xs[None, [head]]
-            dy = state.ys[members, None] - state.ys[None, [head]]
-            d = np.sqrt(dx * dx + dy * dy)[:, 0]
-            row = hops.row[head]
-            assert hops.d[row].tobytes() == d.tobytes()
-            assert hops.tx[row].tobytes() == tx_energy(RADIO, K, d).tobytes()
+            Simulation(load_preset("sep", seed=0)).run()
+        assert priced.call_count == 1
 
 
 class TestClSepRound:
