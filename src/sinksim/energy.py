@@ -46,9 +46,18 @@ def tx_energy(p: RadioParams, k: int, d: float | np.ndarray) -> float | np.ndarr
     if isinstance(d, np.ndarray):
         if np.any(d < 0):
             raise ValueError("distances must be >= 0")
-        fs = p.e_elect * k + p.eps_fs * k * d * d
-        mp = p.e_elect * k + p.eps_mp * k * d * d * d * d
-        return np.where(d < p.d0, fs, mp)
+        # In place, in the scalar branches' order c1 + ((c2·d)·d), so the
+        # temporaries are two arrays of d's size and a mask.
+        fs = p.eps_fs * k * d
+        fs *= d
+        fs += p.e_elect * k
+        mp = p.eps_mp * k * d
+        mp *= d
+        mp *= d
+        mp *= d
+        mp += p.e_elect * k
+        np.copyto(mp, fs, where=d < p.d0)
+        return mp
     if d < 0:
         raise ValueError(f"distance must be >= 0, got {d}")
     if d < p.d0:

@@ -28,7 +28,7 @@ STOP_MAX_ROUNDS = "max_rounds"
 STOP_RULES = (STOP_ALL_DEAD, STOP_MAX_ROUNDS)
 
 # Longest horizon a run may have. A run's four per-round series and their
-# scratch arrays peak at about 58 MB per million rounds.
+# scratch arrays peak at about 56 MB per million rounds.
 MAX_ROUNDS = 10_000_000
 
 
@@ -158,9 +158,16 @@ def deploy(cfg: ScenarioConfig) -> NodeState:
     return NodeState(xs, ys, is_advanced, energy)
 
 
+# Most elements one block of the engine's set-up and folds holds: a block of
+# (points x n) reach distances, of node folds, or of (slot, dead count) rows,
+# each row padded to the widest slot with an entry that never pays. Blocks
+# stay small whatever n, slot widths and max_rounds are.
+_CHUNK = 1 << 14
+
+
 # Most entries a run's reach table may hold. The table grows as
 # min(sojourn_count, max_rounds) x nodes in range, which no other cap bounds;
-# a one-tour srp run at the cap peaks at about 500 MB.
+# a one-tour srp run at the cap peaks at about 440 MB.
 MAX_REACH_ENTRIES = 10_000_000
 
 
@@ -174,37 +181,43 @@ def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
     ``offsets[s]:offsets[s + 1]``. Node positions and sink points never
     change during a run, so the table holds for the whole run. A table over
     ``MAX_REACH_ENTRIES`` entries raises before it is priced.
+
+    The distances are taken for a block of points at a time, one (points x
+    n) array of at most ``_CHUNK`` elements (or one point's row), whose
+    in-range flat indices ``slot·n + id`` come out in (slot, id) order.
     """
     limit = math.inf if sensing_range is None else sensing_range
-    ids = []
+    n, S = state.n, len(points)
+    px = np.array([p.x for p in points])
+    py = np.array([p.y for p in points])
+    step = max(1, _CHUNK // n)
+    flat = []
     dists = []
-    offsets = [0]
-    for p in points:
-        d = distances(state.xs, state.ys, p.x, p.y)
+    total = 0
+    for lo in range(0, S, step):
+        d = distances(state.xs, state.ys, px[lo:lo + step, None], py[lo:lo + step, None])
         inside = np.flatnonzero(d <= limit)
-        offsets.append(offsets[-1] + len(inside))
-        if offsets[-1] > MAX_REACH_ENTRIES:
+        total += len(inside)
+        if total > MAX_REACH_ENTRIES:
             raise ConfigurationError(f"the reach table needs more than {MAX_REACH_ENTRIES} "
                                      "entries; lower max_rounds, sojourn_count, n or sensing_range")
-        ids.append(inside)
-        dists.append(d[inside])
-    dists = np.concatenate(dists)  # rebinding frees the per-point arrays before pricing
+        dists.append(d.take(inside))
+        inside += lo * n
+        flat.append(inside)
+    dists = np.concatenate(dists)  # rebinding frees the per-block arrays before pricing
     cost = tx_energy(radio, radio.packet_bits, dists)
-    offsets = np.array(offsets, dtype=np.int64)
-    return np.repeat(np.arange(len(points)), np.diff(offsets)), np.concatenate(ids), cost, offsets
+    del dists
+    flat = np.concatenate(flat)
+    offsets = np.searchsorted(flat, np.arange(S + 1) * n)  # where slot s starts, at s·n
+    slot = np.repeat(np.arange(S), np.diff(offsets))
+    flat -= slot * n
+    return slot, flat, cost, offsets
 
 
 # Most nodes for which a sep run builds a hop table. Its two n x n float64
 # arrays take 1 MB at this size; a larger run prices each round's
 # (members x heads) hops afresh, which fits every n up to MAX_NODES.
 _HOP_NODES = 256
-
-
-# Most elements one block of the engine's folds holds: a block of node folds,
-# or of (slot, dead count) rows, each row padded to the widest slot with an
-# entry that never pays. Blocks stay small whatever n, slot widths and
-# max_rounds are.
-_CHUNK = 1 << 14
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -298,14 +311,17 @@ class Simulation:
     def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """srp and cl-sep per-round (cost, packets, deaths) from per-node folds.
 
-        Round ``r`` serves slot ``s = r % S``; once every node's death round
-        is known (``_fold_nodes``), its payers are the slot's entries that die
-        after ``r``. With the entries sorted by ``slot·(rows+1) + min(death,
-        rows)``, one ``searchsorted`` counts, per round, the entries of earlier
-        slots plus slot ``s``'s dead ones. Rounds with the same (slot, dead
-        count) pair pay alike, so each pair is summed once, at its first
-        round: its row is the slot's entries padded to the widest slot with an
-        appended entry that never pays (death -1, cost 0.0), and one
+        Round ``r = t·S + s`` is slot ``s``'s round in tour ``t``; once every
+        node's death round is known (``_fold_nodes``), its payers are the
+        slot's entries that die after ``r``. An entry of slot ``s`` whose node
+        dies in round ``d`` is dead from tour ``max(0, ceil((d − s) / S))`` on,
+        so a ``bincount`` of entries into a (tours × slots) grid and a
+        ``cumsum`` along tours give every round's dead count. Rounds of a slot
+        with the same dead count pay alike, so each (slot, dead count) pair is
+        summed once, at its first round, where the slot's count changes;
+        ``np.maximum.accumulate`` along tours hands every later round its
+        pair. A pair's row is the slot's entries padded to the widest slot
+        with an appended entry that never pays (death -1, cost 0.0), and one
         ``cumsum`` adds the payers' costs in id order, as a stepped round does.
         A padding or dead entry adds 0.0, which is exact.
         """
@@ -313,18 +329,27 @@ class Simulation:
         S, E = len(offsets) - 1, len(ids)
         dies = self._fold_nodes()
         rows = self._rows(int(dies.max()) if (dies < self.cfg.max_rounds).all() else None)
+        T = -(-rows // S)                                # tours the rows touch
         d = np.append(dies[ids], -1)                     # entry E pads every row
-        s = np.arange(rows) % S
-        keys = np.minimum(d[:E], rows)
-        keys += self._slot * (rows + 1)
-        keys.sort()
-        c = np.append(self._cost, 0.0)                   # after the sort, to keep the peak low
-        seen = np.searchsorted(keys, s * (rows + 1) + np.arange(rows), side="right")
-        seen += s * (E + 1)                              # one value per (slot, dead count)
-        _, first, pair = np.unique(seen, return_index=True, return_inverse=True)
-        slot = first % S                                 # first is the pair's first round
+        cell = d[:E] - self._slot                        # each entry's first dead tour,
+        cell += S - 1
+        cell //= S
+        np.clip(cell, 0, T, out=cell)                    # or T if alive past the rows,
+        cell *= S
+        cell += self._slot                               # as a (tour, slot) cell
+        dead = np.bincount(cell, minlength=(T + 1) * S).reshape(T + 1, S)[:T].cumsum(axis=0)
+        del cell                                         # before c, to keep the peak low
+        new = np.ones((T, S), dtype=bool)                # where a pair starts
+        np.not_equal(dead[1:], dead[:-1], out=new[1:])
+        new = new.ravel()[:rows]                         # cells past the rows come last
+        first = np.flatnonzero(new)                      # each pair's first round
+        pair = np.zeros(T * S, dtype=np.int64)
+        pair[first] = np.arange(len(first))
+        pair = np.maximum.accumulate(pair.reshape(T, S), axis=0).ravel()[:rows]
+        c = np.append(self._cost, 0.0)
+        slot = first % S
         lo, hi = offsets[slot], offsets[slot + 1]
-        payers = hi - (seen[first] - slot * (E + 1))     # the slot's entries past its dead
+        payers = hi - lo - dead.ravel()[first]           # the slot's entries past its dead
         W = int((hi - lo).max(initial=1))
         sums = np.empty(len(first))
         step = max(1, _CHUNK // W)
@@ -350,8 +375,8 @@ class Simulation:
         state = self.state
         ids, offsets = self._id, self._offsets
         n, S, R = state.n, len(offsets) - 1, self.cfg.max_rounds
-        order = np.argsort(ids, kind="stable")
-        pat_slot = self._slot[order]
+        # Node-major order: numpy sorts 16-bit keys by radix, and ids < MAX_NODES < 2**16.
+        order = np.argsort(ids.astype(np.uint16), kind="stable")
         pat_cost = self._cost[order]
         k = np.bincount(ids, minlength=n)                 # attempts per tour
         first = np.cumsum(k) - k                          # node i's pattern start
@@ -380,7 +405,7 @@ class Simulation:
                                    np.minimum(attempt[:, -1] + 1, horizon[nodes]))
             dead = nodes[died]
             tries = paid[dead]                            # the failed attempt's index
-            dies[dead] = tries // k[dead] * S + pat_slot[first[dead] + tries % k[dead]]
+            dies[dead] = tries // k[dead] * S + self._slot[order[first[dead] + tries % k[dead]]]
             nodes = nodes[~died & (paid[nodes] < horizon[nodes])]
         state.alive[(dies >= 0) & (dies < R)] = False
         state.packets_sent += paid

@@ -6,6 +6,9 @@
   alone; ``srp_round`` places the sink with it.
 * ``coverage_radius_grid`` — a grid scan of the field; the independent check
   of the closed forms in ``geometry.coverage_radius``.
+* ``reach``       — the reach table built one sojourn point at a time, with
+  no entry cap; the oracle for the library's ``reach``, which takes the
+  distances of a block of points at once.
 * ``srp_round``   — one srp round that recomputes the sink position and every
   distance each round; the oracle for the reach table.
 * ``sep_round``   — one sep round that pays member by member on numpy
@@ -23,6 +26,7 @@
 """
 
 import math
+from collections.abc import Sequence
 from pathlib import Path
 from unittest import mock
 
@@ -32,7 +36,7 @@ from sinksim import simulation
 from sinksim.energy import RadioParams, aggregation_energy, rx_energy, tx_energy
 from sinksim.errors import ConfigurationError
 from sinksim.geometry import (Field, Point, SquareField, Trajectory,
-                              _sojourn_point, path_point_distance,
+                              _sojourn_point, distances, path_point_distance,
                               trajectory_in_field)
 from sinksim.harness import CSV_BLOCK_ROWS, CSV_HEADER, fmt_float
 from sinksim.protocols import (ADVANCED, NORMAL, NetworkParams, NodeState,
@@ -125,6 +129,24 @@ def coverage_radius_grid(t: Trajectory, f: Field,
     ry1 = min(ymax, best_pt.y + coarse)
     refined, _ = scan(rx0, rx1, ry0, ry1, fine)
     return max(best, refined)
+
+
+def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
+          sensing_range: float | None) -> tuple[np.ndarray, ...]:
+    """The reach table ``(slot, id, cost, offsets)`` of ``simulation.reach``, point by point."""
+    limit = math.inf if sensing_range is None else sensing_range
+    ids = []
+    dists = []
+    offsets = [0]
+    for p in points:
+        d = distances(state.xs, state.ys, p.x, p.y)
+        inside = np.flatnonzero(d <= limit)
+        offsets.append(offsets[-1] + len(inside))
+        ids.append(inside)
+        dists.append(d[inside])
+    cost = tx_energy(radio, radio.packet_bits, np.concatenate(dists))
+    offsets = np.array(offsets, dtype=np.int64)
+    return np.repeat(np.arange(len(points)), np.diff(offsets)), np.concatenate(ids), cost, offsets
 
 
 def srp_round(state: NodeState, trajectory: Trajectory, round_idx: int,

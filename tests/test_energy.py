@@ -45,10 +45,14 @@ class TestTxEnergy:
 
     def test_vectorized_matches_scalar_bitwise(self):
         rng = np.random.default_rng(7)
-        d = np.concatenate([rng.uniform(0, 150, 500), [0.0, P.d0, 100.0]])
-        vec = tx_energy(P, K, d)
-        for i, di in enumerate(d.tolist()):
-            assert vec[i] == tx_energy(P, K, di)
+        other = RadioParams(e_elect=3e-8, eps_fs=7e-12, eps_mp=2.5e-15, packet_bits=1000)
+        for p in (P, other):
+            k = p.packet_bits
+            edges = [0.0, p.d0, np.nextafter(p.d0, 0.0), np.nextafter(p.d0, np.inf), 100.0]
+            d = np.concatenate([rng.uniform(0, 2 * p.d0, 500), edges])
+            vec = tx_energy(p, k, d)
+            for i, di in enumerate(d.tolist()):
+                assert vec[i].tobytes() == np.float64(tx_energy(p, k, di)).tobytes()
 
 
 class TestRxEnergy:

@@ -15,7 +15,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from sinksim import load_preset, simulation
+from sinksim import load_preset, protocols, simulation
+from sinksim.geometry import coverage_radius
 from sinksim.presets import PRESET_NAMES
 from sinksim.protocols import MAX_NODES, NetworkParams
 from sinksim.simulation import STOP_ALL_DEAD, STOP_MAX_ROUNDS, STOP_RULES, Simulation
@@ -34,6 +35,54 @@ def test_run_equals_stepped_loop(name, stop_rule):
     m_ref = stepped_run(ref)
     assert_same_run(fast, m_fast, ref, m_ref)
     assert m_ref.first_death_round is not None  # the horizon covered real deaths
+
+
+def dense_sweep_cfg(e0, stop_rule):
+    """One radius of a dense sweep: cc-srp at n=1000 for one 360-round tour at 25 m."""
+    base = load_preset("cc-srp", seed=0)
+    traj = dataclasses.replace(base.trajectory,
+                               path=dataclasses.replace(base.trajectory.path, radius=25.0))
+    traj = dataclasses.replace(traj, sensing_range=coverage_radius(traj, base.field))
+    return dataclasses.replace(base, trajectory=traj, max_rounds=360, stop_rule=stop_rule,
+                               net=dataclasses.replace(base.net, n=1000, e0=e0))
+
+
+@pytest.mark.parametrize("stop_rule", STOP_RULES)
+@pytest.mark.parametrize("e0", [1e-3, 1e-2])
+def test_dense_sweep_run_equals_stepped_loop(e0, stop_rule):
+    """The tour-column round sums where deaths fall inside the run's one tour."""
+    cfg = dense_sweep_cfg(e0, stop_rule)
+    fast = Simulation(cfg)
+    ref = Simulation(cfg)
+    m_ref = stepped_run(ref)
+    assert_same_run(fast, fast.run(), ref, m_ref)
+    assert m_ref.first_death_round < 50 and m_ref.half_death_round < cfg.max_rounds
+
+
+@pytest.mark.parametrize("stop_rule", STOP_RULES)
+@pytest.mark.parametrize("max_rounds", [777, 50_001])
+@pytest.mark.parametrize("name", ["ss-srp", "sc10-srp"])
+def test_run_with_partial_last_tour(name, max_rounds, stop_rule):
+    """Horizons that end inside a tour (200 and 360 points) leave grid cells with no round."""
+    cfg = dataclasses.replace(load_preset(name, seed=0), stop_rule=stop_rule,
+                              max_rounds=max_rounds)
+    assert max_rounds % cfg.trajectory.sojourn_count
+    fast = Simulation(cfg)
+    ref = Simulation(cfg)
+    assert_same_run(fast, fast.run(), ref, stepped_run(ref))
+
+
+def test_node_ids_fit_the_radix_order():
+    """``_fold_nodes`` orders entries by ids cast to uint16, which must not wrap."""
+    assert MAX_NODES < 2**16
+
+
+@pytest.mark.parametrize("name", ["cl-sep", "cc-srp"])
+def test_a_direct_run_prices_its_table_once(name):
+    with mock.patch.object(simulation, "tx_energy", wraps=simulation.tx_energy) as priced, \
+            mock.patch.object(protocols, "tx_energy", wraps=protocols.tx_energy) as hops:
+        Simulation(load_preset(name, seed=0)).run()
+    assert priced.call_count == 1 and hops.call_count == 0
 
 
 DEAD_AT_START = {"three": [0, 3, 57], "all": slice(None)}

@@ -3,12 +3,14 @@
 Every drawn run is checked against the stepped loop of ``oracles`` and for
 the physical invariants: no node energy below zero, alive counts that never
 rise, and a residual series that is the exact fold of the round costs. Each
-run also draws the fold's block size (``_CHUNK``) as 1, 7 or its real value,
-so node folds carry energy across many blocks and stop at their horizon or
-die inside one. Drawn sep runs are also checked against runs whose rounds are
-played by the oracle ``sep_round``, also with nodes on a coarse grid, on both
-hop paths. Every drawn run's per-round CSV must validate. Drawn configs of
-every shape must also survive the trip through their JSON form unchanged.
+run also draws the block size of its reach table and folds (``_CHUNK``) as
+1, 7 or its real value, so the table is built a point or a few points at a
+time, and node folds carry energy across many blocks and stop at their
+horizon or die inside one. Drawn sep runs are also checked against runs whose
+rounds are played by the oracle ``sep_round``, also with nodes on a coarse
+grid, on both hop paths. Every drawn run's per-round CSV must validate.
+Drawn configs of every shape must also survive the trip through their JSON
+form unchanged.
 """
 
 import json
@@ -58,8 +60,8 @@ def configs(draw, protocols=PROTOCOLS):
           suppress_health_check=[HealthCheck.too_slow])
 @given(configs(), st.sampled_from([1, 7, simulation._CHUNK]))
 def test_run_invariants(cfg, chunk):
-    sim = Simulation(cfg)
     with mock.patch.object(simulation, "_CHUNK", chunk):
+        sim = Simulation(cfg)
         m = sim.run()
     ref = Simulation(cfg)
     assert_same_run(sim, m, ref, stepped_run(ref))

@@ -1,6 +1,7 @@
 """Protocol engines: election math, per-round traces, death-rule invariants."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -253,6 +254,18 @@ class TestHopTable:
             assert d[:, i].tobytes() == block[i].tobytes()       # member i's hops
             assert price[i].tobytes() == tx_energy(RADIO, K, block[:, i]).tobytes()
             assert price[:, i].tobytes() == tx_energy(RADIO, K, block[i]).tobytes()
+
+    def test_pricing_peak(self):
+        # the table keeps two 256 x 256 float64 arrays (1.05 MB); pricing
+        # adds two more of its distances' size and a mask
+        state = make_state([(i % 16 * 6.0, i // 16 * 6.0) for i in range(256)])
+        tracemalloc.start()
+        try:
+            hop_table(state, RADIO)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8e6
 
     def test_a_sep_run_prices_its_hops_once(self):
         with mock.patch("sinksim.protocols.tx_energy", wraps=tx_energy) as priced:

@@ -11,11 +11,13 @@ from sinksim.errors import ConfigurationError
 from sinksim.geometry import (CircleField, CirclePath, Point, SquareField,
                               StaticPath, Trajectory, distance)
 from sinksim.presets import PRESET_NAMES
-from sinksim.protocols import MAX_NODES, MAX_TOTAL_ENERGY, NetworkParams
-from sinksim.simulation import (ScenarioConfig, Simulation, deploy,
+from sinksim import simulation
+from sinksim.protocols import MAX_NODES, MAX_TOTAL_ENERGY, NetworkParams, NodeState
+from sinksim.simulation import (ScenarioConfig, Simulation, deploy, reach,
                                 rng_stream, run)
 
 from oracles import deploy as deploy_oracle
+from oracles import reach as reach_oracle
 from oracles import srp_round
 
 
@@ -355,3 +357,73 @@ class TestSrpFastPath:
             assert getattr(sim.state, name).tobytes() == getattr(state, name).tobytes(), name
         # the window covers real deaths, except round 0, which every node can pay
         assert (ref["alive"][-1] < cfg.net.n) == (max_rounds > 1)
+
+
+def table_args(cfg):
+    """``reach``'s arguments as ``Simulation`` passes them for ``cfg``."""
+    traj = cfg.trajectory
+    return (deploy(cfg), cfg.radio, traj.points[:cfg.max_rounds],
+            None if traj.is_static else traj.sensing_range)
+
+
+def assert_same_table(got, want):
+    for name, a, b in zip(("slot", "id", "cost", "offsets"), got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+CAP_MESSAGE = ("the reach table needs more than {} entries; "
+               "lower max_rounds, sojourn_count, n or sensing_range")
+
+
+class TestReach:
+    """The blocked reach table against the point-by-point oracle, bit for bit."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, name):
+        args = table_args(load_preset(name, seed=4))
+        assert_same_table(reach(*args), reach_oracle(*args))
+
+    def test_disk_field(self):
+        field = CircleField(Point(50.0, 50.0), 50.0)
+        traj = Trajectory(CirclePath(Point(50.0, 50.0), 30.0), sojourn_count=100,
+                          sensing_range=17.5, r_max=5.0)
+        cfg = ScenarioConfig(field, traj, "srp", net=NetworkParams(n=700), seed=9)
+        args = table_args(cfg)
+        assert_same_table(reach(*args), reach_oracle(*args))
+
+    def test_one_point_per_block_above_chunk(self):
+        n = simulation._CHUNK + 3
+        rng = np.random.default_rng(5)
+        state = NodeState(rng.uniform(0, 100, n), rng.uniform(0, 100, n),
+                          np.zeros(n, dtype=bool), np.full(n, 0.5))
+        points = [Point(50.0, 50.0), Point(0.0, 0.0), Point(99.0, 20.0)]
+        for sensing_range in (None, 40.0, 0.1):
+            got = reach(state, RadioParams(), points, sensing_range)
+            assert_same_table(got, reach_oracle(state, RadioParams(), points, sensing_range))
+
+    def test_node_at_sensing_range_is_in_range(self):
+        # node 1 is exactly 30 m from the first point, node 2 one ulp farther
+        xs = np.array([50.0, 80.0, np.nextafter(80.0, np.inf), 20.0])
+        state = NodeState(xs, np.full(4, 50.0), np.zeros(4, dtype=bool), np.full(4, 0.5))
+        points = [Point(50.0, 50.0), Point(50.0, 80.0)]
+        got = reach(state, RadioParams(), points, 30.0)
+        assert_same_table(got, reach_oracle(state, RadioParams(), points, 30.0))
+        assert got[1][:got[3][1]].tolist() == [0, 1, 3]
+
+    def test_partial_last_block_and_cap(self, monkeypatch):
+        # 7 points of 3000 nodes: a block of 5 points, then a block of 2
+        assert simulation._CHUNK // 3000 == 5
+        cfg = load_preset("sc20-srp", seed=1, max_rounds=7)
+        args = table_args(dataclasses.replace(cfg, net=dataclasses.replace(cfg.net, n=3000)))
+        offsets = reach_oracle(*args)[3]
+        total = int(offsets[-1])
+        first_block = int(offsets[5])
+        assert 0 < first_block < total
+        monkeypatch.setattr(simulation, "MAX_REACH_ENTRIES", total)
+        assert_same_table(reach(*args), reach_oracle(*args))
+        # over the cap in the second block, then already in the first
+        for cap in (total - 1, first_block - 1):
+            monkeypatch.setattr(simulation, "MAX_REACH_ENTRIES", cap)
+            with pytest.raises(ConfigurationError) as err:
+                reach(*args)
+            assert str(err.value) == CAP_MESSAGE.format(cap)
