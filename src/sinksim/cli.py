@@ -23,7 +23,7 @@ EXIT_IO = 3
 EXIT_INVALID = 4
 
 
-def _load_base(args) -> tuple[dict, str | None]:
+def _load_base(args, flag_keys: tuple[str, ...] = ()) -> tuple[dict, str | None]:
     """Layered scenario dict from --scenario or --config, plus the preset name if any."""
     name, path = args.scenario or None, args.config
     if name:
@@ -38,7 +38,7 @@ def _load_base(args) -> tuple[dict, str | None]:
                 raise ConfigurationError(f"config file {path} is not valid UTF-8 JSON: {e}") from e
         if not isinstance(d, dict):
             raise ConfigurationError(f"config file {path} is not a JSON object")
-    return layer(d, getattr(args, "seed", None), args.rounds, args.override), name
+    return layer(d, getattr(args, "seed", None), args.rounds, args.override, flag_keys), name
 
 
 def _cmd_simulate(args) -> int:
@@ -86,7 +86,8 @@ def _radius(item: str) -> float:
 
 
 def _cmd_sweep(args) -> int:
-    d, _ = _load_base(args)
+    # sweep_radius sets both keys for each --values radius, so no override may.
+    d, _ = _load_base(args, ("trajectory.radius", "trajectory.sensing_range"))
     radii = [_radius(v) for v in args.values.split(",") if v.strip()]
     if not radii:
         raise ConfigurationError("sweep needs at least one radius value")

@@ -9,6 +9,7 @@ e_elect*k, and aggregating costs e_da*k per message.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ class RadioParams:
 
     def __post_init__(self) -> None:
         for name in ("e_elect", "e_da", "eps_fs", "eps_mp", "packet_bits"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"radio parameter {name} must be > 0")
+            if not 0 < getattr(self, name) <= sys.float_info.max:
+                raise ConfigurationError(f"radio parameter {name} must be > 0 and a finite float")
 
     @property
     def d0(self) -> float:

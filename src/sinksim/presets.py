@@ -167,17 +167,19 @@ def load_preset(name: str, seed: int | None = None,
 
 
 def layer(d: dict, seed: int | None = None, max_rounds: int | None = None,
-          overrides: list[str] | None = None) -> dict:
+          overrides: list[str] | None = None, flag_keys: tuple[str, ...] = ()) -> dict:
     """``d`` with ``seed`` and ``max_rounds`` set unless None, then each override applied.
 
-    ``d`` changes in place. Overriding a key set that way raises, so neither wins silently.
+    ``d`` changes in place. Overriding a key set that way, or one of
+    ``flag_keys`` that a flag sets later or an object holding one, raises, so
+    neither wins silently.
     """
     given = {k: v for k, v in (("seed", seed), ("max_rounds", max_rounds)) if v is not None}
     d.update(given)
     for assignment in overrides or ():
         apply_override(d, assignment)
         key = assignment.split("=", 1)[0].strip()
-        if key in given:
+        if key in given or any(f"{k}.".startswith(f"{key}.") for k in flag_keys):
             raise ConfigurationError(f"{key} is given both as a flag and as --override {assignment!r}")
     return d
 

@@ -8,8 +8,8 @@
   ``Simulation.run`` folds srp and cl-sep per node instead of stepping them.
 * ``sep_round``    — clustered routing to a static sink. Nodes self-elect as
   cluster heads with a rotating threshold weighted by energy heterogeneity,
-  members transmit to the nearest head, heads aggregate and forward.
-  ``hop_table`` prices every node-to-node hop once for a run.
+  members transmit to the nearest head, heads aggregate and forward by the
+  direct rule. ``hop_table`` prices every node-to-node hop once for a run.
 
 Death rule (uniform across engines): a node performs an energy-costing action
 only when its residual energy covers the full cost; otherwise it spends
@@ -38,10 +38,12 @@ SRP = "srp"
 PROTOCOLS = (SEP, CL_SEP, SRP)
 
 # Most nodes a network may have. A sep run too large for a hop table builds
-# (members x heads) distance arrays each round, about 72 MB each at this size.
+# (heads x members) distance arrays each round, about 72 MB each at this size.
 MAX_NODES = 10_000
-# Most total initial energy a network may hold, J. It sits far below the float
-# limit, so no sum of node energies a run takes can overflow to inf.
+_HOP_NODES = 256  # most nodes for which sep builds a hop table: two n x n arrays, 1 MB
+# Most total initial energy a network may hold, J, and most one transmission
+# across the field may cost. It sits far below the float limit, so no sum of
+# node energies or of a block of prices a run takes can overflow to inf.
 MAX_TOTAL_ENERGY = 1e300
 
 
@@ -168,20 +170,17 @@ def election_threshold(p: float, round_idx: int) -> float:
     return min(1.0, p / denom)
 
 
-def direct_round(state: NodeState, ids: np.ndarray, costs: np.ndarray) -> RoundOutcome:
-    """Each alive node ``ids[j]`` sends one packet straight to the sink at cost ``costs[j]``.
+def _pay_or_die(out: RoundOutcome, ids, costs, energy, alive, sent) -> RoundOutcome:
+    """Each alive ``ids[j]`` pays ``costs[j]`` and sends one packet, or dies, into ``out``.
 
-    A node that cannot pay its cost is marked dead instead.
+    ``energy``, ``alive`` and ``sent`` are indexed by id: numpy arrays or lists.
     """
-    out = RoundOutcome()
-    alive = state.alive
-    energy = state.energy
-    for i, cost in zip(ids.tolist(), costs.tolist()):
+    for i, cost in zip(ids, costs):
         if not alive[i]:
             continue
         if energy[i] >= cost:
             energy[i] -= cost
-            state.packets_sent[i] += 1
+            sent[i] += 1
             out.packets += 1
             out.cost += cost
         else:
@@ -190,11 +189,19 @@ def direct_round(state: NodeState, ids: np.ndarray, costs: np.ndarray) -> RoundO
     return out
 
 
-def hop_table(state: NodeState, radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
+def direct_round(state: NodeState, ids: np.ndarray, costs: np.ndarray) -> RoundOutcome:
+    """Each alive node ``ids[j]`` sends one packet straight to the sink at cost ``costs[j]``."""
+    return _pay_or_die(RoundOutcome(), ids.tolist(), costs.tolist(),
+                       state.energy, state.alive, state.packets_sent)
+
+
+def hop_table(state: NodeState, radio: RadioParams) -> tuple[np.ndarray, np.ndarray] | None:
     """Hop distances ``d[h, m]`` from node h to node m, and their ``tx_energy`` prices.
 
-    ``[h, m]`` holds the bits of a round's (members x heads) block at ``[m, h]``.
+    None above ``_HOP_NODES`` nodes. ``[h, m]`` holds the bits of a round's (heads x members) block.
     """
+    if state.n > _HOP_NODES:
+        return None
     d = distances(state.xs, state.ys, state.xs[:, None], state.ys[:, None])
     return d, tx_energy(radio, radio.packet_bits, d)
 
@@ -206,7 +213,7 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
 
     ``uplink`` holds each node's cost of transmitting straight to the sink,
     indexed by id. Members read their hops from ``hops``, a ``hop_table``,
-    if given; without it the round prices its (members x heads) hops afresh.
+    if given; without it the round prices its (heads x members) hops afresh.
 
     Phases: epoch bookkeeping and head self-election; members join the nearest
     alive head; member-to-head transmissions (head pays reception per packet);
@@ -257,17 +264,17 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     received = dict.fromkeys(ch_ids.tolist(), 0)
 
     if len(member_ids) > 0:
-        # Nearest alive head, lowest id on ties; the table holds the block's bits.
+        # Nearest alive head, lowest id on ties, from a (heads x members) block.
         if hops is None:
-            dists = distances(state.xs[member_ids, None], state.ys[member_ids, None],
-                              state.xs[ch_ids], state.ys[ch_ids])
-            nearest = dists.argmin(axis=1)
-            tx = tx_energy(radio, k, dists[np.arange(len(member_ids)), nearest])
+            d = distances(state.xs[member_ids], state.ys[member_ids],
+                          state.xs[ch_ids, None], state.ys[ch_ids, None])
         else:
-            d, price = hops
-            nearest = d.take(ch_ids, axis=0).take(member_ids, axis=1).argmin(axis=0)
-            tx = price[ch_ids[nearest], member_ids]
-        for i, ch, c in zip(member_ids.tolist(), ch_ids[nearest].tolist(), tx.tolist()):
+            d = hops[0].take(ch_ids, axis=0).take(member_ids, axis=1)
+        nearest = d.argmin(axis=0)
+        heads = ch_ids[nearest]
+        tx = (tx_energy(radio, k, d[nearest, np.arange(len(member_ids))]) if hops is None
+              else hops[1][heads, member_ids])
+        for i, ch, c in zip(member_ids.tolist(), heads.tolist(), tx.tolist()):
             if energy[i] >= c:
                 energy[i] -= c
                 sent[i] += 1
@@ -284,23 +291,11 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
                 alive[i] = False
                 deaths += 1
 
-    for ch in ch_ids.tolist():
-        if not alive[ch]:
-            continue
-        n_msgs = received[ch] + 1  # members' packets plus the head's own
-        c = per_msg * n_msgs + float(uplink[ch])
-        if energy[ch] >= c:
-            energy[ch] -= c
-            sent[ch] += 1
-            out.packets += 1
-            cost += c
-        else:
-            alive[ch] = False
-            deaths += 1
-
+    # Heads forward their members' packets and their own; the cost adds on in id order.
+    out.cost, out.deaths = cost, deaths
+    fwd = [per_msg * (n + 1) + u for n, u in zip(received.values(), uplink[ch_ids].tolist())]
+    _pay_or_die(out, received, fwd, energy, alive, sent)
     state.energy[:] = energy
     state.alive[:] = alive
     state.packets_sent[:] = sent
-    out.cost = cost
-    out.deaths = deaths
     return out

@@ -17,8 +17,8 @@ import numpy as np
 from .energy import RadioParams, tx_energy
 from .errors import ConfigurationError
 from .geometry import Field, Point, SquareField, Trajectory, distances, trajectory_in_field
-from .protocols import (PROTOCOLS, SEP, SRP, NetworkParams, NodeState, RoundOutcome,
-                        direct_round, hop_table, sep_round)
+from .protocols import (MAX_TOTAL_ENERGY, PROTOCOLS, SEP, SRP, NetworkParams, NodeState,
+                        RoundOutcome, direct_round, hop_table, sep_round)
 
 RNG_GENERATOR = "numpy.PCG64"
 RNG_DERIVATION = "SeedSequence([seed & 2**64-1, sha256(label)[:8] as uint64])"
@@ -87,6 +87,12 @@ class ScenarioConfig:
         for p in self.trajectory.points:
             if not self.field.contains(p):
                 raise ConfigurationError(f"sojourn point ({p.x}, {p.y}) lies outside the field")
+        f = self.field  # no price a run takes is above a hop across the field
+        dearest = tx_energy(self.radio, self.radio.packet_bits,
+                            math.sqrt(2.0) * f.side if isinstance(f, SquareField) else 2.0 * f.radius)
+        if not dearest <= MAX_TOTAL_ENERGY:
+            raise ConfigurationError(f"a transmission across the field must cost at most "
+                                     f"{MAX_TOTAL_ENERGY} J, got {dearest}")
 
 
 @dataclass(eq=False)
@@ -214,12 +220,6 @@ def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
     return slot, flat, cost, offsets
 
 
-# Most nodes for which a sep run builds a hop table. Its two n x n float64
-# arrays take 1 MB at this size; a larger run prices each round's
-# (members x heads) hops afresh, which fits every n up to MAX_NODES.
-_HOP_NODES = 256
-
-
 def _first(mask: np.ndarray) -> int | None:
     """Index of the first True in ``mask``, or None."""
     i = int(np.argmax(mask))
@@ -240,8 +240,7 @@ class Simulation:
         # A run shorter than the tour visits only its first max_rounds points.
         self._slot, self._id, self._cost, self._offsets = reach(
             self.state, cfg.radio, traj.points[:cfg.max_rounds], sensing)
-        self._hops = (hop_table(self.state, cfg.radio)
-                      if cfg.protocol == SEP and cfg.net.n <= _HOP_NODES else None)
+        self._hops = hop_table(self.state, cfg.radio) if cfg.protocol == SEP else None
 
     def step(self, round_idx: int) -> RoundOutcome:
         """Execute round ``round_idx``, 0 <= round_idx < max_rounds."""

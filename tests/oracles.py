@@ -13,10 +13,10 @@
   distance each round; the oracle for the reach table.
 * ``sep_round``   — one sep round that pays member by member on numpy
   scalars, with one scalar ``tx_energy`` call per member and every distance
-  computed afresh; the oracle for the library's ``sep_round``, which reads
-  its hops from the run's ``hop_table`` or prices a (members x heads) block,
-  and pays on Python lists. ``sep_oracle_run`` runs a whole ``Simulation``
-  with it.
+  computed afresh; the oracle for the library's ``sep_round``, which takes
+  a (heads x members) block of hops from the run's ``hop_table`` or prices
+  it afresh, and pays on Python lists, the heads through ``direct_round``'s
+  pay-or-die loop. ``sep_oracle_run`` runs a whole ``Simulation`` with it.
 * ``stepped_run`` — ``Simulation.run`` as a plain loop of ``Simulation.step``
   calls, one per round; the oracle for the per-node fold of srp and cl-sep
   and for sep's filled dead tail.

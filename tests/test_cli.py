@@ -88,7 +88,11 @@ class TestSimulate:
         ("sep", ["net.m=0.001", "net.p_opt=0.6"]),  # m*n rounds to no advanced node
         ("cl-sep", ["net.e0=1e308"]),
         ("cl-sep", ["net.e0=1e307", "net.n=10000"]),
-    ], ids=["p_opt=1", "p_opt=0.6", "m=0.001", "e0=1e308", "e0=1e307-n=10000"])
+        ("cl-sep", ["radio.eps_mp=1e296"]),  # the price of a hop across the field
+        ("cl-sep", ["field.side=1e200", "trajectory.point=[5e199,5e199]"]),
+        ("sep", ["radio.packet_bits=1" + "0" * 400]),  # beyond the float range
+    ], ids=["p_opt=1", "p_opt=0.6", "m=0.001", "e0=1e308", "e0=1e307-n=10000",
+            "eps_mp=1e296", "side=1e200", "packet_bits=1e400"])
     def test_unrunnable_network_exits_2(self, scenario, overrides, tmp_path, capsys):
         out = tmp_path / "run.csv"
         args = [a for o in overrides for a in ("--override", o)]
@@ -251,12 +255,14 @@ class TestCompare:
         assert not out.exists()
 
     def test_seed_override_still_runs_seeds_from_0(self, tmp_path):
-        for name, extra in (("plain", []), ("seeded", ["--override", "seed=5"])):
-            assert main(["compare", "--scenarios", "sep,cc-srp", "--seeds", "2",
-                         "--rounds", "300", *extra, "--out", str(tmp_path / f"{name}.csv")]) == 0
-        for suffix in (".csv", ".report.json"):
-            assert ((tmp_path / f"plain{suffix}").read_bytes()
-                    == (tmp_path / f"seeded{suffix}").read_bytes())
+        for argv, suffixes in ((["compare", "--scenarios", "sep,cc-srp"], (".csv", ".report.json")),
+                               (["sweep", "--scenario", "cc-srp", "--values", "10,20"], (".csv",))):
+            for name, extra in (("plain", []), ("seeded", ["--override", "seed=5"])):
+                assert main([*argv, "--seeds", "2", "--rounds", "300", *extra,
+                             "--out", str(tmp_path / f"{argv[0]}-{name}.csv")]) == 0
+            for suffix in suffixes:
+                assert ((tmp_path / f"{argv[0]}-plain{suffix}").read_bytes()
+                        == (tmp_path / f"{argv[0]}-seeded{suffix}").read_bytes())
 
     def test_single_seed_degenerate_iqr(self, tmp_path):
         out = tmp_path / "cmp.csv"
@@ -375,7 +381,14 @@ def test_scenario_and_config_exit_2(argv, tmp_path, capsys):
     (["sweep", "--scenario", "cc-srp", "--values", "25", "--seeds", "1", "--rounds", "5"],
      "max_rounds=6"),
     (["simulate", "--scenario", "sep", "--seed", "1", "--rounds", "5"], " seed=2"),
-], ids=["simulate", "compare", "sweep", "simulate-seed"])
+    (["sweep", "--scenario", "cc-srp", "--values", "10,20", "--seeds", "1", "--rounds", "300"],
+     "trajectory.radius=40"),
+    (["sweep", "--scenario", "cc-srp", "--values", "10,20", "--seeds", "1", "--rounds", "300"],
+     "trajectory.sensing_range=3"),
+    (["sweep", "--scenario", "cc-srp", "--values", "10,20", "--seeds", "1", "--rounds", "300"],
+     'trajectory={"path": "circle", "center": [50, 50], "radius": 40, "sojourn_count": 360}'),
+], ids=["simulate", "compare", "sweep", "simulate-seed", "sweep-radius", "sweep-sensing_range",
+        "sweep-trajectory"])
 def test_flag_and_override_of_one_key_exit_2(argv, override, tmp_path, capsys):
     code = main([*argv, "--override", override, "--out", str(tmp_path / "out.csv")])
     assert code == 2
@@ -401,7 +414,7 @@ OVERRIDE_KEYS = sorted({p for name in PRESET_NAMES for p in _paths(preset_dict(n
 
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
-    | st.sampled_from([2**63, -2**64, 10**300]),
+    | st.sampled_from([2**63, -2**64, 10**300, 10**400]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6).map(json.dumps)
 _deep_values = st.builds(lambda depth, shape: shape[0] * depth + "0" + shape[1] * depth,

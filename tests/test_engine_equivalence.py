@@ -79,9 +79,10 @@ def test_node_ids_fit_the_radix_order():
 
 @pytest.mark.parametrize("name", ["cl-sep", "cc-srp"])
 def test_a_direct_run_prices_its_table_once(name):
+    cfg = load_preset(name, seed=0)  # its check prices the dearest hop
     with mock.patch.object(simulation, "tx_energy", wraps=simulation.tx_energy) as priced, \
             mock.patch.object(protocols, "tx_energy", wraps=protocols.tx_energy) as hops:
-        Simulation(load_preset(name, seed=0)).run()
+        Simulation(cfg).run()
     assert priced.call_count == 1 and hops.call_count == 0
 
 
@@ -138,7 +139,7 @@ def assert_sep_matches_oracle(seed, stop_rule, net):
 
 def other_hop_path(n):
     """Move the hop table bound so that a run of ``n`` nodes takes the other hop path."""
-    return mock.patch.object(simulation, "_HOP_NODES", n - 1 if n <= simulation._HOP_NODES else n)
+    return mock.patch.object(protocols, "_HOP_NODES", n - 1 if n <= protocols._HOP_NODES else n)
 
 
 @pytest.mark.parametrize("seed,stop_rule,net", SEP_CASES, ids=SEP_IDS)
@@ -171,7 +172,7 @@ def test_sep_run_on_other_hop_path(stop_rule, dead):
 def test_hop_table_up_to_its_bound():
     """sep builds a hop table up to ``_HOP_NODES`` nodes and no n x n array above it."""
     base = load_preset("sep", seed=0)
-    for n, kept in ((simulation._HOP_NODES, True), (simulation._HOP_NODES + 1, False)):
+    for n, kept in ((protocols._HOP_NODES, True), (protocols._HOP_NODES + 1, False)):
         sim = Simulation(dataclasses.replace(base, net=NetworkParams(n=n)))
         assert (sim._hops is not None) is kept
     cfg = dataclasses.replace(base, net=NetworkParams(n=MAX_NODES), max_rounds=3)

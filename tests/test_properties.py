@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sinksim import simulation
+from sinksim import protocols, simulation
 from sinksim.energy import RadioParams
 from sinksim.geometry import (CircleField, CirclePath, Point, SquareField,
                               SquarePath, StaticPath, Trajectory)
@@ -105,7 +105,7 @@ def test_sep_on_a_grid_matches_oracle_on_both_hop_paths(cfg, data):
     with mock.patch.object(simulation, "deploy", on_grid):
         ref, m_ref = sep_oracle_run(cfg)
         for bound in (0, MAX_NODES):  # each round's own block, then a hop table
-            with mock.patch.object(simulation, "_HOP_NODES", bound):
+            with mock.patch.object(protocols, "_HOP_NODES", bound):
                 sim = Simulation(cfg)
                 assert (sim._hops is None) == (bound == 0)
                 assert_same_run(sim, sim.run(), ref, m_ref)

@@ -190,6 +190,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             static_cfg(stop_rule="until_bored")
 
+    @pytest.mark.parametrize("field,d", [
+        (SquareField(100.0), distance(Point(0.0, 0.0), Point(100.0, 100.0))),
+        (CircleField(Point(50.0, 50.0), 50.0), 100.0),
+    ], ids=["square", "circle"])
+    @pytest.mark.parametrize("protocol", ["cl-sep", "sep"])
+    def test_dearest_transmission_capped(self, protocol, field, d):
+        """A hop across the field, the dearest a run can price, may cost at most the cap."""
+        eps_mp = MAX_TOTAL_ENERGY / (RadioParams().packet_bits * d**4)  # the d^4 term alone
+        with pytest.raises(ConfigurationError, match="across the field"):
+            static_cfg(protocol, field=field, radio=RadioParams(eps_mp=1.01 * eps_mp))
+        m = run(static_cfg(protocol, field=field, radio=RadioParams(eps_mp=0.99 * eps_mp),
+                           max_rounds=3))
+        assert np.isfinite(m.residual_j).all() and m.alive[-1] == 0
+
 
 class TestRun:
     def test_single_node_at_sink_dies_at_2500(self):
