@@ -7,9 +7,10 @@
   cl-sep (every node, static sink), and sep's no-head fallback.
   ``Simulation.run`` folds srp and cl-sep per node instead of stepping them.
 * ``sep_round``    — clustered routing to a static sink. Nodes self-elect as
-  cluster heads with a rotating threshold weighted by energy heterogeneity,
-  members transmit to the nearest head, heads aggregate and forward by the
-  direct rule. ``hop_table`` prices every node-to-node hop once for a run.
+  cluster heads with a rotating threshold on ``NetworkParams.p_normal`` or
+  ``p_advanced``, by their ``is_advanced`` flag; members transmit to the
+  nearest head, heads aggregate and forward by the direct rule.
+  ``hop_table`` prices every node-to-node hop once for a run.
 
 Death rule (uniform across engines): a node performs an energy-costing action
 only when its residual energy covers the full cost; otherwise it spends
@@ -28,9 +29,6 @@ import numpy as np
 from .energy import RadioParams, aggregation_energy, rx_energy, tx_energy
 from .errors import ConfigurationError
 from .geometry import distances
-
-NORMAL = "normal"
-ADVANCED = "advanced"
 
 SEP = "sep"
 CL_SEP = "cl-sep"
@@ -68,13 +66,25 @@ class NetworkParams:
             raise ConfigurationError(f"e0 must be > 0, got {self.e0}")
         if not 0.0 < self.p_opt <= 1.0:
             raise ConfigurationError(f"p_opt must be in (0, 1], got {self.p_opt}")
-        # sep prices both thresholds every round, even with no advanced node;
-        # alpha >= 0 makes the advanced probability the larger one.
-        if ch_probability(self, ADVANCED) >= 1.0:
+        # sep prices both thresholds every round, even with no advanced node.
+        # alpha >= 0 makes p_advanced >= p_normal, so both lie in (0, 1) with finite epochs.
+        if self.p_advanced >= 1.0:
             raise ConfigurationError("advanced election probability reaches 1; lower p_opt or alpha")
+        if not (self.p_normal > 0.0 and math.isfinite(1.0 / self.p_normal)):
+            raise ConfigurationError(f"normal election probability p_opt/(1+alpha*m) is "
+                                     f"{self.p_normal!r}, whose epoch 1/p is not finite; raise p_opt")
         if not self.total_initial_energy <= MAX_TOTAL_ENERGY:
             raise ConfigurationError(f"total initial energy must be at most {MAX_TOTAL_ENERGY} J, "
                                      f"got {self.total_initial_energy}")
+
+    @property
+    def p_normal(self) -> float:
+        """A normal node's per-round head probability; advanced nodes weigh (1 + alpha) more."""
+        return self.p_opt / (1.0 + self.alpha * self.m)
+
+    @property
+    def p_advanced(self) -> float:
+        return self.p_opt * (1.0 + self.alpha) / (1.0 + self.alpha * self.m)
 
     @property
     def advanced_count(self) -> int:
@@ -135,19 +145,6 @@ class RoundOutcome:
     deaths: int = 0
 
 
-def ch_probability(net: NetworkParams, kind: str) -> float:
-    """Per-round cluster-head election probability for a node kind.
-
-    Normal nodes get p_opt/(1 + alpha*m) and advanced nodes carry the extra
-    (1 + alpha) weight, so the population-weighted mean stays at p_opt.
-    """
-    if kind == NORMAL:
-        return net.p_opt / (1.0 + net.alpha * net.m)
-    if kind == ADVANCED:
-        return net.p_opt * (1.0 + net.alpha) / (1.0 + net.alpha * net.m)
-    raise ValueError(f"unknown node kind: {kind!r}")
-
-
 def _epoch(p: float) -> int:
     """Rounds in one election epoch for probability ``p``."""
     return math.ceil(1.0 / p)
@@ -159,10 +156,9 @@ def election_threshold(p: float, round_idx: int) -> float:
     Within an epoch of ceil(1/p) rounds the threshold climbs as
     p / (1 - p*(r mod epoch)) so each eligible node is elected once per epoch
     in expectation; the final slot clamps to 1. Callers give nodes outside G
-    no chance of election.
+    no chance of election. ``NetworkParams`` keeps p in (0, 1) with a finite
+    epoch.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
     slot = round_idx % _epoch(p)
     denom = 1.0 - p * slot
     if denom <= 0.0:
@@ -228,8 +224,7 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     draws = rng.random(state.n)
 
     k = radio.packet_bits
-    p_nrm = ch_probability(net, NORMAL)
-    p_adv = ch_probability(net, ADVANCED)
+    p_nrm, p_adv = net.p_normal, net.p_advanced
 
     # Epoch boundaries re-admit every alive node of that kind to set G.
     if round_idx % _epoch(p_nrm) == 0:

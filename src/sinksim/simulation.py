@@ -227,10 +227,15 @@ def _first(mask: np.ndarray) -> int | None:
 
 
 class Simulation:
-    """One isolated protocol run; owns its state exclusively."""
+    """One isolated protocol run; owns its state exclusively.
+
+    A Simulation runs once: either ``run()``, or ``step`` over rounds 0, 1, ...
+    in order. Nodes may be marked dead through ``state.alive`` before either.
+    """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
+        self._round = 0  # the next round; max_rounds once run
         self.state = deploy(cfg)
         self._election_rng = rng_stream(cfg.seed, "election")
         traj = cfg.trajectory
@@ -243,8 +248,12 @@ class Simulation:
         self._hops = hop_table(self.state, cfg.radio) if cfg.protocol == SEP else None
 
     def step(self, round_idx: int) -> RoundOutcome:
-        """Execute round ``round_idx``, 0 <= round_idx < max_rounds."""
+        """Execute round ``round_idx``: the next round, below max_rounds."""
         cfg = self.cfg
+        if round_idx != self._round or round_idx >= cfg.max_rounds:
+            raise RuntimeError(f"cannot step round {round_idx}: a Simulation steps rounds 0 to "
+                               f"{cfg.max_rounds - 1} once each, in order; its next is {self._round}")
+        self._round += 1
         if cfg.protocol == SEP:
             return sep_round(self.state, round_idx, cfg.net, cfg.radio,
                              self._cost, self._election_rng, self._hops)
@@ -260,6 +269,8 @@ class Simulation:
         (``_fold``); sep steps until its last death and fills the rest.
         """
         cfg = self.cfg
+        if self._round:
+            raise RuntimeError("a Simulation runs once; this one has already stepped or run")
         n = cfg.net.n
         initial = self.state.total_energy()
         alive0 = self.state.alive_count()
@@ -267,6 +278,7 @@ class Simulation:
             cost, packets, deaths = self._step_until_dead(alive0)
         else:
             cost, packets, deaths = self._fold()
+        self._round = cfg.max_rounds
         alive = alive0 - np.cumsum(deaths)
         cum_packets = np.cumsum(packets)
         return RunMetrics(

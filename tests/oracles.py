@@ -16,7 +16,9 @@
   computed afresh; the oracle for the library's ``sep_round``, which takes
   a (heads x members) block of hops from the run's ``hop_table`` or prices
   it afresh, and pays on Python lists, the heads through ``direct_round``'s
-  pay-or-die loop. ``sep_oracle_run`` runs a whole ``Simulation`` with it.
+  pay-or-die loop. It has its own election formulas: each node kind's
+  probability, epoch and threshold are written out here, not imported from
+  ``sinksim.protocols``. ``sep_oracle_run`` runs a whole ``Simulation`` with it.
 * ``stepped_run`` — ``Simulation.run`` as a plain loop of ``Simulation.step``
   calls, one per round; the oracle for the per-node fold of srp and cl-sep
   and for sep's filled dead tail.
@@ -39,9 +41,7 @@ from sinksim.geometry import (Field, Point, SquareField, Trajectory,
                               _sojourn_point, distances, path_point_distance,
                               trajectory_in_field)
 from sinksim.harness import CSV_BLOCK_ROWS, CSV_HEADER, fmt_float
-from sinksim.protocols import (ADVANCED, NORMAL, NetworkParams, NodeState,
-                               RoundOutcome, _epoch, ch_probability,
-                               direct_round, election_threshold)
+from sinksim.protocols import NetworkParams, NodeState, RoundOutcome, direct_round
 from sinksim.simulation import (STOP_ALL_DEAD, RunMetrics, ScenarioConfig, Simulation,
                                 rng_stream)
 
@@ -211,18 +211,19 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
         return out
 
     k = radio.packet_bits
-    p_nrm = ch_probability(net, NORMAL)
-    p_adv = ch_probability(net, ADVANCED)
-
-    # Epoch boundaries re-admit every alive node of that kind to set G.
-    if round_idx % _epoch(p_nrm) == 0:
-        state.in_set_g[state.alive & ~state.is_advanced] = True
-    if round_idx % _epoch(p_adv) == 0:
-        state.in_set_g[state.alive & state.is_advanced] = True
-
-    t_nrm = election_threshold(p_nrm, round_idx)
-    t_adv = election_threshold(p_adv, round_idx)
-    thresholds = np.where(state.is_advanced, t_adv, t_nrm)
+    # SEP's weighted election probabilities; their population mean is p_opt.
+    p_nrm = net.p_opt / (1.0 + net.alpha * net.m)
+    p_adv = net.p_opt * (1.0 + net.alpha) / (1.0 + net.alpha * net.m)
+    thresholds = np.empty(state.n)
+    for p, kind in ((p_nrm, ~state.is_advanced), (p_adv, state.is_advanced)):
+        # Each kind's epoch lasts ceil(1/p) rounds and starts by re-admitting
+        # the kind's alive nodes to set G. Its threshold p/(1 - p*slot)
+        # climbs to 1 at the epoch's last slot.
+        epoch = math.ceil(1.0 / p)
+        if round_idx % epoch == 0:
+            state.in_set_g[state.alive & kind] = True
+        denom = 1.0 - p * (round_idx % epoch)
+        thresholds[kind] = 1.0 if denom <= 0.0 else min(1.0, p / denom)
     thresholds = np.where(state.in_set_g, thresholds, 0.0)
     is_ch = state.alive & (draws < thresholds)
     ch_ids = np.flatnonzero(is_ch)

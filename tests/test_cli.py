@@ -91,8 +91,12 @@ class TestSimulate:
         ("cl-sep", ["radio.eps_mp=1e296"]),  # the price of a hop across the field
         ("cl-sep", ["field.side=1e200", "trajectory.point=[5e199,5e199]"]),
         ("sep", ["radio.packet_bits=1" + "0" * 400]),  # beyond the float range
+        ("sep", ["net.p_opt=5e-324"]),  # 1/p_normal overflows: no finite epoch
+        ("sep", ["net.p_opt=5e-324", "net.m=1"]),  # p_normal rounds to 0
+        ("cl-sep", ["net.p_opt=5e-324"]),
     ], ids=["p_opt=1", "p_opt=0.6", "m=0.001", "e0=1e308", "e0=1e307-n=10000",
-            "eps_mp=1e296", "side=1e200", "packet_bits=1e400"])
+            "eps_mp=1e296", "side=1e200", "packet_bits=1e400", "p_opt=5e-324",
+            "p_opt=5e-324-m=1", "cl-sep-p_opt=5e-324"])
     def test_unrunnable_network_exits_2(self, scenario, overrides, tmp_path, capsys):
         out = tmp_path / "run.csv"
         args = [a for o in overrides for a in ("--override", o)]
@@ -101,6 +105,14 @@ class TestSimulate:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("protocol", ["sep", "cl-sep"])
+    def test_tiny_p_opt_with_finite_epoch_runs(self, protocol, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(["simulate", "--scenario", protocol, "--rounds", "5",
+                     "--override", "net.p_opt=1e-300", "--out", str(out)]) == 0
+        assert validate_run_csv(out) == []
+        assert len(out.read_text().splitlines()) == 1 + 5
 
     @pytest.mark.parametrize("content,args", [
         (b"[1]", ["simulate", "--seed", "1"]),
@@ -414,7 +426,7 @@ OVERRIDE_KEYS = sorted({p for name in PRESET_NAMES for p in _paths(preset_dict(n
 
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
-    | st.sampled_from([2**63, -2**64, 10**300, 10**400]),
+    | st.sampled_from([2**63, -2**64, 10**300, 10**400, 5e-324]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6).map(json.dumps)
 _deep_values = st.builds(lambda depth, shape: shape[0] * depth + "0" + shape[1] * depth,

@@ -276,6 +276,33 @@ class TestRun:
         assert m.half_death_round == first_le_half
         assert m.first_death_round <= m.half_death_round <= m.last_death_round
 
+    @pytest.mark.parametrize("name", ["sep", "cl-sep", "sc10-srp"])
+    def test_simulation_runs_once(self, name):
+        """Rounds step once each, in order, below max_rounds; run() needs a fresh Simulation."""
+        cfg = load_preset(name, seed=0, max_rounds=3)
+        sim = Simulation(cfg)
+        with pytest.raises(RuntimeError, match="next is 0"):
+            sim.step(1)
+        sim.step(0)
+        energy = sim.state.energy.copy()
+        for bad in (0, 2):
+            with pytest.raises(RuntimeError, match="next is 1"):
+                sim.step(bad)
+        with pytest.raises(RuntimeError, match="runs once"):
+            sim.run()
+        np.testing.assert_array_equal(sim.state.energy, energy)  # refused calls change nothing
+        sim.step(1)
+        sim.step(2)
+        with pytest.raises(RuntimeError, match="rounds 0 to 2"):
+            sim.step(3)
+
+        ran = Simulation(cfg)
+        assert ran.run() == run(cfg)
+        with pytest.raises(RuntimeError, match="runs once"):
+            ran.run()
+        with pytest.raises(RuntimeError):
+            ran.step(0)
+
     def test_deaths_match_alive_series(self):
         cfg = load_preset("sc10-srp", seed=0, max_rounds=3000)
         sim = Simulation(cfg)
