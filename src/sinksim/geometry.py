@@ -58,10 +58,6 @@ class SquareField:
         if not self.side > 0:
             raise ConfigurationError(f"square field side must be > 0, got {self.side}")
 
-    @property
-    def center(self) -> Point:
-        return Point(self.side / 2.0, self.side / 2.0)
-
     def contains(self, p: Point) -> bool:
         return 0.0 <= p.x <= self.side and 0.0 <= p.y <= self.side
 

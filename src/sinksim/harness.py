@@ -184,20 +184,20 @@ def compare_scenarios(scenario_dicts: dict[str, dict], seed_count: int,
                       max_rounds: int | None = None) -> dict:
     """Run every scenario on seeds 0..seed_count-1 and build the report.
 
-    Each dict holds its own horizon; ``max_rounds`` is only echoed. Runs execute
-    and aggregate in (scenario, seed) order, so the report is independent of any scheduling.
+    Each dict holds its own horizon; ``max_rounds`` is only echoed. Every
+    scenario is checked before any runs. Runs execute and aggregate in
+    (scenario, seed) order, so the report is independent of any scheduling.
     """
     if len(scenario_dicts) < 2:
         raise ConfigurationError("compare needs at least two scenarios")
     if seed_count < 1:
         raise ConfigurationError("compare needs at least one seed")
 
+    cfgs = {name: replace(config_from_dict(base), seed=0) for name, base in scenario_dicts.items()}
+    resolved_configs = {name: config_to_dict(cfg) for name, cfg in cfgs.items()}
     rows = []
     scenarios = {}
-    resolved_configs: dict[str, dict] = {}
-    for name, base in scenario_dicts.items():
-        cfg = replace(config_from_dict(base), seed=0)
-        resolved_configs[name] = config_to_dict(cfg)
+    for name, cfg in cfgs.items():
         per_seed = _per_seed(cfg, seed_count)
         rows += [{"scenario": name, "seed": s, **m} for s, m in enumerate(per_seed)]
         scenarios[name] = {k: censored_stats([m[k] for m in per_seed]) for k in METRIC_KEYS}

@@ -84,9 +84,6 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{self.protocol} requires a static-point trajectory")
         if not trajectory_in_field(self.trajectory, self.field):
             raise ConfigurationError("trajectory does not lie inside the field")
-        for p in self.trajectory.points:
-            if not self.field.contains(p):
-                raise ConfigurationError(f"sojourn point ({p.x}, {p.y}) lies outside the field")
         f = self.field  # no price a run takes is above a hop across the field
         dearest = tx_energy(self.radio, self.radio.packet_bits,
                             math.sqrt(2.0) * f.side if isinstance(f, SquareField) else 2.0 * f.radius)

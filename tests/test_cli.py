@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinksim import PRESET_NAMES, load_preset, run, simulation
+from sinksim import PRESET_NAMES, harness, load_preset, run, simulation
 from sinksim.cli import main
 from sinksim.harness import CSV_HEADER, validate_run_csv
 from sinksim.presets import preset_dict
@@ -164,6 +164,12 @@ class TestSimulate:
         summary = json.loads(read(tmp_path / "run.summary.json"))
         assert summary["sensing_range_m"] == 51.35
 
+    def test_tour_on_disk_rim_runs_and_validates(self, tmp_path):
+        out = tmp_path / "rim.csv"
+        assert main(["simulate", "--scenario", "cc-srp", "--rounds", "400", "--out", str(out),
+                     "--override", "trajectory.radius=50"]) == 0
+        assert main(["validate", str(out)]) == 0
+
 
 class TestValidate:
     def test_valid_file_passes(self, tmp_path):
@@ -276,6 +282,17 @@ class TestCompare:
                 assert ((tmp_path / f"{argv[0]}-plain{suffix}").read_bytes()
                         == (tmp_path / f"{argv[0]}-seeded{suffix}").read_bytes())
 
+    def test_every_scenario_checked_before_any_runs(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda cfg: calls.append(cfg))
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", "--scenarios", "sep,cl-sep,sc10-srp", "--seeds", "5",
+                     "--override", "trajectory.r_max=0.1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: sojourn spacing")
+        assert calls == []
+        assert not out.exists()
+
     def test_single_seed_degenerate_iqr(self, tmp_path):
         out = tmp_path / "cmp.csv"
         main(["compare", "--scenarios", "sep,cl-sep", "--seeds", "1",
@@ -312,6 +329,15 @@ class TestSweep:
         by_radius = {float(r[0]): r for r in rows}
         valid = {r: float(by_radius[r][2]) for r in (10.0, 25.0)}
         assert min(valid, key=valid.get) == 25.0  # coverage-optimal radius
+
+    def test_radius_on_field_rim_runs(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--scenario", "cc-srp", "--values", "50,49.999999",
+                     "--rounds", "400", "--seeds", "2", "--out", str(out)]) == 0
+        rim, inside = (line.split(",") for line in read(out).splitlines()[1:])
+        assert rim[:3] == ["50", "1", "50"]
+        assert float(inside[0]) == 49.999999 and inside[1] == "1"
+        assert rim[3:] == inside[3:] and rim[6] != ""
 
     def test_sweep_single_value_matches_preset_run(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -196,6 +196,7 @@ class TestContainment:
         assert trajectory_in_field(circle_traj(50.0), SQUARE_100)
         assert not trajectory_in_field(circle_traj(50.001, count=400), SQUARE_100)
         assert trajectory_in_field(circle_traj(25.0), CIRCLE_50)
+        assert trajectory_in_field(circle_traj(50.0), CIRCLE_50)  # on the rim
         assert not trajectory_in_field(
             Trajectory(StaticPath(Point(101, 50))), SQUARE_100)
 

@@ -138,7 +138,7 @@ def any_configs(draw):
     """A valid config of any field, path and protocol, with every field drawn."""
     if draw(st.booleans()):
         field = SquareField(draw(finite(1e-3, 1e4)))
-        center = field.center
+        center = Point(field.side / 2.0, field.side / 2.0)
         half = field.side / 2.0    # the largest circle path radius
     else:
         center = Point(draw(finite(-1e3, 1e3)), draw(finite(-1e3, 1e3)))

@@ -1,6 +1,7 @@
 """Deployment, RNG streams, the round loop and its metrics contracts."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -181,6 +182,19 @@ class TestConfigValidation:
                              sensing_range=10.0)
         with pytest.raises(ConfigurationError):
             static_cfg(protocol="srp", trajectory=too_big)
+
+    @pytest.mark.parametrize("radius", [1.0, 7.3, 50.0, 1234.5])
+    @pytest.mark.parametrize("count", [37, 100, 360, 1000])
+    def test_tour_on_disk_rim_accepted(self, count, radius):
+        """A circle tour as wide as its disk field lies in it, boundary inclusive.
+
+        Its rounded sojourn points may fall an ulp outside the rim; the
+        exact path test alone decides.
+        """
+        center = Point(50.0, 50.0)
+        rim = Trajectory(CirclePath(center, radius), sojourn_count=count,
+                         sensing_range=radius, r_max=2.0 * math.pi * radius)
+        static_cfg(protocol="srp", field=CircleField(center, radius), trajectory=rim)
 
     def test_unknown_protocol(self):
         with pytest.raises(ConfigurationError):
