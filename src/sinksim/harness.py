@@ -262,12 +262,39 @@ def write_sweep_csv(path: str | Path, rows: list[dict]) -> None:
 # validate
 # ---------------------------------------------------------------------------
 
+_SUMMARY_CHECKS = ("rounds_executed", "total_packets", "final_residual_j",
+                  "first_death_round", "half_death_round", "last_death_round")
+
+
+def _read_summary(path: str | Path) -> tuple[dict | None, list[str]]:
+    """The ``*.summary.json`` beside a run CSV, if there is one, and its problems."""
+    side = sidecar_path(path, "summary")
+    if not side.exists():
+        return None, []
+    try:
+        summary = json.loads(side.read_text(encoding="utf-8"))
+        summary["n"] = summary["config"]["net"]["n"]
+        missing = [k for k in _SUMMARY_CHECKS if k not in summary]
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as e:
+        return None, [f"summary {side.name} is not readable: {e!r}"]
+    if missing or type(summary["n"]) is not int:
+        return None, [f"summary {side.name} lacks an integer config.net.n or "
+                      f"{', '.join(_SUMMARY_CHECKS)}"]
+    return summary, []
+
+
 def validate_run_csv(path: str | Path) -> list[str]:
     """Check an emitted per-round CSV's header, schema and monotonicity.
 
-    Returns a list of problems; empty means the file is valid.
+    When its ``*.summary.json`` sits beside it, the CSV must also give the
+    summary's ``rounds_executed`` (its row count), ``total_packets`` and
+    ``final_residual_j`` (its last row, through ``fmt_float``) and death
+    rounds (its first rows with fewer than n, at most n // 2 and no nodes
+    alive). Returns a list of problems; empty means the file is valid.
     """
-    problems: list[str] = []
+    summary, problems = _read_summary(path)
+    n = math.nan if summary is None else summary["n"]  # no row compares true to nan
+    deaths = [None, None, None]  # rows of the first, half and last death
     # Lines end only at "\n" (as str.split("\n") would cut them) and are
     # read one at a time, so a long run's file is never held whole. A byte
     # that is not UTF-8 decodes to a lone surrogate, which no int() or
@@ -287,7 +314,7 @@ def validate_run_csv(path: str | Path) -> list[str]:
         # the first comma, line end included) repeats that of a row that
         # raised no problem raises none either and leaves the previous values
         # as they are, so it is not parsed again.
-        prev_tail = None
+        prev_tail = prev_res_field = None
         idx = -1
         for idx, line in enumerate(f):
             rnd_field, _, tail = line.partition(",")
@@ -321,11 +348,22 @@ def validate_run_csv(path: str | Path) -> list[str]:
                 problems.append(f"row {idx}: residual energy increased {prev_res} -> {res}")
             if pk < prev_pk:
                 problems.append(f"row {idx}: cumulative packets decreased {prev_pk} -> {pk}")
+            if alive != prev_alive:
+                deaths = [idx if d is None and dead else d for d, dead in
+                          zip(deaths, (alive < n, alive <= n // 2, alive == 0))]
             prev_alive, prev_res, prev_pk = alive, res, pk
+            prev_res_field = fields[2]
             prev_tail = tail if len(problems) == found else None
             if len(problems) >= 20:
                 problems.append("too many problems; stopping")
                 break
     if idx < 0:
         return ["no data rows"]
+    if summary is not None and not problems:
+        got = {"rounds_executed": idx + 1, "total_packets": prev_pk,
+               "final_residual_j": prev_res_field,
+               **dict(zip(_SUMMARY_CHECKS[3:], deaths))}
+        want = {**summary, "final_residual_j": _opt(summary["final_residual_j"])}
+        problems += [f"summary {k} is {want[k]!r}, but the CSV gives {got[k]!r}"
+                     for k in _SUMMARY_CHECKS if got[k] != want[k]]
     return problems

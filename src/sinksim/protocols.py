@@ -10,7 +10,10 @@
   cluster heads with a rotating threshold on ``NetworkParams.p_normal`` or
   ``p_advanced``, by their ``is_advanced`` flag; members transmit to the
   nearest head, heads aggregate and forward by the direct rule.
-  ``hop_table`` prices every node-to-node hop once for a run.
+  ``hop_table`` prices every node-to-node hop once for a run and ranks each
+  node's neighbours, the one nearest-head rule of both sep engines.
+* ``sep_block``    — a block of sep rounds laid out at once, up to the first
+  with a death, which ``Simulation.run`` then steps with ``sep_round``.
 
 Death rule (uniform across engines): a node performs an energy-costing action
 only when its residual energy covers the full cost; otherwise it spends
@@ -35,10 +38,16 @@ CL_SEP = "cl-sep"
 SRP = "srp"
 PROTOCOLS = (SEP, CL_SEP, SRP)
 
-# Most nodes a network may have. A sep run too large for a hop table builds
-# (heads x members) distance arrays each round, about 72 MB each at this size.
+# Most nodes a network may have. A sep run too large for a hop table finds
+# each round's nearest heads a block of members at a time.
 MAX_NODES = 10_000
-_HOP_NODES = 256  # most nodes for which sep builds a hop table: two n x n arrays, 1 MB
+_HOP_NODES = 256  # most nodes for which sep builds a hop table: n x n prices and two ranks, 0.7 MB
+# Most elements one block of the engines' set-up and folds holds: a block of
+# (points x n) reach distances, of node folds, of (slot, dead count) rows,
+# each row padded to the widest slot with an entry that never pays, of sep
+# rounds x n, or of (heads x members) hops. Blocks stay small whatever n,
+# slot widths and max_rounds are.
+_CHUNK = 1 << 14
 # Most total initial energy a network may hold, J, and most one transmission
 # across the field may cost. It sits far below the float limit, so no sum of
 # node energies or of a block of prices a run takes can overflow to inf.
@@ -150,17 +159,26 @@ def _epoch(p: float) -> int:
     return math.ceil(1.0 / p)
 
 
-def election_threshold(p: float, round_idx: int) -> float:
+def _slot(p: float, round_idx: int | np.ndarray) -> int | np.ndarray:
+    """``round_idx mod epoch``; rounds stay below 2**62, so a longer epoch leaves them as they are."""
+    return round_idx % min(_epoch(p), 2**62)
+
+
+def election_threshold(p: float, round_idx: int | np.ndarray) -> float | np.ndarray:
     """Rotating self-election threshold for a node in the eligible set G.
 
     Within an epoch of ceil(1/p) rounds the threshold climbs as
     p / (1 - p*(r mod epoch)) so each eligible node is elected once per epoch
     in expectation; the final slot clamps to 1. Callers give nodes outside G
     no chance of election. ``NetworkParams`` keeps p in (0, 1) with a finite
-    epoch.
+    epoch. An array of rounds gives each round's threshold, bitwise equal to
+    one round's.
     """
-    slot = round_idx % _epoch(p)
-    denom = 1.0 - p * slot
+    denom = 1.0 - p * _slot(p, round_idx)
+    if isinstance(denom, np.ndarray):
+        t = np.ones(len(denom))
+        np.divide(p, denom, out=t, where=denom > 0.0)
+        return np.minimum(t, 1.0, out=t)
     if denom <= 0.0:
         return 1.0
     return min(1.0, p / denom)
@@ -191,25 +209,70 @@ def direct_round(state: NodeState, ids: np.ndarray, costs: np.ndarray) -> RoundO
                        state.energy, state.alive, state.packets_sent)
 
 
-def hop_table(state: NodeState, radio: RadioParams) -> tuple[np.ndarray, np.ndarray] | None:
-    """Hop distances ``d[h, m]`` from node h to node m, and their ``tx_energy`` prices.
+def hop_table(state: NodeState, radio: RadioParams) -> tuple[np.ndarray, ...] | None:
+    """Each hop's price, and each node's neighbours by distance, lowest id on ties.
 
-    None above ``_HOP_NODES`` nodes. ``[h, m]`` holds the bits of a round's (heads x members) block.
+    Returns ``(price, rank, near)``, or None above ``_HOP_NODES`` nodes.
+    ``price[h, m]`` is ``tx_energy`` over the hop from member m to head h, the
+    bits of a round's (heads x members) block. ``near[m, j]`` is m's j-th
+    nearest node, and ``rank[h, m]`` is h's place in that order; its last
+    row, n, holds n - 1, the largest place. Places are distinct, so a
+    member's nearest head is the head of least rank.
+
+    Hops are symmetric, so each row of distances is sorted as keys: a
+    distance's bits with the lowest ones replaced by the node's id, which
+    order it by distance and then id. A row in which two keys share their
+    distance bits is sorted again stably.
     """
-    if state.n > _HOP_NODES:
+    n = state.n
+    if n > _HOP_NODES:
         return None
     d = distances(state.xs, state.ys, state.xs[:, None], state.ys[:, None])
-    return d, tx_energy(radio, radio.packet_bits, d)
+    price = tx_energy(radio, radio.packet_bits, d)
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)  # the bits that hold an id
+    ids = np.arange(n, dtype=np.uint64)
+    near = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
+    step = max(1, _CHUNK // n)
+    for lo in range(0, n, step):
+        key = d[lo:lo + step].view(np.uint64) & ~low  # d >= 0: its bits order as it does
+        key |= ids
+        key = np.sort(key.view(np.float64), axis=1).view(np.uint64)
+        near[lo:lo + step] = key & low
+        tied = lo + ((key[:, 1:] ^ key[:, :-1]) <= low).any(axis=1).nonzero()[0]
+        near[tied] = d[tied].argsort(axis=1, kind="stable")
+    rank = np.full((n + 1, n), n - 1, dtype=near.dtype)
+    rank[near, np.arange(n)[:, None]] = np.arange(n, dtype=near.dtype)
+    return price, rank, near
+
+
+def _nearest_heads(state: NodeState, ch_ids: np.ndarray,
+                   member_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each member's nearest head, lowest id on ties, and its distance, with no hop table.
+
+    The (heads x members) distances are taken a block of members at a time.
+    """
+    heads = np.empty(len(member_ids), dtype=np.intp)
+    dist = np.empty(len(member_ids))
+    step = max(1, _CHUNK // len(ch_ids))
+    for lo in range(0, len(member_ids), step):
+        m = member_ids[lo:lo + step]
+        d = distances(state.xs[m], state.ys[m], state.xs[ch_ids, None], state.ys[ch_ids, None])
+        nearest = d.argmin(axis=0)
+        heads[lo:lo + step] = ch_ids[nearest]
+        dist[lo:lo + step] = d[nearest, np.arange(len(m))]
+    return heads, dist
 
 
 def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
-              radio: RadioParams, uplink: np.ndarray, rng: np.random.Generator,
-              hops: tuple[np.ndarray, np.ndarray] | None = None) -> RoundOutcome:
+              radio: RadioParams, uplink: np.ndarray, draws: np.ndarray,
+              hops: tuple[np.ndarray, ...] | None = None) -> RoundOutcome:
     """One clustered round against a static sink.
 
     ``uplink`` holds each node's cost of transmitting straight to the sink,
-    indexed by id. Members read their hops from ``hops``, a ``hop_table``,
-    if given; without it the round prices its (heads x members) hops afresh.
+    indexed by id, and ``draws`` the round's election draw of each node, one
+    per id every round, so the stream does not depend on which nodes are
+    alive. Members read their nearest head and hop price from ``hops``, a
+    ``hop_table``, if given; without it the round prices its hops afresh.
 
     Phases: epoch bookkeeping and head self-election; members join the nearest
     alive head; member-to-head transmissions (head pays reception per packet);
@@ -219,17 +282,13 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     dies mid-round; those packets are lost.
     """
     out = RoundOutcome()
-    # One draw per node id, consumed every round, so the stream does not
-    # depend on which nodes are alive.
-    draws = rng.random(state.n)
-
     k = radio.packet_bits
     p_nrm, p_adv = net.p_normal, net.p_advanced
 
     # Epoch boundaries re-admit every alive node of that kind to set G.
-    if round_idx % _epoch(p_nrm) == 0:
+    if _slot(p_nrm, round_idx) == 0:
         state.in_set_g[state.alive & ~state.is_advanced] = True
-    if round_idx % _epoch(p_adv) == 0:
+    if _slot(p_adv, round_idx) == 0:
         state.in_set_g[state.alive & state.is_advanced] = True
 
     t_nrm = election_threshold(p_nrm, round_idx)
@@ -259,16 +318,14 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     received = dict.fromkeys(ch_ids.tolist(), 0)
 
     if len(member_ids) > 0:
-        # Nearest alive head, lowest id on ties, from a (heads x members) block.
+        # Nearest alive head, lowest id on ties.
         if hops is None:
-            d = distances(state.xs[member_ids], state.ys[member_ids],
-                          state.xs[ch_ids, None], state.ys[ch_ids, None])
+            heads, dist = _nearest_heads(state, ch_ids, member_ids)
+            tx = tx_energy(radio, k, dist)
         else:
-            d = hops[0].take(ch_ids, axis=0).take(member_ids, axis=1)
-        nearest = d.argmin(axis=0)
-        heads = ch_ids[nearest]
-        tx = (tx_energy(radio, k, d[nearest, np.arange(len(member_ids))]) if hops is None
-              else hops[1][heads, member_ids])
+            price, rank, _ = hops
+            heads = ch_ids[rank.take(ch_ids, axis=0).take(member_ids, axis=1).argmin(axis=0)]
+            tx = price[heads, member_ids]
         for i, ch, c in zip(member_ids.tolist(), heads.tolist(), tx.tolist()):
             if energy[i] >= c:
                 energy[i] -= c
@@ -294,3 +351,100 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     state.alive[:] = alive
     state.packets_sent[:] = sent
     return out
+
+
+def sep_block(state: NodeState, round0: int, net: NetworkParams, radio: RadioParams,
+              uplink: np.ndarray, hops: tuple[np.ndarray, ...],
+              draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sep rounds ``round0, round0 + 1, ...``, one per row of ``draws``, up to the first death.
+
+    Between deaths a round's heads, members and prices depend only on its
+    draws, set G and the alive set, never on energy, so every round of the
+    block is laid out at once, over the alive nodes, as if none died:
+
+    * **Election.** Per node kind, a stretch runs from an epoch boundary to
+      the next, and a node is elected at the first hit (draw below the
+      threshold) of a stretch: a ``cumsum`` of hits, less its value where
+      the stretch starts, is 1 there. A node out of set G at the block's
+      start counts as having hit already in the stretch it is in.
+    * **Nearest head.** The least ``rank`` over the round's heads, read
+      through ``near`` (see ``hop_table``); each round's heads are padded to
+      the most any round has with row n of ``rank``, which no rank is above.
+    * **Round cost.** One ``cumsum`` over the row ``[tx₀, rx, tx₁, rx, …,
+      forward of each head]`` with 0.0 where a node does not act, the order
+      in which ``sep_round`` adds them; adding 0.0 is exact.
+    * **Node energy.** One ``np.subtract.accumulate`` per node over its
+      events in round order: a member's hop, or a head's receptions and then
+      its forward, or a fallback round's uplink.
+
+    Commits to ``state`` the rounds before the first in which some payment
+    fails and returns their (cost, packets); that round is left to
+    ``sep_round``.
+    """
+    b, n = draws.shape
+    live = state.alive.nonzero()[0]
+    m = len(live)
+    adv = state.is_advanced[live]
+    price, rank, near = hops
+    k = radio.packet_bits
+    rx = rx_energy(radio, k)
+    per_msg = aggregation_energy(radio, k, 1)
+    rounds = np.arange(round0, round0 + b)
+    at = np.arange(b)
+    ids = np.arange(m)
+
+    # count[j + 2] counts hits up to round j, and count[1] a node out of G at
+    # the start. Less count[s], where s is 0 before the block's first epoch
+    # boundary and j' + 1 from a boundary j' on, it counts the stretch's hits.
+    kinds = [(election_threshold(p, rounds)[:, None],
+              np.maximum.accumulate(np.where(_slot(p, rounds) == 0, at + 1, 0)))
+             for p in (net.p_advanced, net.p_normal)]
+    (t_adv, s_adv), (t_nrm, s_nrm) = kinds
+    hit = draws[:, live] < np.where(adv, t_adv, t_nrm)
+    count = np.zeros((b + 2, m), dtype=np.int32)
+    count[1] = ~state.in_set_g[live]
+    count[2:] = hit
+    np.cumsum(count, axis=0, out=count)
+    count = count[2:] - np.where(adv, count[s_adv], count[s_nrm])
+    is_ch = hit & (count == 1)
+
+    ch_round, ch = is_ch.nonzero()
+    heads = np.bincount(ch_round, minlength=b)
+    led = heads > 0
+    pad = np.full((b, heads.max(initial=0)), n)
+    pad[ch_round, np.arange(len(ch)) - (np.cumsum(heads) - heads)[ch_round]] = live[ch]
+    head_of = near[live, rank[:, live][pad].min(axis=1, initial=n - 1)]
+    member = ~is_ch
+    member &= led[:, None]
+    send = np.where(member, price[head_of, live], 0.0)
+    send[~led] = uplink[live]  # no head: every node's uplink
+    local = np.empty(n, dtype=np.intp)
+    local[live] = ids
+    got = np.bincount((at[:, None] * m + local[head_of])[member], minlength=b * m).reshape(b, m)
+    got += 1
+    fwd = np.where(is_ch, per_msg * got + uplink[live], 0.0)
+
+    row = np.empty((b, 3 * m))
+    row[:, 0:2 * m:2] = send
+    row[:, 1:2 * m:2] = member * rx
+    row[:, 2 * m:] = fwd
+    cost = np.cumsum(row, axis=1, out=row)[:, -1].copy()  # a view would keep the rows
+    packets = np.where(led, heads, m)
+
+    # Each node acts once a round: got events, receptions and then its hop,
+    # forward or uplink. Rows are padded with rx.
+    events = np.cumsum(got, axis=0)  # each node's events through each round
+    fold = np.full((m, int(events[-1].max()) + 1), rx)
+    fold[ids[:, None], events.T] = (send + fwd).T
+    fold[:, 0] = state.energy[live]
+    before = np.subtract.accumulate(fold, axis=1)
+    # A node's first short payment, if one of its events and not padding,
+    # lies in the round after those whose events end before it.
+    short = before[:, :-1] < fold[:, 1:]
+    first = short.argmax(axis=1)
+    done = int(np.where(short[ids, first], (events <= first).sum(axis=0), b).min())
+    if done:
+        state.energy[live] = before[ids, events[done - 1]]
+        state.packets_sent[live] += done
+        state.in_set_g[live] = count[done - 1] == 0
+    return cost[:done], packets[:done]

@@ -17,8 +17,8 @@ import numpy as np
 from .energy import RadioParams, tx_energy
 from .errors import ConfigurationError
 from .geometry import Field, Point, SquareField, Trajectory, distances, trajectory_in_field
-from .protocols import (MAX_TOTAL_ENERGY, PROTOCOLS, SEP, SRP, NetworkParams, NodeState,
-                        RoundOutcome, direct_round, hop_table, sep_round)
+from .protocols import (_CHUNK, MAX_TOTAL_ENERGY, PROTOCOLS, SEP, SRP, NetworkParams,
+                        NodeState, RoundOutcome, direct_round, hop_table, sep_block, sep_round)
 
 RNG_GENERATOR = "numpy.PCG64"
 RNG_DERIVATION = "SeedSequence([seed & 2**64-1, sha256(label)[:8] as uint64])"
@@ -161,11 +161,10 @@ def deploy(cfg: ScenarioConfig) -> NodeState:
     return NodeState(xs, ys, is_advanced, energy)
 
 
-# Most elements one block of the engine's set-up and folds holds: a block of
-# (points x n) reach distances, of node folds, or of (slot, dead count) rows,
-# each row padded to the widest slot with an entry that never pays. Blocks
-# stay small whatever n, slot widths and max_rounds are.
-_CHUNK = 1 << 14
+# Rounds in sep's first block and in its first after each death. A block's
+# set-up costs about as much as this many of its rounds, and on the sep preset
+# restarting here ran about 15 % faster than halving the block after a death.
+_SEP_FIRST_BLOCK = 8
 
 
 # Most entries a run's reach table may hold. The table grows as
@@ -243,6 +242,7 @@ class Simulation:
         self._slot, self._id, self._cost, self._offsets = reach(
             self.state, cfg.radio, traj.points[:cfg.max_rounds], sensing)
         self._hops = hop_table(self.state, cfg.radio) if cfg.protocol == SEP else None
+        self._draws = np.empty((0, cfg.net.n))  # sep's election draws taken ahead, next first
 
     def step(self, round_idx: int) -> RoundOutcome:
         """Execute round ``round_idx``: the next round, below max_rounds."""
@@ -252,8 +252,10 @@ class Simulation:
                                f"{cfg.max_rounds - 1} once each, in order; its next is {self._round}")
         self._round += 1
         if cfg.protocol == SEP:
+            draws = self._ahead(1)[0]
+            self._draws = self._draws[1:]
             return sep_round(self.state, round_idx, cfg.net, cfg.radio,
-                             self._cost, self._election_rng, self._hops)
+                             self._cost, draws, self._hops)
         s = round_idx % (len(self._offsets) - 1)
         lo, hi = self._offsets[s], self._offsets[s + 1]
         return direct_round(self.state, self._id[lo:hi], self._cost[lo:hi])
@@ -263,7 +265,7 @@ class Simulation:
 
         Leaves ``state`` as stepping every round would. srp and cl-sep nodes
         never interact, so their rounds come from one fold per node
-        (``_fold``); sep steps until its last death and fills the rest.
+        (``_fold``); sep runs until its last death (``_sep``) and fills the rest.
         """
         cfg = self.cfg
         if self._round:
@@ -272,7 +274,7 @@ class Simulation:
         initial = self.state.total_energy()
         alive0 = self.state.alive_count()
         if cfg.protocol == SEP:
-            cost, packets, deaths = self._step_until_dead(alive0)
+            cost, packets, deaths = self._sep(alive0)
         else:
             cost, packets, deaths = self._fold()
         self._round = cfg.max_rounds
@@ -293,27 +295,63 @@ class Simulation:
             return max(last_death, 0) + 1
         return self.cfg.max_rounds
 
-    def _step_until_dead(self, alive: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """sep's per-round (cost, packets, deaths), stepped while a node lives.
+    def _ahead(self, b: int) -> np.ndarray:
+        """The election draws of the next ``b`` rounds, one row each, drawn when first needed.
 
-        Once none is alive a round spends and sends nothing, so those rows are
-        filled directly. The election draws they skip feed nothing else.
+        Every round draws one row of n, so a block of rows holds the same bits.
         """
-        costs: list[float] = []
-        packets: list[int] = []
-        deaths: list[int] = []
+        short = b - len(self._draws)
+        if short > 0:
+            fresh = self._election_rng.random((short, self.cfg.net.n))
+            self._draws = np.concatenate((self._draws, fresh)) if len(self._draws) else fresh
+        return self._draws[:b]
+
+    def _sep(self, alive: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """sep's per-round (cost, packets, deaths), run while a node lives.
+
+        With a hop table, rounds run in blocks (``sep_block``) up to the first
+        round with a death, which ``step`` plays from the block's draws; the
+        block's later draws wait for the next block. Deaths come in bursts,
+        so a run's first block and the first after each death take
+        ``_SEP_FIRST_BLOCK`` rounds, and each block with no death doubles the
+        next, while its (rounds x 3n) cost rows hold at most ``_CHUNK``
+        elements. Above the table's bound every round is stepped. Once none
+        is alive a round spends and sends nothing, so those rows are filled
+        directly. The election draws they skip feed nothing else.
+        """
+        cfg = self.cfg
+        most = max(1, _CHUNK // (3 * cfg.net.n))  # a block's (rounds x 3n) cost rows
+        size = min(most, _SEP_FIRST_BLOCK)
+        costs: list = []
+        packets: list = []
+        died: dict[int, int] = {}
         r = 0
-        while r < self.cfg.max_rounds and alive > 0:
+        while r < cfg.max_rounds and alive > 0:
+            if self._hops is not None:
+                draws = self._ahead(min(size, cfg.max_rounds - r))
+                cost, sent = sep_block(self.state, r, cfg.net, cfg.radio, self._cost,
+                                       self._hops, draws)
+                costs.append(cost)
+                packets.append(sent)
+                r += len(cost)
+                self._round = r
+                self._draws = self._draws[len(cost):]
+                if len(cost) == len(draws):
+                    size = min(most, 2 * size)
+                    continue
+                size = min(most, _SEP_FIRST_BLOCK)
             out = self.step(r)
             alive -= out.deaths
-            costs.append(out.cost)
-            packets.append(out.packets)
-            deaths.append(out.deaths)
+            costs.append([out.cost])
+            packets.append([out.packets])
+            died[r] = out.deaths
             r += 1
         rows = self._rows(r - 1 if alive == 0 else None)
         series = (np.zeros(rows), np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64))
-        for arr, values in zip(series, (costs, packets, deaths)):
-            arr[:r] = values
+        if r:
+            series[0][:r] = np.concatenate(costs)
+            series[1][:r] = np.concatenate(packets)
+            series[2][list(died)] = list(died.values())
         return series
 
     def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

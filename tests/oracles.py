@@ -13,15 +13,17 @@
   distance each round; the oracle for the reach table.
 * ``sep_round``   — one sep round that pays member by member on numpy
   scalars, with one scalar ``tx_energy`` call per member and every distance
-  computed afresh; the oracle for the library's ``sep_round``, which takes
-  a (heads x members) block of hops from the run's ``hop_table`` or prices
-  it afresh, and pays on Python lists, the heads through ``direct_round``'s
-  pay-or-die loop. It has its own election formulas: each node kind's
-  probability, epoch and threshold are written out here, not imported from
-  ``sinksim.protocols``. ``sep_oracle_run`` runs a whole ``Simulation`` with it.
+  computed afresh; the oracle for the library's ``sep_round``, which reads
+  each member's nearest head and hop price from the run's ``hop_table`` or
+  finds them afresh, and pays on Python lists, the heads through
+  ``direct_round``'s pay-or-die loop, and for ``sep_block``, which lays out
+  a block of rounds at once. It has its own election formulas: each node
+  kind's probability, epoch and threshold are written out here, not imported
+  from ``sinksim.protocols``. ``sep_oracle_run`` steps a whole ``Simulation``
+  with it.
 * ``stepped_run`` — ``Simulation.run`` as a plain loop of ``Simulation.step``
   calls, one per round; the oracle for the per-node fold of srp and cl-sep
-  and for sep's filled dead tail.
+  and for sep's blocks and filled dead tail.
 * ``write_run_csv`` and ``validate_run_csv`` — the per-round CSV formatted
   and parsed one row at a time; the oracles for the library's pair, which
   handle runs of rows that repeat the row above.
@@ -189,12 +191,13 @@ def srp_round(state: NodeState, trajectory: Trajectory, round_idx: int,
 
 
 def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
-              radio: RadioParams, uplink: np.ndarray, rng: np.random.Generator,
+              radio: RadioParams, uplink: np.ndarray, draws: np.ndarray,
               hops: object = None) -> RoundOutcome:
     """One clustered round against a static sink.
 
     ``uplink`` holds each node's cost of transmitting straight to the sink,
-    indexed by id. ``hops`` is ignored: every hop is priced afresh.
+    indexed by id, and ``draws`` each node's election draw for the round.
+    ``hops`` is ignored: every hop is priced afresh.
 
     Phases: epoch bookkeeping and head self-election; members join the nearest
     alive head; member-to-head transmissions (head pays reception per packet);
@@ -204,9 +207,6 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     dies mid-round; those packets are lost.
     """
     out = RoundOutcome()
-    # One draw per node id, consumed every round, so the stream does not
-    # depend on which nodes are alive.
-    draws = rng.random(state.n)
     if not state.alive.any():
         return out
 
@@ -284,10 +284,10 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
 
 
 def sep_oracle_run(cfg: ScenarioConfig) -> tuple[Simulation, RunMetrics]:
-    """``Simulation(cfg).run()`` with every sep round played by ``sep_round``."""
+    """A ``stepped_run`` of ``Simulation(cfg)`` with every sep round played by ``sep_round``."""
     with mock.patch.object(simulation, "sep_round", sep_round):
         sim = Simulation(cfg)
-        return sim, sim.run()
+        return sim, stepped_run(sim)
 
 
 def stepped_run(sim: Simulation) -> RunMetrics:

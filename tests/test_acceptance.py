@@ -233,7 +233,7 @@ def test_criterion_9_election_statistics():
     rng = rng_stream(cfg.seed, "election")
     _, _, uplink, _ = reach(state, cfg.radio, [Point(50.0, 50.0)], None)
     epoch = math.ceil(1.0 / cfg.net.p_opt)
-    counts = [sep_round(state, r, cfg.net, cfg.radio, uplink, rng).cluster_heads
+    counts = [sep_round(state, r, cfg.net, cfg.radio, uplink, rng.random(state.n)).cluster_heads
               for r in range(20 * epoch)]
     assert state.alive_count() == cfg.net.n, "window must end with all nodes alive"
     target = cfg.net.n * cfg.net.p_opt

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import pathlib
 import tempfile
 
@@ -219,6 +220,67 @@ class TestValidate:
         one = tmp_path / "one.csv"
         one.write_text(CSV_HEADER + f"\n0,{10**400},1.0,-5\n", encoding="utf-8")
         assert validate_run_csv(one) == ["row 0: negative cumulative packets"]
+
+
+@pytest.fixture(scope="module")
+def sep_run(tmp_path_factory):
+    """A 3000-round sep CSV and its summary: deaths at rounds 1047, 1217 and 2156."""
+    out = tmp_path_factory.mktemp("sep") / "sep.csv"
+    assert main(["simulate", "--scenario", "sep", "--rounds", "3000", "--out", str(out)]) == 0
+    return read(out), json.loads(read(out.with_name("sep.summary.json")))
+
+
+class TestValidateAgainstSummary:
+    """A CSV with a ``*.summary.json`` beside it must give the summary's numbers."""
+
+    def write(self, tmp_path, csv, summary):
+        out = tmp_path / "run.csv"
+        out.write_text(csv, encoding="utf-8")
+        (tmp_path / "run.summary.json").write_text(json.dumps(summary), encoding="utf-8")
+        return out
+
+    def test_run_and_summary_agree(self, sep_run, tmp_path):
+        csv, summary = sep_run
+        assert [summary[k] for k in ("first_death_round", "half_death_round",
+                                     "last_death_round")] == [1047, 1217, 2156]
+        assert main(["validate", str(self.write(tmp_path, csv, summary))]) == 0
+
+    def test_a_cut_csv_fails(self, sep_run, tmp_path):
+        csv, summary = sep_run
+        cut = "".join(csv.splitlines(keepends=True)[:1500])  # header and 1499 rows
+        out = self.write(tmp_path, cut, summary)
+        assert main(["validate", str(out)]) == 4
+        assert validate_run_csv(out) == [
+            "summary rounds_executed is 3000, but the CSV gives 1499",
+            f"summary total_packets is {summary['total_packets']}, but the CSV gives 12605",
+            f"summary final_residual_j is {harness.fmt_float(summary['final_residual_j'])!r}, "
+            "but the CSV gives '1.8000735227400808'",
+            "summary last_death_round is 2156, but the CSV gives None"]
+
+    @pytest.mark.parametrize("key,value", [
+        ("rounds_executed", 2999), ("rounds_executed", 3001), ("total_packets", 14450),
+        ("final_residual_j", "ulp"), ("first_death_round", 1048), ("first_death_round", None),
+        ("half_death_round", 1216), ("last_death_round", None), ("last_death_round", 2157)])
+    def test_each_summary_field_is_checked(self, sep_run, tmp_path, key, value):
+        csv, summary = sep_run
+        if value == "ulp":  # one ulp off: the check is bit for bit
+            value = math.nextafter(summary[key], math.inf)
+        out = self.write(tmp_path, csv, {**summary, key: value})
+        assert main(["validate", str(out)]) == 4
+        problems = validate_run_csv(out)
+        assert len(problems) == 1 and problems[0].startswith(f"summary {key} is ")
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"config": {"net": {"n": "100"}}}', "{}"])
+    def test_an_unreadable_summary_fails(self, sep_run, tmp_path, text):
+        out = self.write(tmp_path, sep_run[0], {})
+        out.with_name("run.summary.json").write_text(text, encoding="utf-8")
+        assert main(["validate", str(out)]) == 4
+        assert validate_run_csv(out)[0].startswith("summary run.summary.json ")
+
+    def test_a_csv_with_problems_is_not_compared(self, sep_run, tmp_path):
+        csv, summary = sep_run
+        out = self.write(tmp_path, csv.replace("\n1,", "\n7,", 1), summary)
+        assert validate_run_csv(out) == ["row 1: round column is 7, expected 1"]
 
 
 class TestCompare:

@@ -1,14 +1,16 @@
 """``Simulation.run`` against a plain per-round ``Simulation.step`` loop.
 
-srp and cl-sep runs are per-node folds and sep stops stepping at its last
-death; every preset at the full horizon, under both stop rules, must match
-the stepped loop bit for bit. sep's rounds must also match the numpy-scalar
-``sep_round`` of ``oracles``, since ``run`` and ``step`` share one round, on
-both hop paths: a hop table up to its bound and each round's own block above.
+srp and cl-sep runs are per-node folds, and sep runs in blocks of rounds up
+to each death and stops at its last; every preset at the full horizon, under
+both stop rules, must match the stepped loop bit for bit. sep's runs must
+also match the numpy-scalar ``sep_round`` of ``oracles`` stepped round by
+round, on both hop paths: a hop table up to its bound and each round's own
+nearest-head search above.
 """
 
 import dataclasses
 import functools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -16,12 +18,14 @@ import numpy as np
 import pytest
 
 from sinksim import load_preset, protocols, simulation
+from sinksim.energy import rx_energy
 from sinksim.geometry import coverage_radius
 from sinksim.presets import PRESET_NAMES
 from sinksim.protocols import MAX_NODES, NetworkParams
 from sinksim.simulation import STOP_ALL_DEAD, STOP_MAX_ROUNDS, STOP_RULES, Simulation
 
 from oracles import assert_same_run, sep_oracle_run, stepped_run
+from oracles import sep_round as oracle_sep_round
 
 
 @pytest.mark.parametrize("stop_rule", STOP_RULES)
@@ -215,3 +219,113 @@ def test_cl_sep_round_sums_at_large_n():
         paying = sent > r
         assert m.round_cost_j[r] == sum(costs[paying].tolist())
         assert m.cumulative_packets[r] - (m.cumulative_packets[r - 1] if r else 0) == paying.sum()
+
+
+# sep's block engine: runs whose blocks are bounded at 1, 2, 7 and 64 rounds
+# against the stepped loop and the oracle. The cases die within a few hundred
+# rounds; together they hold, at every bound, a block that ends on an epoch's
+# last round, deaths in a block's first and last rounds, no-head fallback
+# rounds inside a block and heads that die on a reception.
+BLOCK_BOUNDS = (1, 2, 7, 64)
+BLOCK_CASES = {  # name: (seed, net, nodes dead at the start)
+    "epoch8": (0, NetworkParams(p_opt=0.125, alpha=0.0, e0=0.05), None),  # both epochs 8 rounds
+    "deaths": (2, NetworkParams(e0=0.05), None),  # two 7-round gaps between deaths
+    "n8": (0, NetworkParams(n=8, e0=0.05), None),  # rounds with no head
+    "m0": (0, NetworkParams(m=0.0, e0=0.05), None),
+    "m1": (0, NetworkParams(m=1.0, e0=0.05), None),
+    "reception": (0, NetworkParams(e0=3e-4), None),  # heads die receiving
+    "dead-three": (0, NetworkParams(e0=0.05), "three"),
+    "dead-all": (0, NetworkParams(e0=0.05), "all"),
+}
+
+
+def block_case(name):
+    seed, net, dead = BLOCK_CASES[name]
+    rule = STOP_MAX_ROUNDS if name == "m1" else STOP_ALL_DEAD  # m1 fills a tail
+    return dataclasses.replace(load_preset("sep", seed=seed), net=net, stop_rule=rule,
+                               max_rounds=400), dead
+
+
+def start(sim, dead):
+    if dead is not None:
+        sim.state.alive[DEAD_AT_START[dead]] = False
+    return sim
+
+
+@functools.cache
+def block_references(name):
+    """The stepped loop's and the oracle's runs of a case: neither runs a block."""
+    cfg, dead = block_case(name)
+    ref = start(Simulation(cfg), dead)
+    with mock.patch.object(simulation, "sep_round", oracle_sep_round):
+        oracle = start(Simulation(cfg), dead)
+        m_oracle = stepped_run(oracle)
+    return (ref, stepped_run(ref)), (oracle, m_oracle)
+
+
+@functools.cache
+def block_run(name, bound):
+    """A case's run with blocks of at most ``bound`` rounds, and each block's
+    (first round, rounds drawn, rounds committed)."""
+    cfg, dead = block_case(name)
+    blocks = []
+
+    def spy(state, round0, *args):
+        cost, packets = protocols.sep_block(state, round0, *args)
+        blocks.append((round0, len(args[-1]), len(cost)))
+        return cost, packets
+
+    with mock.patch.object(simulation, "_CHUNK", 3 * cfg.net.n * bound), \
+            mock.patch.object(simulation, "sep_block", spy):
+        sim = start(Simulation(cfg), dead)
+        m = sim.run()
+    return sim, m, blocks
+
+
+@pytest.mark.parametrize("bound", BLOCK_BOUNDS)
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_block_engine_matches_stepped_loop_and_oracle(name, bound):
+    sim, m, blocks = block_run(name, bound)
+    for ref, m_ref in block_references(name):
+        assert_same_run(sim, m, ref, m_ref)
+    assert max((b for _, b, _ in blocks), default=0) <= bound
+    assert (len(blocks) == 0) == (name == "dead-all")
+
+
+@pytest.mark.parametrize("bound", BLOCK_BOUNDS)
+def test_block_cases_cover_the_block_edges(bound):
+    ends_epoch = first = last = fallback = False
+    for name in BLOCK_CASES:
+        cfg, _ = block_case(name)
+        sim, m, blocks = block_run(name, bound)
+        epochs = (math.ceil(1 / cfg.net.p_normal), math.ceil(1 / cfg.net.p_advanced))
+        uplinks = np.cumsum(sim._cost)[-1]  # a round with no head, while all are alive
+        for round0, drawn, done in blocks:
+            ends_epoch |= done == drawn and any((round0 + done) % e == 0 for e in epochs)
+            first |= done == 0
+            last |= drawn > 1 and done == drawn - 1
+            fallback |= drawn > 1 and any(m.round_cost_j[r] == uplinks for r in
+                                          range(round0, min(round0 + done, m.first_death_round)))
+    assert ends_epoch and first and (last and fallback or bound == 1)
+
+
+def test_heads_die_on_a_reception_in_the_first_block():
+    """At 3e-4 J a head pays one reception and dies on its second, in round 0."""
+    cfg, _ = block_case("reception")
+    sim = Simulation(cfg)
+    draws = simulation.rng_stream(cfg.seed, "election").random(cfg.net.n)
+    heads = np.flatnonzero(draws < np.where(sim.state.is_advanced, cfg.net.p_advanced,
+                                            cfg.net.p_normal))
+    before = sim.state.energy[heads]
+    sim.step(0)
+    assert len(heads) > 1 and not sim.state.alive[heads].any()
+    assert (sim.state.energy[heads] == before - rx_energy(cfg.radio, cfg.radio.packet_bits)).all()
+    for bound in BLOCK_BOUNDS:
+        assert block_run("reception", bound)[2][0] == (0, min(bound, simulation._SEP_FIRST_BLOCK), 0)
+
+
+def test_block_draws_match_one_row_per_round():
+    """A (b x n) block of election draws holds the bits of b draws of n."""
+    a = simulation.rng_stream(7, "election")
+    b = simulation.rng_stream(7, "election")
+    assert a.random((5, 13)).tobytes() == np.concatenate([b.random(13) for _ in range(5)]).tobytes()

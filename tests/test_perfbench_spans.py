@@ -47,3 +47,27 @@ def test_run_summary_reads_run_metrics():
     assert summary["active_rounds"] == 50
     assert summary["packets"] == m.total_packets > 0
     assert summary["deaths"] == 0
+
+
+def test_a_traced_sep_run_equals_an_untraced_one():
+    """The tracer wraps ``Simulation.step`` as ``fn(sim, round_idx)``; sep's run
+    reaches it for every round with a death, and the wrapped run is unchanged."""
+    from sinksim import load_preset
+    from sinksim.simulation import Simulation
+    from oracles import assert_same_run
+    cfg = load_preset("sep", seed=0, max_rounds=1300)  # deaths from round 1047
+    methods = dict(vars(Simulation))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced = Simulation(cfg)
+        m_traced = traced.run()
+    finally:
+        tracer.uninstall()
+    assert all(vars(Simulation)[k] is methods[k] for k in ("__init__", "run", "step"))
+    plain = Simulation(cfg)
+    assert_same_run(traced, m_traced, plain, plain.run())
+    steps = len(tracer.step_pairs())
+    assert 0 < int((m_traced.alive[:-1] != m_traced.alive[1:]).sum()) <= steps < 100
+    assert [s["step_spans"] for s in tracer.span_records()
+            if s["name"] == spans.SIM_RUN] == [steps]

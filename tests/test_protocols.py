@@ -112,7 +112,7 @@ class TestSepRound:
     """The StubRng cases, each round pricing its member hops afresh."""
 
     def step(self, state, r, net, radio, uplink, rng):
-        return sep_round(state, r, net, radio, uplink, rng)
+        return sep_round(state, r, net, radio, uplink, rng.random(state.n))
 
     def test_single_node_forced_head_dies_at_2272(self):
         # per-round cost = aggregation(K, 1) + tx(K, 0); 0.5 J covers 2272 rounds
@@ -229,7 +229,7 @@ class TestSepRoundHopTable(TestSepRound):
     def step(self, state, r, net, radio, uplink, rng):
         if id(state) not in self.tables:
             self.tables[id(state)] = hop_table(state, radio)
-        return sep_round(state, r, net, radio, uplink, rng, self.tables[id(state)])
+        return sep_round(state, r, net, radio, uplink, rng.random(state.n), self.tables[id(state)])
 
 
 class TestHopTable:
@@ -237,16 +237,28 @@ class TestHopTable:
         # a 3 x 3 grid with one node doubled: many hops tie, one is 0 m long
         positions = [(20.0 * (i % 3), 20.0 * (i // 3)) for i in range(9)] + [(20.0, 20.0)]
         state = make_state(positions)
-        d, price = hop_table(state, RADIO)
+        price, rank, near = hop_table(state, RADIO)
         # a round's own block: every node as a member x every node as a head
         dx = state.xs[:, None] - state.xs[None, :]
         dy = state.ys[:, None] - state.ys[None, :]
         block = np.sqrt(dx * dx + dy * dy)
-        for i in range(state.n):
-            assert d[i].tobytes() == block[:, i].tobytes()       # head i's hops
-            assert d[:, i].tobytes() == block[i].tobytes()       # member i's hops
-            assert price[i].tobytes() == tx_energy(RADIO, K, block[:, i]).tobytes()
-            assert price[:, i].tobytes() == tx_energy(RADIO, K, block[i]).tobytes()
+        n = state.n
+        assert rank.shape == (n + 1, n) and (rank[n] == n - 1).all()
+        for i in range(n):
+            assert price[i].tobytes() == tx_energy(RADIO, K, block[:, i]).tobytes()  # head i
+            assert price[:, i].tobytes() == tx_energy(RADIO, K, block[i]).tobytes()  # member i
+            # member i's neighbours by distance, ties to the lowest id, and their places
+            assert near[i].tolist() == np.argsort(block[i], kind="stable").tolist()
+            assert rank[near[i], i].tolist() == list(range(n))
+
+    def test_neighbours_one_ulp_apart_keep_their_order(self):
+        # nodes 1 and 2 lie one ulp apart in distance from node 0, the farther
+        # with the lower id: the sort keys' low bits hold ids, not distance
+        far = np.nextafter(10.0, np.inf)
+        state = make_state([(0.0, 0.0), (far, 0.0), (10.0, 0.0), (far, 0.0)])
+        _, rank, near = hop_table(state, RADIO)
+        assert near[0].tolist() == [0, 2, 1, 3]
+        assert rank[:4, 0].tolist() == [0, 2, 1, 3]
 
     def test_pricing_peak(self):
         # the table keeps two 256 x 256 float64 arrays (1.05 MB); pricing
@@ -377,7 +389,7 @@ class TestRoundInvariants:
         costs = uplink(state)
         for r in range(300):
             before = state.total_energy()
-            out = sep_round(state, r, NET, RADIO, costs, election)
+            out = sep_round(state, r, NET, RADIO, costs, election.random(state.n))
             after = state.total_energy()
             assert before - after == pytest.approx(out.cost, abs=1e-12)
             assert (state.energy >= 0.0).all()
