@@ -280,7 +280,14 @@ def _read_summary(path: str | Path) -> tuple[dict | None, list[str]]:
     if missing or type(summary["n"]) is not int:
         return None, [f"summary {side.name} lacks an integer config.net.n or "
                       f"{', '.join(_SUMMARY_CHECKS)}"]
-    return summary, []
+    problems = []
+    for k in _SUMMARY_CHECKS:
+        # A JSON 3000.0 or true would compare equal to 3000 or 1: check each type first.
+        residual = k == "final_residual_j"
+        if type(summary[k]) not in ((float,) if residual else (int, type(None))):
+            problems.append(f"summary {side.name}: {k} is {summary[k]!r}, not a JSON "
+                            + ("float" if residual else "integer or null"))
+    return (None if problems else summary), problems
 
 
 def validate_run_csv(path: str | Path) -> list[str]:
@@ -290,7 +297,8 @@ def validate_run_csv(path: str | Path) -> list[str]:
     summary's ``rounds_executed`` (its row count), ``total_packets`` and
     ``final_residual_j`` (its last row, through ``fmt_float``) and death
     rounds (its first rows with fewer than n, at most n // 2 and no nodes
-    alive). Returns a list of problems; empty means the file is valid.
+    alive); each of these must be a JSON integer or null, and the residual a
+    JSON float. Returns a list of problems; empty means the file is valid.
     """
     summary, problems = _read_summary(path)
     n = math.nan if summary is None else summary["n"]  # no row compares true to nan

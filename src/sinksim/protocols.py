@@ -9,11 +9,11 @@
 * ``sep_round``    — clustered routing to a static sink. Nodes self-elect as
   cluster heads with a rotating threshold on ``NetworkParams.p_normal`` or
   ``p_advanced``, by their ``is_advanced`` flag; members transmit to the
-  nearest head, heads aggregate and forward by the direct rule.
-  ``hop_table`` prices every node-to-node hop once for a run and ranks each
-  node's neighbours, the one nearest-head rule of both sep engines.
-* ``sep_block``    — a block of sep rounds laid out at once, up to the first
-  with a death, which ``Simulation.run`` then steps with ``sep_round``.
+  nearest head by distance, heads aggregate and forward by the direct rule.
+* ``sep_block``    — a block of sep rounds laid out at once, through the
+  first with a death, which it pays by ``sep_round``'s pay loop. Its members
+  find their heads in ``hop_table``, which prices every node-to-node hop once
+  for a run and ranks each node's neighbours.
 
 Death rule (uniform across engines): a node performs an energy-costing action
 only when its residual energy covers the full cost; otherwise it spends
@@ -247,7 +247,7 @@ def hop_table(state: NodeState, radio: RadioParams) -> tuple[np.ndarray, ...] | 
 
 def _nearest_heads(state: NodeState, ch_ids: np.ndarray,
                    member_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each member's nearest head, lowest id on ties, and its distance, with no hop table.
+    """Each member's nearest head, lowest id on ties, and its distance.
 
     The (heads x members) distances are taken a block of members at a time.
     """
@@ -263,26 +263,71 @@ def _nearest_heads(state: NodeState, ch_ids: np.ndarray,
     return heads, dist
 
 
+def _pay_sep_round(state: NodeState, radio: RadioParams, uplink: np.ndarray,
+                   ch_ids: np.ndarray, member_ids: np.ndarray, heads: np.ndarray,
+                   tx: np.ndarray) -> RoundOutcome:
+    """Pay one sep round whose heads ``ch_ids`` are elected, in id order.
+
+    Each alive member ``member_ids[j]`` sends to head ``heads[j]`` at cost
+    ``tx[j]``, the head paying reception per packet; heads aggregate
+    (received messages plus their own) and forward one packet to the sink
+    at their ``uplink``. With no head every alive node falls back to
+    transmitting directly to the sink. Members do not re-route when their
+    head dies mid-round; those packets are lost.
+    """
+    if len(ch_ids) == 0:
+        return direct_round(state, np.arange(state.n), uplink)
+    # Members and heads act on plain Python lists, written back once below.
+    energy = state.energy.tolist()
+    alive = state.alive.tolist()
+    sent = state.packets_sent.tolist()
+    rx = rx_energy(radio, radio.packet_bits)
+    # aggregation_energy(radio, k, m) is (e_da*k)*m, so pricing one message
+    # and scaling it by m gives the same bits.
+    per_msg = aggregation_energy(radio, radio.packet_bits, 1)
+    cost = 0.0
+    deaths = 0
+    received = dict.fromkeys(ch_ids.tolist(), 0)
+    for i, ch, c in zip(member_ids.tolist(), heads.tolist(), tx.tolist()):
+        if energy[i] >= c:
+            energy[i] -= c
+            sent[i] += 1
+            cost += c
+            if alive[ch]:
+                if energy[ch] >= rx:
+                    energy[ch] -= rx
+                    cost += rx
+                    received[ch] += 1
+                else:
+                    alive[ch] = False
+                    deaths += 1
+        else:
+            alive[i] = False
+            deaths += 1
+
+    # Heads forward their members' packets and their own; the cost adds on in id order.
+    out = RoundOutcome(cost=cost, cluster_heads=len(ch_ids), deaths=deaths)
+    fwd = [per_msg * (n + 1) + u for n, u in zip(received.values(), uplink[ch_ids].tolist())]
+    _pay_or_die(out, received, fwd, energy, alive, sent)
+    state.energy[:] = energy
+    state.alive[:] = alive
+    state.packets_sent[:] = sent
+    return out
+
+
 def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
-              radio: RadioParams, uplink: np.ndarray, draws: np.ndarray,
-              hops: tuple[np.ndarray, ...] | None = None) -> RoundOutcome:
+              radio: RadioParams, uplink: np.ndarray, draws: np.ndarray) -> RoundOutcome:
     """One clustered round against a static sink.
 
     ``uplink`` holds each node's cost of transmitting straight to the sink,
     indexed by id, and ``draws`` the round's election draw of each node, one
     per id every round, so the stream does not depend on which nodes are
-    alive. Members read their nearest head and hop price from ``hops``, a
-    ``hop_table``, if given; without it the round prices its hops afresh.
+    alive.
 
-    Phases: epoch bookkeeping and head self-election; members join the nearest
-    alive head; member-to-head transmissions (head pays reception per packet);
-    heads aggregate (received messages plus their own) and forward one packet
-    to the sink. If no head is elected every alive node falls back to
-    transmitting directly to the sink. Members do not re-route when their head
-    dies mid-round; those packets are lost.
+    Phases: epoch bookkeeping and head self-election; members join the
+    nearest alive head, lowest id on ties, at a hop price taken afresh; then
+    ``_pay_sep_round`` pays the round.
     """
-    out = RoundOutcome()
-    k = radio.packet_bits
     p_nrm, p_adv = net.p_normal, net.p_advanced
 
     # Epoch boundaries re-admit every alive node of that kind to set G.
@@ -297,66 +342,18 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     is_ch = state.alive & state.in_set_g & (draws < thresholds)
     ch_ids = is_ch.nonzero()[0]
     state.in_set_g[ch_ids] = False
-    out.cluster_heads = len(ch_ids)
-
-    if len(ch_ids) == 0:
-        # Fallback: nobody advertised, everyone reports directly.
-        return direct_round(state, np.arange(state.n), uplink)
-
-    # Members and heads act on plain Python lists, written back once below.
-    energy = state.energy.tolist()
-    alive = state.alive.tolist()
-    sent = state.packets_sent.tolist()
-    rx = rx_energy(radio, k)
-    # aggregation_energy(radio, k, m) is (e_da*k)*m, so pricing one message
-    # and scaling it by m gives the same bits.
-    per_msg = aggregation_energy(radio, k, 1)
-    cost = 0.0
-    deaths = 0
-
+    if len(ch_ids) == 0:  # the fallback, before any head search: no heads, no hops
+        return _pay_sep_round(state, radio, uplink, ch_ids, ch_ids, ch_ids, ch_ids)
     member_ids = (state.alive ^ is_ch).nonzero()[0]  # heads are alive
-    received = dict.fromkeys(ch_ids.tolist(), 0)
-
-    if len(member_ids) > 0:
-        # Nearest alive head, lowest id on ties.
-        if hops is None:
-            heads, dist = _nearest_heads(state, ch_ids, member_ids)
-            tx = tx_energy(radio, k, dist)
-        else:
-            price, rank, _ = hops
-            heads = ch_ids[rank.take(ch_ids, axis=0).take(member_ids, axis=1).argmin(axis=0)]
-            tx = price[heads, member_ids]
-        for i, ch, c in zip(member_ids.tolist(), heads.tolist(), tx.tolist()):
-            if energy[i] >= c:
-                energy[i] -= c
-                sent[i] += 1
-                cost += c
-                if alive[ch]:
-                    if energy[ch] >= rx:
-                        energy[ch] -= rx
-                        cost += rx
-                        received[ch] += 1
-                    else:
-                        alive[ch] = False
-                        deaths += 1
-            else:
-                alive[i] = False
-                deaths += 1
-
-    # Heads forward their members' packets and their own; the cost adds on in id order.
-    out.cost, out.deaths = cost, deaths
-    fwd = [per_msg * (n + 1) + u for n, u in zip(received.values(), uplink[ch_ids].tolist())]
-    _pay_or_die(out, received, fwd, energy, alive, sent)
-    state.energy[:] = energy
-    state.alive[:] = alive
-    state.packets_sent[:] = sent
-    return out
+    heads, dist = _nearest_heads(state, ch_ids, member_ids)
+    return _pay_sep_round(state, radio, uplink, ch_ids, member_ids, heads,
+                          tx_energy(radio, radio.packet_bits, dist))
 
 
 def sep_block(state: NodeState, round0: int, net: NetworkParams, radio: RadioParams,
               uplink: np.ndarray, hops: tuple[np.ndarray, ...],
-              draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sep rounds ``round0, round0 + 1, ...``, one per row of ``draws``, up to the first death.
+              draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """sep rounds ``round0, round0 + 1, ...``, one per row of ``draws``, through the first death.
 
     Between deaths a round's heads, members and prices depend only on its
     draws, set G and the alive set, never on energy, so every round of the
@@ -372,14 +369,15 @@ def sep_block(state: NodeState, round0: int, net: NetworkParams, radio: RadioPar
       the most any round has with row n of ``rank``, which no rank is above.
     * **Round cost.** One ``cumsum`` over the row ``[tx₀, rx, tx₁, rx, …,
       forward of each head]`` with 0.0 where a node does not act, the order
-      in which ``sep_round`` adds them; adding 0.0 is exact.
+      in which ``_pay_sep_round`` adds them; adding 0.0 is exact.
     * **Node energy.** One ``np.subtract.accumulate`` per node over its
       events in round order: a member's hop, or a head's receptions and then
       its forward, or a fallback round's uplink.
 
     Commits to ``state`` the rounds before the first in which some payment
-    fails and returns their (cost, packets); that round is left to
-    ``sep_round``.
+    fails, then pays that round from its row of the layout through
+    ``_pay_sep_round``, the pay loop of ``sep_round``. Returns the rounds'
+    (cost, packets) and the deaths of the last, 0 if every round was clean.
     """
     b, n = draws.shape
     live = state.alive.nonzero()[0]
@@ -446,5 +444,10 @@ def sep_block(state: NodeState, round0: int, net: NetworkParams, radio: RadioPar
     if done:
         state.energy[live] = before[ids, events[done - 1]]
         state.packets_sent[live] += done
-        state.in_set_g[live] = count[done - 1] == 0
-    return cost[:done], packets[:done]
+    state.in_set_g[live] = count[min(done, b - 1)] == 0  # after the last round run
+    if done == b:
+        return cost, packets, 0
+    out = _pay_sep_round(state, radio, uplink, live[is_ch[done]], live[member[done]],
+                         head_of[done, member[done]], send[done, member[done]])
+    cost[done], packets[done] = out.cost, out.packets
+    return cost[:done + 1], packets[:done + 1], out.deaths

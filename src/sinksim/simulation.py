@@ -241,8 +241,6 @@ class Simulation:
         # A run shorter than the tour visits only its first max_rounds points.
         self._slot, self._id, self._cost, self._offsets = reach(
             self.state, cfg.radio, traj.points[:cfg.max_rounds], sensing)
-        self._hops = hop_table(self.state, cfg.radio) if cfg.protocol == SEP else None
-        self._draws = np.empty((0, cfg.net.n))  # sep's election draws taken ahead, next first
 
     def step(self, round_idx: int) -> RoundOutcome:
         """Execute round ``round_idx``: the next round, below max_rounds."""
@@ -252,10 +250,8 @@ class Simulation:
                                f"{cfg.max_rounds - 1} once each, in order; its next is {self._round}")
         self._round += 1
         if cfg.protocol == SEP:
-            draws = self._ahead(1)[0]
-            self._draws = self._draws[1:]
-            return sep_round(self.state, round_idx, cfg.net, cfg.radio,
-                             self._cost, draws, self._hops)
+            return sep_round(self.state, round_idx, cfg.net, cfg.radio, self._cost,
+                             self._election_rng.random(cfg.net.n))
         s = round_idx % (len(self._offsets) - 1)
         lo, hi = self._offsets[s], self._offsets[s + 1]
         return direct_round(self.state, self._id[lo:hi], self._cost[lo:hi])
@@ -295,57 +291,48 @@ class Simulation:
             return max(last_death, 0) + 1
         return self.cfg.max_rounds
 
-    def _ahead(self, b: int) -> np.ndarray:
-        """The election draws of the next ``b`` rounds, one row each, drawn when first needed.
-
-        Every round draws one row of n, so a block of rows holds the same bits.
-        """
-        short = b - len(self._draws)
-        if short > 0:
-            fresh = self._election_rng.random((short, self.cfg.net.n))
-            self._draws = np.concatenate((self._draws, fresh)) if len(self._draws) else fresh
-        return self._draws[:b]
-
     def _sep(self, alive: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """sep's per-round (cost, packets, deaths), run while a node lives.
 
-        With a hop table, rounds run in blocks (``sep_block``) up to the first
-        round with a death, which ``step`` plays from the block's draws; the
-        block's later draws wait for the next block. Deaths come in bursts,
-        so a run's first block and the first after each death take
+        Up to ``_HOP_NODES`` nodes, rounds run in blocks (``sep_block``)
+        through the first round with a death, over one ``hop_table``; a
+        block's later election draws wait for the next block. Deaths come in
+        bursts, so a run's first block and the first after each death take
         ``_SEP_FIRST_BLOCK`` rounds, and each block with no death doubles the
         next, while its (rounds x 3n) cost rows hold at most ``_CHUNK``
-        elements. Above the table's bound every round is stepped. Once none
+        elements. Above that bound each round is one ``sep_round``. Once none
         is alive a round spends and sends nothing, so those rows are filled
         directly. The election draws they skip feed nothing else.
         """
         cfg = self.cfg
-        most = max(1, _CHUNK // (3 * cfg.net.n))  # a block's (rounds x 3n) cost rows
+        n, rng = cfg.net.n, self._election_rng
+        hops = hop_table(self.state, cfg.radio)
+        most = max(1, _CHUNK // (3 * n))  # a block's (rounds x 3n) cost rows
         size = min(most, _SEP_FIRST_BLOCK)
+        ahead = np.empty((0, n))  # election draws taken ahead, next first
         costs: list = []
         packets: list = []
         died: dict[int, int] = {}
         r = 0
         while r < cfg.max_rounds and alive > 0:
-            if self._hops is not None:
-                draws = self._ahead(min(size, cfg.max_rounds - r))
-                cost, sent = sep_block(self.state, r, cfg.net, cfg.radio, self._cost,
-                                       self._hops, draws)
-                costs.append(cost)
-                packets.append(sent)
-                r += len(cost)
-                self._round = r
-                self._draws = self._draws[len(cost):]
-                if len(cost) == len(draws):
-                    size = min(most, 2 * size)
-                    continue
-                size = min(most, _SEP_FIRST_BLOCK)
-            out = self.step(r)
-            alive -= out.deaths
-            costs.append([out.cost])
-            packets.append([out.packets])
-            died[r] = out.deaths
-            r += 1
+            if hops is None:
+                out = sep_round(self.state, r, cfg.net, cfg.radio, self._cost, rng.random(n))
+                cost, sent, deaths = [out.cost], [out.packets], out.deaths
+            else:
+                # Every round draws one row of n, so a block of rows holds the same bits.
+                b = min(size, cfg.max_rounds - r)
+                if len(ahead) < b:
+                    ahead = np.concatenate((ahead, rng.random((b - len(ahead), n))))
+                cost, sent, deaths = sep_block(self.state, r, cfg.net, cfg.radio, self._cost,
+                                               hops, ahead[:b])
+                ahead = ahead[len(cost):]
+                size = min(most, _SEP_FIRST_BLOCK if deaths else 2 * size)
+            costs.append(cost)
+            packets.append(sent)
+            r += len(cost)
+            if deaths:
+                died[r - 1] = deaths
+                alive -= deaths
         rows = self._rows(r - 1 if alive == 0 else None)
         series = (np.zeros(rows), np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64))
         if r:

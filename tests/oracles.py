@@ -13,17 +13,18 @@
   distance each round; the oracle for the reach table.
 * ``sep_round``   — one sep round that pays member by member on numpy
   scalars, with one scalar ``tx_energy`` call per member and every distance
-  computed afresh; the oracle for the library's ``sep_round``, which reads
-  each member's nearest head and hop price from the run's ``hop_table`` or
-  finds them afresh, and pays on Python lists, the heads through
-  ``direct_round``'s pay-or-die loop, and for ``sep_block``, which lays out
-  a block of rounds at once. It has its own election formulas: each node
+  computed afresh; the oracle for the library's ``sep_round``, which finds
+  each round's nearest heads by distance a block of members at a time and
+  pays on Python lists, the heads through ``direct_round``'s pay-or-die
+  loop, and for ``sep_block``, which lays out a block of rounds at once from
+  the run's ``hop_table``. It has its own election formulas: each node
   kind's probability, epoch and threshold are written out here, not imported
   from ``sinksim.protocols``. ``sep_oracle_run`` steps a whole ``Simulation``
   with it.
 * ``stepped_run`` — ``Simulation.run`` as a plain loop of ``Simulation.step``
   calls, one per round; the oracle for the per-node fold of srp and cl-sep
-  and for sep's blocks and filled dead tail.
+  and for sep's blocks and filled dead tail. ``run`` never steps, and a
+  stepped sep round reads no hop table.
 * ``write_run_csv`` and ``validate_run_csv`` — the per-round CSV formatted
   and parsed one row at a time; the oracles for the library's pair, which
   handle runs of rows that repeat the row above.

@@ -270,6 +270,20 @@ class TestValidateAgainstSummary:
         problems = validate_run_csv(out)
         assert len(problems) == 1 and problems[0].startswith(f"summary {key} is ")
 
+    @pytest.mark.parametrize("key,value", [
+        ("rounds_executed", 3000.0), ("total_packets", 14451.0), ("final_residual_j", "text"),
+        ("first_death_round", 1047.0), ("first_death_round", True), ("half_death_round", 1217.0),
+        ("last_death_round", 2156.0), ("last_death_round", "2156")])
+    def test_each_mistyped_summary_field_fails(self, sep_run, tmp_path, key, value):
+        csv, summary = sep_run
+        if value == "text":  # the residual as the CSV writes it, but a JSON string
+            value = harness.fmt_float(summary[key])
+        out = self.write(tmp_path, csv, {**summary, key: value})
+        assert main(["validate", str(out)]) == 4
+        kind = "float" if key == "final_residual_j" else "integer or null"
+        assert validate_run_csv(out) == [f"summary run.summary.json: {key} is {value!r}, "
+                                         f"not a JSON {kind}"]
+
     @pytest.mark.parametrize("text", ["{", "[]", '{"config": {"net": {"n": "100"}}}', "{}"])
     def test_an_unreadable_summary_fails(self, sep_run, tmp_path, text):
         out = self.write(tmp_path, sep_run[0], {})

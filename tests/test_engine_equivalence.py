@@ -8,6 +8,7 @@ round, on both hop paths: a hop table up to its bound and each round's own
 nearest-head search above.
 """
 
+import contextlib
 import dataclasses
 import functools
 import math
@@ -22,7 +23,7 @@ from sinksim.energy import rx_energy
 from sinksim.geometry import coverage_radius
 from sinksim.presets import PRESET_NAMES
 from sinksim.protocols import MAX_NODES, NetworkParams
-from sinksim.simulation import STOP_ALL_DEAD, STOP_MAX_ROUNDS, STOP_RULES, Simulation
+from sinksim.simulation import STOP_ALL_DEAD, STOP_MAX_ROUNDS, STOP_RULES, Simulation, deploy
 
 from oracles import assert_same_run, sep_oracle_run, stepped_run
 from oracles import sep_round as oracle_sep_round
@@ -146,6 +147,24 @@ def other_hop_path(n):
     return mock.patch.object(protocols, "_HOP_NODES", n - 1 if n <= protocols._HOP_NODES else n)
 
 
+@contextlib.contextmanager
+def hop_spies():
+    """The hop tables that runs build, and the first round of each block they run."""
+    tables, blocks = [], []
+
+    def table(*args):
+        tables.append(protocols.hop_table(*args))
+        return tables[-1]
+
+    def block(state, round0, *args):
+        blocks.append(round0)
+        return protocols.sep_block(state, round0, *args)
+
+    with mock.patch.object(simulation, "hop_table", table), \
+            mock.patch.object(simulation, "sep_block", block):
+        yield tables, blocks
+
+
 @pytest.mark.parametrize("seed,stop_rule,net", SEP_CASES, ids=SEP_IDS)
 def test_sep_round_matches_oracle(seed, stop_rule, net):
     assert_sep_matches_oracle(seed, stop_rule, net)
@@ -163,30 +182,70 @@ def test_sep_round_matches_oracle_on_other_hop_path(seed, stop_rule, net):
 def test_sep_run_on_other_hop_path(stop_rule, dead):
     """The preset's stepped-loop equivalence, each round pricing its hops afresh."""
     cfg = dataclasses.replace(load_preset("sep", seed=0), stop_rule=stop_rule, max_rounds=4000)
-    with other_hop_path(cfg.net.n):
+    with other_hop_path(cfg.net.n), hop_spies() as (tables, blocks):
         fast = Simulation(cfg)
         ref = Simulation(cfg)
-        assert fast._hops is None
         for sim in (fast, ref):
             if dead is not None:
                 sim.state.alive[DEAD_AT_START[dead]] = False
         assert_same_run(fast, fast.run(), ref, stepped_run(ref))
+    assert tables == [None] and blocks == []
+
+
+BLOCKED_CASES = [c for c in SEP_CASES if sep_case(*c).net.n <= protocols._HOP_NODES]
+
+
+@pytest.mark.parametrize("seed,stop_rule,net", BLOCKED_CASES,
+                         ids=[SEP_IDS[SEP_CASES.index(c)] for c in BLOCKED_CASES])
+def test_a_run_with_a_hop_table_plays_no_round_by_sep_round(seed, stop_rule, net):
+    """Blocks pay their death rounds themselves: ``run`` never calls ``sep_round``."""
+    with mock.patch.object(simulation, "sep_round", side_effect=AssertionError):
+        assert_sep_matches_oracle(seed, stop_rule, net)
+
+
+def test_stepped_sep_on_a_grid_reads_no_hop_table():
+    """Many ties: nodes on a 25 m grid, so hops tie and nodes coincide. The stepped
+    rounds find heads by distance alone, independent of the blocks' rank table."""
+    cfg = dataclasses.replace(load_preset("sep", seed=3), net=NetworkParams(e0=0.05),
+                              stop_rule=STOP_ALL_DEAD)
+    grid = np.random.default_rng(3).integers(0, 5, size=(2, cfg.net.n)) * 25.0
+
+    def on_grid(cfg):
+        state = deploy(cfg)
+        state.xs, state.ys = grid.copy()
+        return state
+
+    with mock.patch.object(simulation, "deploy", on_grid):
+        oracle, m_oracle = sep_oracle_run(cfg)
+        with mock.patch.object(simulation, "hop_table", side_effect=AssertionError), \
+                mock.patch.object(protocols, "hop_table", side_effect=AssertionError):
+            ref = Simulation(cfg)
+            m_ref = stepped_run(ref)
+        fast = Simulation(cfg)
+        m_fast = fast.run()
+    assert_same_run(ref, m_ref, oracle, m_oracle)
+    assert_same_run(fast, m_fast, oracle, m_oracle)
+    assert m_ref.last_death_round is not None
 
 
 def test_hop_table_up_to_its_bound():
-    """sep builds a hop table up to ``_HOP_NODES`` nodes and no n x n array above it."""
+    """A sep run builds its hop table and runs blocks up to ``_HOP_NODES`` nodes, and
+    holds no n x n array above it; constructing a ``Simulation`` builds no table."""
     base = load_preset("sep", seed=0)
     for n, kept in ((protocols._HOP_NODES, True), (protocols._HOP_NODES + 1, False)):
-        sim = Simulation(dataclasses.replace(base, net=NetworkParams(n=n)))
-        assert (sim._hops is not None) is kept
+        with hop_spies() as (tables, blocks):
+            sim = Simulation(dataclasses.replace(base, net=NetworkParams(n=n), max_rounds=3))
+            assert tables == []
+            sim.run()
+        assert len(tables) == 1 and (tables[0] is not None) is kept and (blocks == [0]) is kept
     cfg = dataclasses.replace(base, net=NetworkParams(n=MAX_NODES), max_rounds=3)
+    sim = Simulation(cfg)
     tracemalloc.start()
     try:
-        sim = Simulation(cfg)
+        sim.run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sim._hops is None
     assert peak < 1000 * MAX_NODES  # one n x n float64 table is 8 * MAX_NODES**2
 
 
@@ -271,9 +330,9 @@ def block_run(name, bound):
     blocks = []
 
     def spy(state, round0, *args):
-        cost, packets = protocols.sep_block(state, round0, *args)
-        blocks.append((round0, len(args[-1]), len(cost)))
-        return cost, packets
+        cost, packets, deaths = protocols.sep_block(state, round0, *args)
+        blocks.append((round0, len(args[-1]), len(cost) - (deaths > 0)))  # clean rounds
+        return cost, packets, deaths
 
     with mock.patch.object(simulation, "_CHUNK", 3 * cfg.net.n * bound), \
             mock.patch.object(simulation, "sep_block", spy):

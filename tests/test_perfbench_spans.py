@@ -51,7 +51,7 @@ def test_run_summary_reads_run_metrics():
 
 def test_a_traced_sep_run_equals_an_untraced_one():
     """The tracer wraps ``Simulation.step`` as ``fn(sim, round_idx)``; sep's run
-    reaches it for every round with a death, and the wrapped run is unchanged."""
+    never reaches it, even in rounds with a death, and the wrapped run is unchanged."""
     from sinksim import load_preset
     from sinksim.simulation import Simulation
     from oracles import assert_same_run
@@ -67,7 +67,7 @@ def test_a_traced_sep_run_equals_an_untraced_one():
     assert all(vars(Simulation)[k] is methods[k] for k in ("__init__", "run", "step"))
     plain = Simulation(cfg)
     assert_same_run(traced, m_traced, plain, plain.run())
-    steps = len(tracer.step_pairs())
-    assert 0 < int((m_traced.alive[:-1] != m_traced.alive[1:]).sum()) <= steps < 100
+    assert (m_traced.alive[:-1] != m_traced.alive[1:]).any()
+    assert len(tracer.step_pairs()) == 0
     assert [s["step_spans"] for s in tracer.span_records()
-            if s["name"] == spans.SIM_RUN] == [steps]
+            if s["name"] == spans.SIM_RUN] == [0]

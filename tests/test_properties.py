@@ -105,10 +105,11 @@ def test_sep_on_a_grid_matches_oracle_on_both_hop_paths(cfg, data):
     with mock.patch.object(simulation, "deploy", on_grid):
         ref, m_ref = sep_oracle_run(cfg)
         for bound in (0, MAX_NODES):  # each round's own block, then a hop table
-            with mock.patch.object(protocols, "_HOP_NODES", bound):
+            with mock.patch.object(protocols, "_HOP_NODES", bound), \
+                    mock.patch.object(simulation, "sep_block", wraps=protocols.sep_block) as blocks:
                 sim = Simulation(cfg)
-                assert (sim._hops is None) == (bound == 0)
                 assert_same_run(sim, sim.run(), ref, m_ref)
+            assert blocks.called == (bound > 0)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None,

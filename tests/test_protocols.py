@@ -11,8 +11,8 @@ from sinksim.energy import (RadioParams, aggregation_energy, rx_energy,
                             tx_energy)
 from sinksim.geometry import CirclePath, Point, Trajectory
 from sinksim.presets import load_preset
-from sinksim.protocols import (NetworkParams, NodeState, direct_round, election_threshold,
-                               hop_table, sep_round)
+from sinksim.protocols import (NetworkParams, NodeState, RoundOutcome, direct_round,
+                               election_threshold, hop_table, sep_block, sep_round)
 from sinksim.simulation import Simulation, reach
 
 from oracles import srp_round
@@ -221,15 +221,40 @@ class TestSepRound:
 
 
 class TestSepRoundHopTable(TestSepRound):
-    """The same cases with member hops read from one hop table per state."""
+    """The same cases through ``sep_block``: one-round blocks over one hop table per state.
+
+    A block reports no head count: a round's heads are the nodes it takes out
+    of set G among those eligible at its start. With none alive ``run`` calls
+    no block, and the round spends and sends nothing.
+    """
 
     def setup_method(self):
         self.tables = {}
 
     def step(self, state, r, net, radio, uplink, rng):
+        draws = rng.random(state.n)
+        if not state.alive.any():
+            return RoundOutcome()
         if id(state) not in self.tables:
             self.tables[id(state)] = hop_table(state, radio)
-        return sep_round(state, r, net, radio, uplink, rng.random(state.n), self.tables[id(state)])
+        new_epoch = np.where(state.is_advanced, r % math.ceil(1 / net.p_advanced),
+                             r % math.ceil(1 / net.p_normal)) == 0
+        eligible = state.alive & (state.in_set_g | new_epoch)
+        cost, packets, deaths = sep_block(state, r, net, radio, uplink, self.tables[id(state)],
+                                          draws[None])
+        assert len(cost) == len(packets) == 1
+        return RoundOutcome(packets=int(packets[0]), cost=float(cost[0]),
+                            cluster_heads=int((eligible & ~state.in_set_g).sum()), deaths=deaths)
+
+
+def test_a_sep_round_with_no_head_searches_for_none():
+    # the fallback comes before the head search, which no head could serve
+    state = make_state([(40.0, 50.0), (70.0, 50.0)])
+    costs = uplink(state)
+    with mock.patch("sinksim.protocols._nearest_heads", side_effect=AssertionError), \
+            mock.patch("sinksim.protocols.tx_energy", side_effect=AssertionError):
+        out = sep_round(state, 0, NET, RADIO, costs, StubRng([0.999]).random(state.n))
+    assert out.cluster_heads == 0 and out.packets == 2
 
 
 class TestHopTable:
