@@ -30,10 +30,11 @@ SWEEP_HEADER = ",".join(("radius_m", "valid", "coverage_radius_m",
                          *(f"{k}_median" for k in METRIC_KEYS)))
 THROUGHPUT_UNIT = "packets"
 CSV_BLOCK_ROWS = 2048  # rows per write; a block's rows and their tails are live at once
+_FLOAT_FIELD = "{:.17g}"  # every float an emitter writes, so the CSVs and summaries agree
+_RUN_TAIL = ",{}," + _FLOAT_FIELD + ",{}\n"
+_POW10 = 10 ** np.arange(18, -1, -1, dtype=np.int64)  # place values of an int64's 19 digits
 
-
-def fmt_float(x: float) -> str:
-    return f"{x:.17g}"
+fmt_float = _FLOAT_FIELD.format
 
 
 def _opt(v) -> str:
@@ -54,15 +55,19 @@ def _write_table(path: str | Path, header: str, rows: list[dict]) -> None:
 
 
 def write_run_csv(path: str | Path, metrics: RunMetrics) -> None:
-    """Per-round series as plot-ready CSV, converted a block of rows at a time.
+    """Per-round series as plot-ready CSV, assembled as bytes a block of rows at a time.
 
     Most rows repeat the row above but for the round number, so each block
     formats the ``,alive,residual,packets`` tail only at the rows where a
-    field changes and repeats it over the run that follows. The residual is
-    compared by its bits, so ``-0.0`` and ``nan`` format as they are.
+    field changes; the residual is compared by its bits, so ``-0.0`` and
+    ``nan`` format as they are. A block is one byte matrix: each row holds
+    its round's decimal digits, computed from the integer, and then its tail,
+    gathered from the zero-padded table of distinct tails. The padding (the
+    digit columns left of a short round, the bytes past a short tail) is 0,
+    which no field's text contains, so dropping every 0 byte leaves the rows.
     """
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(CSV_HEADER + "\n")
+    with open(path, "wb") as f:
+        f.write(CSV_HEADER.encode() + b"\n")
         rounds = metrics.rounds_executed
         for lo in range(0, rounds, CSV_BLOCK_ROWS):
             hi = min(lo + CSV_BLOCK_ROWS, rounds)
@@ -73,11 +78,15 @@ def write_run_csv(path: str | Path, metrics: RunMetrics) -> None:
             new = np.ones(hi - lo, dtype=bool)
             new[1:] = (alive[1:] != alive[:-1]) | (bits[1:] != bits[:-1]) | (pk[1:] != pk[:-1])
             starts = np.flatnonzero(new)
-            tails = [f",{a},{fmt_float(r)},{p}\n" for a, r, p in
-                     zip(alive[starts].tolist(), res[starts].tolist(), pk[starts].tolist())]
-            runs = np.diff(starts, append=hi - lo).tolist()
-            f.write("".join(map(str.__add__, map(str, range(lo, hi)),
-                                itertools.chain.from_iterable(map(itertools.repeat, tails, runs)))))
+            tails = np.array(list(map(_RUN_TAIL.format, alive[starts].tolist(),
+                                      res[starts].tolist(), pk[starts].tolist())), dtype="S")
+            width = len(str(hi - 1))
+            place = np.arange(lo, hi)[:, None] // _POW10[-width:]
+            block = np.empty((hi - lo, width + tails.itemsize), dtype=np.uint8)
+            block[:, :width] = np.where(place > 0, place % 10 + 48, 0)
+            block[:, width - 1] = place[:, -1] % 10 + 48  # round 0 still writes its "0"
+            block[:, width:] = tails.view(np.uint8).reshape(len(tails), -1)[np.cumsum(new) - 1]
+            f.write(block[block != 0].tobytes())
 
 
 def summary_dict(cfg: ScenarioConfig, metrics: RunMetrics,

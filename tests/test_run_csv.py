@@ -5,7 +5,9 @@ changes and skips the parse of a row that repeats a clean row's tail, so the
 cases here are built from runs of repeated rows: runs that cross a block
 boundary, residuals whose bits differ but whose text does not (``0.0`` and
 ``-0.0`` do differ; ``nan`` payloads do not), and files broken inside and
-around such runs.
+around such runs. The writer computes each round's decimal digits from the
+integer and pads short rounds, so one case runs past round 100,000 with the
+digit count changing inside a block and on a block's first row.
 """
 
 from unittest import mock
@@ -84,6 +86,21 @@ def test_writer_matches_oracle(case, tmp_path):
         write_run_csv(tmp_path / "new.csv", m)
     oracles.write_run_csv(tmp_path / "old.csv", m)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# Each segment is one repeated tail spanning a change of the round's digit
+# count. In 5,000-row blocks, rounds 10, 100 and 1,000 fall inside the first
+# block and rounds 10,000 and 100,000 on a block's first row.
+@pytest.mark.parametrize("block", [5000, B])
+def test_round_digit_boundaries_match_oracle(block, tmp_path):
+    m = metrics_of([(5, 9, 3.5, 0), (45, 8, 2.25, 1), (450, 6, 1.0, 4), (4500, 5, 0.5, 4),
+                    (45000, 2, 1e-9, 10), (50005, 0, 0.0, 12)])
+    assert m.rounds_executed == 100005
+    with mock.patch.object(harness, "CSV_BLOCK_ROWS", block):
+        write_run_csv(tmp_path / "new.csv", m)
+    oracles.write_run_csv(tmp_path / "old.csv", m)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert validate_run_csv(tmp_path / "new.csv") == []
 
 
 @st.composite
