@@ -10,7 +10,8 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -92,42 +93,90 @@ class ScenarioConfig:
                                      f"{MAX_TOTAL_ENERGY} J, got {dearest}")
 
 
-@dataclass(eq=False)
 class RunMetrics:
-    """Per-round series plus lifetime summary for one run.
+    """Lifetime summary plus per-round series for one run.
 
-    The series are numpy arrays (int64 ``alive`` and ``cumulative_packets``,
-    float64 ``residual_j`` and ``round_cost_j``). Row ``r`` of each series is
-    the state after round ``r``. ``residual_j`` is the fold of
-    ``round_cost_j`` from the initial energy, so consecutive residuals differ
-    by exactly the reported round cost. Death rounds are None when the
-    horizon ended first. Two runs are equal when every field is.
+    ``first_death_round``, ``half_death_round`` and ``last_death_round`` are
+    the first rows with fewer than n, at most n // 2 and no nodes alive, None
+    when the recorded rows end first; ``total_packets`` counts the packets
+    sent in those rows. The series are numpy arrays (int64 ``alive`` and
+    ``cumulative_packets``, float64 ``residual_j`` and ``round_cost_j``) with
+    one row per recorded round; row ``r`` is the state after round ``r``.
+    ``residual_j`` is the fold of ``round_cost_j`` from the initial energy,
+    so consecutive residuals differ by exactly the reported round cost.
+
+    A run's metrics leave the series to their first read, which builds all
+    four; later reads return the same arrays. Until then the metrics hold
+    what that build reads (for srp and cl-sep the run's reach table), and
+    after it nothing more of the run. Two runs are equal when every field
+    and series is.
     """
 
-    n: int
-    initial_energy_j: float
-    alive: np.ndarray
-    residual_j: np.ndarray
-    cumulative_packets: np.ndarray
-    round_cost_j: np.ndarray
-    first_death_round: int | None = None
-    half_death_round: int | None = None
-    last_death_round: int | None = None
-    total_packets: int = 0
+    def __init__(self, n: int, initial_energy_j: float, alive: np.ndarray,
+                 residual_j: np.ndarray, cumulative_packets: np.ndarray,
+                 round_cost_j: np.ndarray, first_death_round: int | None = None,
+                 half_death_round: int | None = None, last_death_round: int | None = None,
+                 total_packets: int = 0):
+        self.n = n
+        self.initial_energy_j = initial_energy_j
+        self.first_death_round = first_death_round
+        self.half_death_round = half_death_round
+        self.last_death_round = last_death_round
+        self.total_packets = total_packets
+        self._rows = len(alive)
+        self._series = (alive, residual_j, cumulative_packets, round_cost_j)
+        self._pending = None
+
+    @classmethod
+    def _of_run(cls, n: int, initial_energy_j: float, dies: np.ndarray, rows: int,
+                total_packets: int, per_round) -> RunMetrics:
+        """A run's metrics, whose series ``per_round(rows)`` builds on first read.
+
+        ``dies`` holds one death round per node: -1 for a node dead at the
+        start, which counts at round 0, and at least ``rows`` for one alive
+        when the rows end. ``per_round(rows)`` returns the rows' (cost,
+        packets) of each round.
+        """
+        d = np.sort(np.maximum(dies, 0))
+        m = cls.__new__(cls)
+        m.n, m.initial_energy_j, m.total_packets = n, initial_energy_j, total_packets
+        m.first_death_round, m.half_death_round, m.last_death_round = (
+            int(d[k - 1]) if d[k - 1] < rows else None for k in (1, n - n // 2, n))
+        m._rows, m._series, m._pending = rows, None, (dies, per_round)
+        return m
+
+    def _built(self) -> tuple[np.ndarray, ...]:
+        """The four series, built from the pending run on the first call."""
+        if self._series is None:
+            dies, per_round = self._pending
+            rows = self._rows
+            cost, packets = per_round(rows)
+            deaths = np.bincount(np.maximum(dies, 0)[dies < rows], minlength=rows)
+            residual = np.subtract.accumulate(np.concatenate(([self.initial_energy_j], cost)))
+            self._series = (self.n - np.cumsum(deaths), residual[1:], np.cumsum(packets), cost)
+            self._pending = None
+        return self._series
+
+    alive = property(lambda self: self._built()[0])
+    residual_j = property(lambda self: self._built()[1])
+    cumulative_packets = property(lambda self: self._built()[2])
+    round_cost_j = property(lambda self: self._built()[3])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RunMetrics):
             return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
+        return all(np.array_equal(getattr(self, k), getattr(other, k))
+                   for k in ("n", "initial_energy_j", "alive", "residual_j", "cumulative_packets",
+                             "round_cost_j", "first_death_round", "half_death_round",
+                             "last_death_round", "total_packets"))
 
     @property
     def rounds_executed(self) -> int:
-        return len(self.alive)
+        return self._rows
 
     @property
     def final_residual_j(self) -> float:
-        return float(self.residual_j[-1]) if len(self.residual_j) else self.initial_energy_j
+        return float(self.residual_j[-1]) if self._rows else self.initial_energy_j
 
 
 def deploy(cfg: ScenarioConfig) -> NodeState:
@@ -216,12 +265,6 @@ def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
     return slot, flat, cost, offsets
 
 
-def _first(mask: np.ndarray) -> int | None:
-    """Index of the first True in ``mask``, or None."""
-    i = int(np.argmax(mask))
-    return i if mask[i] else None
-
-
 class Simulation:
     """One isolated protocol run; owns its state exclusively.
 
@@ -257,42 +300,35 @@ class Simulation:
         return direct_round(self.state, self._id[lo:hi], self._cost[lo:hi])
 
     def run(self) -> RunMetrics:
-        """Run until the stop rule fires; record per-round metrics.
+        """Run until the stop rule fires; return its metrics, series left to first read.
 
         Leaves ``state`` as stepping every round would. srp and cl-sep nodes
-        never interact, so their rounds come from one fold per node
-        (``_fold``); sep runs until its last death (``_sep``) and fills the rest.
+        never interact, so each node's death round and packet count come
+        from one fold of its own (``_fold_nodes``); sep runs until its last
+        death (``_sep``). The lifetimes and ``total_packets`` come from
+        those. The per-round series wait for their first read (see
+        RunMetrics): for srp and cl-sep ``_fold`` sums each round's payers
+        over the reach table, and sep's rounds are its engines' rows, with
+        rows of no cost past its last death.
         """
         cfg = self.cfg
         if self._round:
             raise RuntimeError("a Simulation runs once; this one has already stepped or run")
-        n = cfg.net.n
         initial = self.state.total_energy()
-        alive0 = self.state.alive_count()
         if cfg.protocol == SEP:
-            cost, packets, deaths = self._sep(alive0)
+            dies, packets, per_round = self._sep()
         else:
-            cost, packets, deaths = self._fold()
-        self._round = cfg.max_rounds
-        alive = alive0 - np.cumsum(deaths)
-        cum_packets = np.cumsum(packets)
-        return RunMetrics(
-            n=n, initial_energy_j=initial, alive=alive,
-            residual_j=np.subtract.accumulate(np.concatenate(([initial], cost)))[1:],
-            cumulative_packets=cum_packets, round_cost_j=cost,
-            first_death_round=_first(alive < n),
-            half_death_round=_first(alive <= n // 2),
-            last_death_round=_first(alive == 0),
-            total_packets=int(cum_packets[-1]))
+            dies, paid = self._fold_nodes()
+            packets = int(paid.sum())
+            per_round = partial(_fold, self._slot, self._id, self._cost, self._offsets, dies)
+        self._round = R = cfg.max_rounds
+        # Under all_dead a run records rows up to its last death.
+        rows = (max(int(dies.max()), 0) + 1
+                if cfg.stop_rule == STOP_ALL_DEAD and (dies < R).all() else R)
+        return RunMetrics._of_run(cfg.net.n, initial, dies, rows, packets, per_round)
 
-    def _rows(self, last_death: int | None) -> int:
-        """Rows the run records: up to its last death under all_dead."""
-        if self.cfg.stop_rule == STOP_ALL_DEAD and last_death is not None:
-            return max(last_death, 0) + 1
-        return self.cfg.max_rounds
-
-    def _sep(self, alive: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """sep's per-round (cost, packets, deaths), run while a node lives.
+    def _sep(self) -> tuple[np.ndarray, int, partial]:
+        """sep's death rounds, packet total and per-round builder, run while a node lives.
 
         Up to ``_HOP_NODES`` nodes, rounds run in blocks (``sep_block``)
         through the first round with a death, over one ``hop_table``; a
@@ -301,11 +337,13 @@ class Simulation:
         ``_SEP_FIRST_BLOCK`` rounds, and each block with no death doubles the
         next, while its (rounds x 3n) cost rows hold at most ``_CHUNK``
         elements. Above that bound each round is one ``sep_round``. Once none
-        is alive a round spends and sends nothing, so those rows are filled
-        directly. The election draws they skip feed nothing else.
+        is alive a round spends and sends nothing; the election draws those
+        rounds skip feed nothing else. The death rounds are one per node, as
+        ``_fold_nodes`` gives them, though not by id.
         """
         cfg = self.cfg
         n, rng = cfg.net.n, self._election_rng
+        alive = alive0 = self.state.alive_count()
         hops = hop_table(self.state, cfg.radio)
         most = max(1, _CHUNK // (3 * n))  # a block's (rounds x 3n) cost rows
         size = min(most, _SEP_FIRST_BLOCK)
@@ -333,68 +371,11 @@ class Simulation:
             if deaths:
                 died[r - 1] = deaths
                 alive -= deaths
-        rows = self._rows(r - 1 if alive == 0 else None)
-        series = (np.zeros(rows), np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64))
-        if r:
-            series[0][:r] = np.concatenate(costs)
-            series[1][:r] = np.concatenate(packets)
-            series[2][list(died)] = list(died.values())
-        return series
+        dies = np.repeat([-1, *died, cfg.max_rounds], [n - alive0, *died.values(), alive])
+        return dies, int(sum(map(np.sum, packets))), partial(_sep_rounds, costs, packets, r)
 
-    def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """srp and cl-sep per-round (cost, packets, deaths) from per-node folds.
-
-        Round ``r = t·S + s`` is slot ``s``'s round in tour ``t``; once every
-        node's death round is known (``_fold_nodes``), its payers are the
-        slot's entries that die after ``r``. An entry of slot ``s`` whose node
-        dies in round ``d`` is dead from tour ``max(0, ceil((d − s) / S))`` on,
-        so a ``bincount`` of entries into a (tours × slots) grid and a
-        ``cumsum`` along tours give every round's dead count. Rounds of a slot
-        with the same dead count pay alike, so each (slot, dead count) pair is
-        summed once, at its first round, where the slot's count changes;
-        ``np.maximum.accumulate`` along tours hands every later round its
-        pair. A pair's row is the slot's entries padded to the widest slot
-        with an appended entry that never pays (death -1, cost 0.0), and one
-        ``cumsum`` adds the payers' costs in id order, as a stepped round does.
-        A padding or dead entry adds 0.0, which is exact.
-        """
-        ids, offsets = self._id, self._offsets
-        S, E = len(offsets) - 1, len(ids)
-        dies = self._fold_nodes()
-        rows = self._rows(int(dies.max()) if (dies < self.cfg.max_rounds).all() else None)
-        T = -(-rows // S)                                # tours the rows touch
-        d = np.append(dies[ids], -1)                     # entry E pads every row
-        cell = d[:E] - self._slot                        # each entry's first dead tour,
-        cell += S - 1
-        cell //= S
-        np.clip(cell, 0, T, out=cell)                    # or T if alive past the rows,
-        cell *= S
-        cell += self._slot                               # as a (tour, slot) cell
-        dead = np.bincount(cell, minlength=(T + 1) * S).reshape(T + 1, S)[:T].cumsum(axis=0)
-        del cell                                         # before c, to keep the peak low
-        new = np.ones((T, S), dtype=bool)                # where a pair starts
-        np.not_equal(dead[1:], dead[:-1], out=new[1:])
-        new = new.ravel()[:rows]                         # cells past the rows come last
-        first = np.flatnonzero(new)                      # each pair's first round
-        pair = np.zeros(T * S, dtype=np.int64)
-        pair[first] = np.arange(len(first))
-        pair = np.maximum.accumulate(pair.reshape(T, S), axis=0).ravel()[:rows]
-        c = np.append(self._cost, 0.0)
-        slot = first % S
-        lo, hi = offsets[slot], offsets[slot + 1]
-        payers = hi - lo - dead.ravel()[first]           # the slot's entries past its dead
-        W = int((hi - lo).max(initial=1))
-        sums = np.empty(len(first))
-        step = max(1, _CHUNK // W)
-        for i in range(0, len(first), step):
-            e = lo[i:i + step, None] + np.arange(W)
-            e[e >= hi[i:i + step, None]] = E             # past its slot: the padding entry
-            paying = d[e] > first[i:i + step, None]
-            sums[i:i + step] = np.cumsum(np.where(paying, c[e], 0.0), axis=1)[:, -1]
-        return sums[pair], payers[pair], np.bincount(dies[(dies >= 0) & (dies < rows)], minlength=rows)
-
-    def _fold_nodes(self) -> np.ndarray:
-        """Each node's death round: -1 if dead at the start, max_rounds if never.
+    def _fold_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's death round (-1 if dead at the start, max_rounds if never) and packets.
 
         Node i's attempts, in round order, repeat its entries in slot order
         over every tour. Its residual before each attempt is a sequential
@@ -442,7 +423,64 @@ class Simulation:
             nodes = nodes[~died & (paid[nodes] < horizon[nodes])]
         state.alive[(dies >= 0) & (dies < R)] = False
         state.packets_sent += paid
-        return dies
+        return dies, paid
+
+
+def _sep_rounds(costs: list, packets: list, r: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """sep's per-round (cost, packets): its engines' ``r`` rounds, then rounds of none alive."""
+    return (np.concatenate((*costs, np.zeros(rows - r))),
+            np.concatenate((*packets, np.zeros(rows - r, dtype=np.int64))))
+
+
+def _fold(slot: np.ndarray, ids: np.ndarray, cost: np.ndarray, offsets: np.ndarray,
+          dies: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """srp and cl-sep per-round (cost, packets) over ``rows`` rounds, from a run's
+    reach table and its nodes' death rounds (``Simulation._fold_nodes``).
+
+    Round ``r = t·S + s`` is slot ``s``'s round in tour ``t``; its payers
+    are the slot's entries whose node dies after ``r``. An entry of slot
+    ``s`` whose node dies in round ``d`` is dead from tour
+    ``max(0, ceil((d − s) / S))`` on, so a ``bincount`` of entries into a
+    (tours × slots) grid and a ``cumsum`` along tours give every round's
+    dead count. Rounds of a slot with the same dead count pay alike, so each
+    (slot, dead count) pair is summed once, at its first round, where the
+    slot's count changes; ``np.maximum.accumulate`` along tours hands every
+    later round its pair. A pair's row is the slot's entries padded to the
+    widest slot with an appended entry that never pays (death -1, cost
+    0.0), and one ``cumsum`` adds the payers' costs in id order, as a
+    stepped round does. A padding or dead entry adds 0.0, which is exact.
+    """
+    S, E = len(offsets) - 1, len(ids)
+    T = -(-rows // S)                                # tours the rows touch
+    d = np.append(dies[ids], -1)                     # entry E pads every row
+    cell = d[:E] - slot                              # each entry's first dead tour,
+    cell += S - 1
+    cell //= S
+    np.clip(cell, 0, T, out=cell)                    # or T if alive past the rows,
+    cell *= S
+    cell += slot                                     # as a (tour, slot) cell
+    dead = np.bincount(cell, minlength=(T + 1) * S).reshape(T + 1, S)[:T].cumsum(axis=0)
+    del cell                                         # before c, to keep the peak low
+    new = np.ones((T, S), dtype=bool)                # where a pair starts
+    np.not_equal(dead[1:], dead[:-1], out=new[1:])
+    new = new.ravel()[:rows]                         # cells past the rows come last
+    first = np.flatnonzero(new)                      # each pair's first round
+    pair = np.zeros(T * S, dtype=np.int64)
+    pair[first] = np.arange(len(first))
+    pair = np.maximum.accumulate(pair.reshape(T, S), axis=0).ravel()[:rows]
+    c = np.append(cost, 0.0)
+    at = first % S
+    lo, hi = offsets[at], offsets[at + 1]
+    payers = hi - lo - dead.ravel()[first]           # the slot's entries past its dead
+    W = int((hi - lo).max(initial=1))
+    sums = np.empty(len(first))
+    step = max(1, _CHUNK // W)
+    for i in range(0, len(first), step):
+        e = lo[i:i + step, None] + np.arange(W)
+        e[e >= hi[i:i + step, None]] = E             # past its slot: the padding entry
+        paying = d[e] > first[i:i + step, None]
+        sums[i:i + step] = np.cumsum(np.where(paying, c[e], 0.0), axis=1)[:, -1]
+    return sums[pair], payers[pair]
 
 
 def run(cfg: ScenarioConfig) -> RunMetrics:

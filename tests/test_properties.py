@@ -8,7 +8,9 @@ run also draws the block size of its reach table and folds (``_CHUNK``) as
 time, and node folds carry energy across many blocks and stop at their
 horizon or die inside one. Drawn sep runs are also checked against runs whose
 rounds are played by the oracle ``sep_round``, also with nodes on a coarse
-grid, on both hop paths. Every drawn run's per-round CSV must validate.
+grid, on both hop paths. A drawn run, some of its nodes dead before it
+starts, gives the same lifetimes and packet total before its series are
+built as the series give. Every drawn run's per-round CSV must validate.
 Drawn configs of every shape must also survive the trip through their JSON
 form unchanged.
 """
@@ -17,6 +19,7 @@ import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +66,7 @@ def test_run_invariants(cfg, chunk):
     with mock.patch.object(simulation, "_CHUNK", chunk):
         sim = Simulation(cfg)
         m = sim.run()
+        m.alive  # the series are built on first read, here with the patched blocks
     ref = Simulation(cfg)
     assert_same_run(sim, m, ref, stepped_run(ref))
 
@@ -110,6 +114,52 @@ def test_sep_on_a_grid_matches_oracle_on_both_hop_paths(cfg, data):
                 sim = Simulation(cfg)
                 assert_same_run(sim, sim.run(), ref, m_ref)
             assert blocks.called == (bound > 0)
+
+
+def _first(mask):
+    """Index of the first True in ``mask``, or None."""
+    return int(mask.argmax()) if mask.any() else None
+
+
+def assert_lifetimes_match_series(cfg, dead):
+    """A run's lifetimes and packet total, read before its series, agree with them."""
+    sim = Simulation(cfg)
+    sim.state.alive[dead] = False
+    m = sim.run()
+    eager = (m.first_death_round, m.half_death_round, m.last_death_round, m.total_packets,
+             m.rounds_executed)
+    assert m._series is None  # nothing above read a series
+    n, alive = cfg.net.n, m.alive
+    assert eager == (_first(alive < n), _first(alive <= n // 2), _first(alive == 0),
+                     int(m.cumulative_packets[-1]), len(alive))
+    assert type(m.total_packets) is int
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs(), st.data())
+def test_eager_lifetimes_match_series(cfg, data):
+    dead = data.draw(st.lists(st.booleans(), min_size=cfg.net.n, max_size=cfg.net.n))
+    assert_lifetimes_match_series(cfg, np.array(dead))
+
+
+@pytest.mark.parametrize("stop_rule", STOP_RULES)
+@pytest.mark.parametrize("dead", ["none", "first", "all"])
+@pytest.mark.parametrize("protocol,n,max_rounds,e0", [
+    ("srp", 1, 3000, 0.02), ("cl-sep", 1, 3000, 0.02), ("sep", 1, 3000, 0.02),
+    ("srp", 1, 5, 0.02), ("sep", 1, 5, 0.02),  # censored
+    # the first death only within 4 rounds, then all three within 40
+    ("sep", protocols._HOP_NODES, 4, 1e-3), ("sep", protocols._HOP_NODES + 1, 4, 1e-3),
+    ("sep", protocols._HOP_NODES + 1, 40, 1e-3)])
+def test_eager_lifetimes_match_series_at_the_edges(protocol, n, max_rounds, e0, stop_rule, dead):
+    """One node, censored horizons, and sep on both sides of its hop-table bound."""
+    path = {SRP: Trajectory(CirclePath(CENTER, 20.0), sojourn_count=7, sensing_range=60.0,
+                            r_max=500.0)}.get(protocol, Trajectory(StaticPath(CENTER)))
+    cfg = ScenarioConfig(SquareField(100.0), path, protocol, net=NetworkParams(n=n, e0=e0),
+                         seed=3, max_rounds=max_rounds, stop_rule=stop_rule)
+    mask = np.zeros(n, dtype=bool)
+    mask[{"none": slice(0), "first": slice(1), "all": slice(None)}[dead]] = True
+    assert_lifetimes_match_series(cfg, mask)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None,

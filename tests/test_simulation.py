@@ -1,17 +1,20 @@
 """Deployment, RNG streams, the round loop and its metrics contracts."""
 
 import dataclasses
+import gc
 import math
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from sinksim import load_preset
+from sinksim import harness, load_preset
 from sinksim.energy import RadioParams, tx_energy
 from sinksim.errors import ConfigurationError
 from sinksim.geometry import (CircleField, CirclePath, Point, SquareField,
                               StaticPath, Trajectory, distance)
-from sinksim.presets import PRESET_NAMES
+from sinksim.presets import PRESET_NAMES, config_to_dict
 from sinksim import simulation
 from sinksim.protocols import MAX_NODES, MAX_TOTAL_ENERGY, NetworkParams, NodeState
 from sinksim.simulation import (ScenarioConfig, Simulation, deploy, reach,
@@ -367,6 +370,40 @@ class TestRun:
 
 
 SRP_PRESETS = [name for name in PRESET_NAMES if name.endswith("-srp")]
+
+
+class TestDeferredSeries:
+    """A run leaves its per-round series to their first read."""
+
+    def test_compare_and_sweep_build_no_series(self, tmp_path):
+        tiny = {name: config_to_dict(load_preset(name, max_rounds=600))
+                for name in ("cl-sep", "sc20-srp", "sep")}
+        with mock.patch.object(simulation, "_fold", wraps=simulation._fold) as fold, \
+                mock.patch.object(simulation, "_sep_rounds", wraps=simulation._sep_rounds) as pad:
+            harness.compare_scenarios(tiny, seed_count=2)
+            harness.sweep_radius(config_to_dict(load_preset("cc-srp", max_rounds=600)),
+                                 [20.0, 25.0], seed_count=2)
+            assert (fold.call_count, pad.call_count) == (0, 0)
+            harness.simulate_to_files(load_preset("sc20-srp", max_rounds=600), tmp_path / "a.csv")
+            assert (fold.call_count, pad.call_count) == (1, 0)
+            harness.simulate_to_files(load_preset("sep", max_rounds=600), tmp_path / "b.csv")
+            assert (fold.call_count, pad.call_count) == (1, 1)
+
+    @pytest.mark.parametrize("name", ["sc10-srp", "cl-sep", "sep"])
+    def test_first_read_releases_the_run(self, name):
+        sim = Simulation(load_preset(name, seed=2, max_rounds=3000))
+        table, whole = weakref.ref(sim._cost), weakref.ref(sim)
+        m = sim.run()
+        del sim
+        gc.collect()
+        assert whole() is None  # the metrics never hold the Simulation or its state
+        assert (table() is None) == (name == "sep")  # srp and cl-sep hold the table to fold
+        assert m.rounds_executed == 3000 and m._series is None
+        series = (m.alive, m.residual_j, m.cumulative_packets, m.round_cost_j)
+        gc.collect()
+        assert table() is None and m._pending is None
+        assert all(a is b for a, b in
+                   zip(series, (m.alive, m.residual_j, m.cumulative_packets, m.round_cost_j)))
 
 
 def srp_reference(cfg):
