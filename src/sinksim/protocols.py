@@ -6,14 +6,13 @@
   is one stepped round of srp (the nodes in range of one sojourn point) and
   cl-sep (every node, static sink), and sep's no-head fallback.
   ``Simulation.run`` folds srp and cl-sep per node instead of stepping them.
-* ``sep_round``    — clustered routing to a static sink. Nodes self-elect as
-  cluster heads with a rotating threshold on ``NetworkParams.p_normal`` or
-  ``p_advanced``, by their ``is_advanced`` flag; members transmit to the
-  nearest head by distance, heads aggregate and forward by the direct rule.
-* ``sep_block``    — a block of sep rounds laid out at once, through the
-  first with a death, which it pays by ``sep_round``'s pay loop. Its members
-  find their heads in ``hop_table``, which prices every node-to-node hop once
-  for a run and ranks each node's neighbours.
+* ``sep_block``    — the one sep engine: clustered routing to a static sink
+  over a block of rounds laid out at once, through the first with a death,
+  which it pays by its pay loop. ``Simulation.run`` plays every sep round
+  through it and ``Simulation.step`` one-round blocks. Members find their
+  nearest head in ``hop_table`` (which prices every node-to-node hop once
+  for a run and ranks each node's neighbours) up to ``_HOP_NODES`` nodes,
+  and by distance, a round at a time, without one.
 
 Death rule (uniform across engines): a node performs an energy-costing action
 only when its residual energy covers the full cost; otherwise it spends
@@ -150,38 +149,25 @@ class RoundOutcome:
 
     packets: int = 0           # packets that reached the sink
     cost: float = 0.0          # total energy spent by all nodes, J
-    cluster_heads: int = 0     # heads elected (clustered protocol only)
     deaths: int = 0
 
 
-def _epoch(p: float) -> int:
-    """Rounds in one election epoch for probability ``p``."""
-    return math.ceil(1.0 / p)
+def _slot(p: float | np.ndarray, rounds: np.ndarray) -> np.ndarray:
+    """Each round's place in its epoch of ceil(1/p) rounds, a row per entry of a column
+    ``p``; rounds stay below 2**62, so a longer epoch leaves them as they are."""
+    return rounds % np.minimum(np.ceil(1.0 / p), 2.0**62).astype(np.int64)
 
 
-def _slot(p: float, round_idx: int | np.ndarray) -> int | np.ndarray:
-    """``round_idx mod epoch``; rounds stay below 2**62, so a longer epoch leaves them as they are."""
-    return round_idx % min(_epoch(p), 2**62)
-
-
-def election_threshold(p: float, round_idx: int | np.ndarray) -> float | np.ndarray:
-    """Rotating self-election threshold for a node in the eligible set G.
+def election_threshold(p: float | np.ndarray, rounds: np.ndarray) -> np.ndarray:
+    """Rotating self-election threshold of each of ``rounds`` for a node in the eligible set G.
 
     Within an epoch of ceil(1/p) rounds the threshold climbs as
     p / (1 - p*(r mod epoch)) so each eligible node is elected once per epoch
     in expectation; the final slot clamps to 1. Callers give nodes outside G
     no chance of election. ``NetworkParams`` keeps p in (0, 1) with a finite
-    epoch. An array of rounds gives each round's threshold, bitwise equal to
-    one round's.
+    epoch. A column of probabilities gives a row of thresholds each.
     """
-    denom = 1.0 - p * _slot(p, round_idx)
-    if isinstance(denom, np.ndarray):
-        t = np.ones(len(denom))
-        np.divide(p, denom, out=t, where=denom > 0.0)
-        return np.minimum(t, 1.0, out=t)
-    if denom <= 0.0:
-        return 1.0
-    return min(1.0, p / denom)
+    return p / np.maximum(1.0 - p * _slot(p, rounds), p)  # 1 where the denominator is p or less
 
 
 def _pay_or_die(out: RoundOutcome, ids, costs, energy, alive, sent) -> RoundOutcome:
@@ -266,7 +252,8 @@ def _nearest_heads(state: NodeState, ch_ids: np.ndarray,
 def _pay_sep_round(state: NodeState, radio: RadioParams, uplink: np.ndarray,
                    ch_ids: np.ndarray, member_ids: np.ndarray, heads: np.ndarray,
                    tx: np.ndarray) -> RoundOutcome:
-    """Pay one sep round whose heads ``ch_ids`` are elected, in id order.
+    """Pay one sep round whose heads ``ch_ids`` are elected, in id order: the pay
+    loop of ``sep_block``, for a one-round block and for a block's round with a death.
 
     Each alive member ``member_ids[j]`` sends to head ``heads[j]`` at cost
     ``tx[j]``, the head paying reception per packet; heads aggregate
@@ -306,7 +293,7 @@ def _pay_sep_round(state: NodeState, radio: RadioParams, uplink: np.ndarray,
             deaths += 1
 
     # Heads forward their members' packets and their own; the cost adds on in id order.
-    out = RoundOutcome(cost=cost, cluster_heads=len(ch_ids), deaths=deaths)
+    out = RoundOutcome(cost=cost, deaths=deaths)
     fwd = [per_msg * (n + 1) + u for n, u in zip(received.values(), uplink[ch_ids].tolist())]
     _pay_or_die(out, received, fwd, energy, alive, sent)
     state.energy[:] = energy
@@ -315,45 +302,15 @@ def _pay_sep_round(state: NodeState, radio: RadioParams, uplink: np.ndarray,
     return out
 
 
-def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
-              radio: RadioParams, uplink: np.ndarray, draws: np.ndarray) -> RoundOutcome:
-    """One clustered round against a static sink.
-
-    ``uplink`` holds each node's cost of transmitting straight to the sink,
-    indexed by id, and ``draws`` the round's election draw of each node, one
-    per id every round, so the stream does not depend on which nodes are
-    alive.
-
-    Phases: epoch bookkeeping and head self-election; members join the
-    nearest alive head, lowest id on ties, at a hop price taken afresh; then
-    ``_pay_sep_round`` pays the round.
-    """
-    p_nrm, p_adv = net.p_normal, net.p_advanced
-
-    # Epoch boundaries re-admit every alive node of that kind to set G.
-    if _slot(p_nrm, round_idx) == 0:
-        state.in_set_g[state.alive & ~state.is_advanced] = True
-    if _slot(p_adv, round_idx) == 0:
-        state.in_set_g[state.alive & state.is_advanced] = True
-
-    t_nrm = election_threshold(p_nrm, round_idx)
-    t_adv = election_threshold(p_adv, round_idx)
-    thresholds = np.where(state.is_advanced, t_adv, t_nrm)
-    is_ch = state.alive & state.in_set_g & (draws < thresholds)
-    ch_ids = is_ch.nonzero()[0]
-    state.in_set_g[ch_ids] = False
-    if len(ch_ids) == 0:  # the fallback, before any head search: no heads, no hops
-        return _pay_sep_round(state, radio, uplink, ch_ids, ch_ids, ch_ids, ch_ids)
-    member_ids = (state.alive ^ is_ch).nonzero()[0]  # heads are alive
-    heads, dist = _nearest_heads(state, ch_ids, member_ids)
-    return _pay_sep_round(state, radio, uplink, ch_ids, member_ids, heads,
-                          tx_energy(radio, radio.packet_bits, dist))
-
-
 def sep_block(state: NodeState, round0: int, net: NetworkParams, radio: RadioParams,
-              uplink: np.ndarray, hops: tuple[np.ndarray, ...],
+              uplink: np.ndarray, hops: tuple[np.ndarray, ...] | None,
               draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """sep rounds ``round0, round0 + 1, ...``, one per row of ``draws``, through the first death.
+
+    The one sep engine: nodes self-elect as cluster heads with a rotating
+    threshold on ``NetworkParams.p_normal`` or ``p_advanced``, by their
+    ``is_advanced`` flag; members join the nearest head, lowest id on ties;
+    heads aggregate and forward by the direct rule. Some node must be alive.
 
     Between deaths a round's heads, members and prices depend only on its
     draws, set G and the alive set, never on energy, so every round of the
@@ -364,9 +321,12 @@ def sep_block(state: NodeState, round0: int, net: NetworkParams, radio: RadioPar
       threshold) of a stretch: a ``cumsum`` of hits, less its value where
       the stretch starts, is 1 there. A node out of set G at the block's
       start counts as having hit already in the stretch it is in.
-    * **Nearest head.** The least ``rank`` over the round's heads, read
-      through ``near`` (see ``hop_table``); each round's heads are padded to
+    * **Nearest head.** With a ``hop_table``, the least ``rank`` over the
+      round's heads, read through ``near``; each round's heads are padded to
       the most any round has with row n of ``rank``, which no rank is above.
+      Without one (``hops`` None), each round with heads searches them by
+      distance (``_nearest_heads``), and one ``tx_energy`` call prices the
+      block's hops.
     * **Round cost.** One ``cumsum`` over the row ``[tx₀, rx, tx₁, rx, …,
       forward of each head]`` with 0.0 where a node does not act, the order
       in which ``_pay_sep_round`` adds them; adding 0.0 is exact.
@@ -376,28 +336,27 @@ def sep_block(state: NodeState, round0: int, net: NetworkParams, radio: RadioPar
 
     Commits to ``state`` the rounds before the first in which some payment
     fails, then pays that round from its row of the layout through
-    ``_pay_sep_round``, the pay loop of ``sep_round``. Returns the rounds'
-    (cost, packets) and the deaths of the last, 0 if every round was clean.
+    ``_pay_sep_round``. A one-round block skips the cost rows and the fold
+    and pays its round there. Returns the rounds' (cost, packets) and the
+    deaths of the last, 0 if every round was clean.
     """
     b, n = draws.shape
     live = state.alive.nonzero()[0]
     m = len(live)
     adv = state.is_advanced[live]
-    price, rank, near = hops
     k = radio.packet_bits
     rx = rx_energy(radio, k)
     per_msg = aggregation_energy(radio, k, 1)
     rounds = np.arange(round0, round0 + b)
     at = np.arange(b)
-    ids = np.arange(m)
 
     # count[j + 2] counts hits up to round j, and count[1] a node out of G at
     # the start. Less count[s], where s is 0 before the block's first epoch
     # boundary and j' + 1 from a boundary j' on, it counts the stretch's hits.
-    kinds = [(election_threshold(p, rounds)[:, None],
-              np.maximum.accumulate(np.where(_slot(p, rounds) == 0, at + 1, 0)))
-             for p in (net.p_advanced, net.p_normal)]
-    (t_adv, s_adv), (t_nrm, s_nrm) = kinds
+    # Each kind, advanced and normal, is one row of p.
+    p = np.array([[net.p_advanced], [net.p_normal]])
+    t_adv, t_nrm = election_threshold(p, rounds)[:, :, None]
+    s_adv, s_nrm = np.maximum.accumulate(np.where(_slot(p, rounds) == 0, at + 1, 0), axis=1)
     hit = draws[:, live] < np.where(adv, t_adv, t_nrm)
     count = np.zeros((b + 2, m), dtype=np.int32)
     count[1] = ~state.in_set_g[live]
@@ -409,41 +368,57 @@ def sep_block(state: NodeState, round0: int, net: NetworkParams, radio: RadioPar
     ch_round, ch = is_ch.nonzero()
     heads = np.bincount(ch_round, minlength=b)
     led = heads > 0
-    pad = np.full((b, heads.max(initial=0)), n)
-    pad[ch_round, np.arange(len(ch)) - (np.cumsum(heads) - heads)[ch_round]] = live[ch]
-    head_of = near[live, rank[:, live][pad].min(axis=1, initial=n - 1)]
     member = ~is_ch
     member &= led[:, None]
-    send = np.where(member, price[head_of, live], 0.0)
-    send[~led] = uplink[live]  # no head: every node's uplink
-    local = np.empty(n, dtype=np.intp)
-    local[live] = ids
-    got = np.bincount((at[:, None] * m + local[head_of])[member], minlength=b * m).reshape(b, m)
-    got += 1
-    fwd = np.where(is_ch, per_msg * got + uplink[live], 0.0)
+    if hops is None:
+        head_of = np.zeros((b, m), dtype=np.intp)
+        dist = np.zeros((b, m))
+        for j in led.nonzero()[0]:
+            head_of[j, member[j]], dist[j, member[j]] = _nearest_heads(
+                state, live[is_ch[j]], live[member[j]])
+        # A block with no head searches for none and prices no hop.
+        send = np.where(member, tx_energy(radio, k, dist), 0.0) if led.any() else dist
+    else:
+        price, rank, near = hops
+        pad = np.full((b, heads.max(initial=0)), n)
+        pad[ch_round, np.arange(len(ch)) - (np.cumsum(heads) - heads)[ch_round]] = live[ch]
+        head_of = near[live, rank[:, live][pad].min(axis=1, initial=n - 1)]
+        send = np.where(member, price[head_of, live], 0.0)
 
-    row = np.empty((b, 3 * m))
-    row[:, 0:2 * m:2] = send
-    row[:, 1:2 * m:2] = member * rx
-    row[:, 2 * m:] = fwd
-    cost = np.cumsum(row, axis=1, out=row)[:, -1].copy()  # a view would keep the rows
-    packets = np.where(led, heads, m)
+    if b == 1:
+        done, cost, packets = 0, np.empty(1), np.empty(1, dtype=np.intp)
+    else:
+        send[~led] = uplink[live]  # no head: every node's uplink
+        ids = np.arange(m)
+        local = np.empty(n, dtype=np.intp)
+        local[live] = ids
+        got = np.bincount(member.nonzero()[0] * m + local[head_of[member]],
+                          minlength=b * m).reshape(b, m)
+        got += 1
+        fwd = np.where(is_ch, per_msg * got + uplink[live], 0.0)
 
-    # Each node acts once a round: got events, receptions and then its hop,
-    # forward or uplink. Rows are padded with rx.
-    events = np.cumsum(got, axis=0)  # each node's events through each round
-    fold = np.full((m, int(events[-1].max()) + 1), rx)
-    fold[ids[:, None], events.T] = (send + fwd).T
-    fold[:, 0] = state.energy[live]
-    before = np.subtract.accumulate(fold, axis=1)
-    # A node's first short payment, if one of its events and not padding,
-    # lies in the round after those whose events end before it.
-    short = before[:, :-1] < fold[:, 1:]
-    first = short.argmax(axis=1)
-    done = int(np.where(short[ids, first], (events <= first).sum(axis=0), b).min())
-    if done:
-        state.energy[live] = before[ids, events[done - 1]]
-        state.packets_sent[live] += done
+        row = np.empty((b, 3 * m))
+        row[:, 0:2 * m:2] = send
+        row[:, 1:2 * m:2] = member * rx
+        row[:, 2 * m:] = fwd
+        cost = np.cumsum(row, axis=1, out=row)[:, -1].copy()  # a view would keep the rows
+        packets = np.where(led, heads, m)
+
+        # Each node acts once a round: got events, receptions and then its hop,
+        # forward or uplink. Rows are padded with rx.
+        events = np.cumsum(got, axis=0)  # each node's events through each round
+        fold = np.full((m, int(events[-1].max()) + 1), rx)
+        fold[ids[:, None], events.T] = (send + fwd).T
+        fold[:, 0] = state.energy[live]
+        before = np.subtract.accumulate(fold, axis=1)
+        # A node's first short payment, if one of its events and not padding,
+        # lies in the round after those whose events end before it.
+        short = before[:, :-1] < fold[:, 1:]
+        first = short.argmax(axis=1)
+        done = int(np.where(short[ids, first], (events <= first).sum(axis=0), b).min())
+        if done:
+            state.energy[live] = before[ids, events[done - 1]]
+            state.packets_sent[live] += done
     state.in_set_g[live] = count[min(done, b - 1)] == 0  # after the last round run
     if done == b:
         return cost, packets, 0

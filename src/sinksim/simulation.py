@@ -19,7 +19,7 @@ from .energy import RadioParams, tx_energy
 from .errors import ConfigurationError
 from .geometry import Field, Point, SquareField, Trajectory, distances, trajectory_in_field
 from .protocols import (_CHUNK, MAX_TOTAL_ENERGY, PROTOCOLS, SEP, SRP, NetworkParams,
-                        NodeState, RoundOutcome, direct_round, hop_table, sep_block, sep_round)
+                        NodeState, RoundOutcome, direct_round, hop_table, sep_block)
 
 RNG_GENERATOR = "numpy.PCG64"
 RNG_DERIVATION = "SeedSequence([seed & 2**64-1, sha256(label)[:8] as uint64])"
@@ -210,9 +210,10 @@ def deploy(cfg: ScenarioConfig) -> NodeState:
     return NodeState(xs, ys, is_advanced, energy)
 
 
-# Rounds in sep's first block and in its first after each death. A block's
-# set-up costs about as much as this many of its rounds, and on the sep preset
-# restarting here ran about 15 % faster than halving the block after a death.
+# Rounds in sep's first block and in its first after each death, over a hop
+# table. A block's set-up costs about as much as this many of its rounds, and
+# on the sep preset restarting here ran about 15 % faster than halving the
+# block after a death.
 _SEP_FIRST_BLOCK = 8
 
 
@@ -292,9 +293,13 @@ class Simulation:
             raise RuntimeError(f"cannot step round {round_idx}: a Simulation steps rounds 0 to "
                                f"{cfg.max_rounds - 1} once each, in order; its next is {self._round}")
         self._round += 1
-        if cfg.protocol == SEP:
-            return sep_round(self.state, round_idx, cfg.net, cfg.radio, self._cost,
-                             self._election_rng.random(cfg.net.n))
+        if cfg.protocol == SEP:  # a one-round block without a hop table
+            draws = self._election_rng.random(cfg.net.n)
+            if not self.state.alive.any():
+                return RoundOutcome()
+            cost, packets, deaths = sep_block(self.state, round_idx, cfg.net, cfg.radio,
+                                              self._cost, None, draws[None])
+            return RoundOutcome(packets=int(packets[0]), cost=float(cost[0]), deaths=deaths)
         s = round_idx % (len(self._offsets) - 1)
         lo, hi = self._offsets[s], self._offsets[s + 1]
         return direct_round(self.state, self._id[lo:hi], self._cost[lo:hi])
@@ -308,7 +313,7 @@ class Simulation:
         death (``_sep``). The lifetimes and ``total_packets`` come from
         those. The per-round series wait for their first read (see
         RunMetrics): for srp and cl-sep ``_fold`` sums each round's payers
-        over the reach table, and sep's rounds are its engines' rows, with
+        over the reach table, and sep's rounds are its blocks' rows, with
         rows of no cost past its last death.
         """
         cfg = self.cfg
@@ -330,15 +335,16 @@ class Simulation:
     def _sep(self) -> tuple[np.ndarray, int, partial]:
         """sep's death rounds, packet total and per-round builder, run while a node lives.
 
-        Up to ``_HOP_NODES`` nodes, rounds run in blocks (``sep_block``)
-        through the first round with a death, over one ``hop_table``; a
-        block's later election draws wait for the next block. Deaths come in
-        bursts, so a run's first block and the first after each death take
-        ``_SEP_FIRST_BLOCK`` rounds, and each block with no death doubles the
-        next, while its (rounds x 3n) cost rows hold at most ``_CHUNK``
-        elements. Above that bound each round is one ``sep_round``. Once none
-        is alive a round spends and sends nothing; the election draws those
-        rounds skip feed nothing else. The death rounds are one per node, as
+        Rounds run in blocks (``sep_block``) through the first round with a
+        death, up to ``_HOP_NODES`` nodes over one ``hop_table`` and above it
+        with each round's own head search; a block's later election draws
+        wait for the next block. Deaths come in bursts, so a run's first
+        block and the first after each death take ``_SEP_FIRST_BLOCK`` rounds,
+        or 1 without a table, where a round a death drops wastes its head
+        search. Each block with no death doubles the next, while its (rounds
+        x 3n) cost rows hold at most ``_CHUNK`` elements. Once none is alive a
+        round spends and sends nothing; the election draws those rounds skip
+        feed nothing else. The death rounds are one per node, as
         ``_fold_nodes`` gives them, though not by id.
         """
         cfg = self.cfg
@@ -346,25 +352,21 @@ class Simulation:
         alive = alive0 = self.state.alive_count()
         hops = hop_table(self.state, cfg.radio)
         most = max(1, _CHUNK // (3 * n))  # a block's (rounds x 3n) cost rows
-        size = min(most, _SEP_FIRST_BLOCK)
+        size = restart = min(most, 1 if hops is None else _SEP_FIRST_BLOCK)
         ahead = np.empty((0, n))  # election draws taken ahead, next first
         costs: list = []
         packets: list = []
         died: dict[int, int] = {}
         r = 0
         while r < cfg.max_rounds and alive > 0:
-            if hops is None:
-                out = sep_round(self.state, r, cfg.net, cfg.radio, self._cost, rng.random(n))
-                cost, sent, deaths = [out.cost], [out.packets], out.deaths
-            else:
-                # Every round draws one row of n, so a block of rows holds the same bits.
-                b = min(size, cfg.max_rounds - r)
-                if len(ahead) < b:
-                    ahead = np.concatenate((ahead, rng.random((b - len(ahead), n))))
-                cost, sent, deaths = sep_block(self.state, r, cfg.net, cfg.radio, self._cost,
-                                               hops, ahead[:b])
-                ahead = ahead[len(cost):]
-                size = min(most, _SEP_FIRST_BLOCK if deaths else 2 * size)
+            # Every round draws one row of n, so a block of rows holds the same bits.
+            b = min(size, cfg.max_rounds - r)
+            if len(ahead) < b:
+                ahead = np.concatenate((ahead, rng.random((b - len(ahead), n))))
+            cost, sent, deaths = sep_block(self.state, r, cfg.net, cfg.radio, self._cost,
+                                           hops, ahead[:b])
+            ahead = ahead[len(cost):]
+            size = restart if deaths else min(most, 2 * size)
             costs.append(cost)
             packets.append(sent)
             r += len(cost)
@@ -427,7 +429,7 @@ class Simulation:
 
 
 def _sep_rounds(costs: list, packets: list, r: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """sep's per-round (cost, packets): its engines' ``r`` rounds, then rounds of none alive."""
+    """sep's per-round (cost, packets): its blocks' ``r`` rounds, then rounds of none alive."""
     return (np.concatenate((*costs, np.zeros(rows - r))),
             np.concatenate((*packets, np.zeros(rows - r, dtype=np.int64))))
 

@@ -13,23 +13,28 @@
   distance each round; the oracle for the reach table.
 * ``sep_round``   — one sep round that pays member by member on numpy
   scalars, with one scalar ``tx_energy`` call per member and every distance
-  computed afresh; the oracle for the library's ``sep_round``, which finds
-  each round's nearest heads by distance a block of members at a time and
-  pays on Python lists, the heads through ``direct_round``'s pay-or-die
-  loop, and for ``sep_block``, which lays out a block of rounds at once from
-  the run's ``hop_table``. It has its own election formulas: each node
-  kind's probability, epoch and threshold are written out here, not imported
-  from ``sinksim.protocols``. ``sep_oracle_run`` steps a whole ``Simulation``
-  with it.
+  computed afresh; the oracle for the library's one sep engine,
+  ``sep_block``, which lays out a block of rounds at once and pays on Python
+  lists, its members finding their heads in the run's ``hop_table`` or, with
+  none, by distance a block of members at a time. It has its own election
+  formulas: each node kind's probability, epoch and threshold are written
+  out here, not imported from ``sinksim.protocols``. ``sep_oracle_run``
+  steps a whole ``Simulation`` with it, through ``sep_step`` in place of
+  ``Simulation.step``.
+* ``heads_elected`` — a sep round's head count: the eligible nodes it takes
+  out of set G. The library's engine reports none.
+* ``hop_spies`` — the hop tables that runs build and the first round of each
+  block they run.
 * ``stepped_run`` — ``Simulation.run`` as a plain loop of ``Simulation.step``
   calls, one per round; the oracle for the per-node fold of srp and cl-sep
   and for sep's blocks and filled dead tail. ``run`` never steps, and a
-  stepped sep round reads no hop table.
+  stepped sep round is a one-round block that reads no hop table.
 * ``write_run_csv`` and ``validate_run_csv`` — the per-round CSV formatted
   and parsed one row at a time; the oracles for the library's pair, which
   handle runs of rows that repeat the row above.
 """
 
+import contextlib
 import math
 from collections.abc import Sequence
 from pathlib import Path
@@ -37,7 +42,7 @@ from unittest import mock
 
 import numpy as np
 
-from sinksim import simulation
+from sinksim import protocols, simulation
 from sinksim.energy import RadioParams, aggregation_energy, rx_energy, tx_energy
 from sinksim.errors import ConfigurationError
 from sinksim.geometry import (Field, Point, SquareField, Trajectory,
@@ -229,7 +234,6 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     is_ch = state.alive & (draws < thresholds)
     ch_ids = np.flatnonzero(is_ch)
     state.in_set_g[ch_ids] = False
-    out.cluster_heads = len(ch_ids)
 
     if len(ch_ids) == 0:
         # Fallback: nobody advertised, everyone reports directly.
@@ -284,11 +288,50 @@ def sep_round(state: NodeState, round_idx: int, net: NetworkParams,
     return out
 
 
+def sep_step(sim: Simulation, round_idx: int) -> RoundOutcome:
+    """``Simulation.step`` for sep, each round played by ``sep_round`` from the run's draws."""
+    cfg = sim.cfg
+    return sep_round(sim.state, round_idx, cfg.net, cfg.radio, sim._cost,
+                     sim._election_rng.random(cfg.net.n))
+
+
 def sep_oracle_run(cfg: ScenarioConfig) -> tuple[Simulation, RunMetrics]:
     """A ``stepped_run`` of ``Simulation(cfg)`` with every sep round played by ``sep_round``."""
-    with mock.patch.object(simulation, "sep_round", sep_round):
+    with mock.patch.object(Simulation, "step", sep_step):
         sim = Simulation(cfg)
         return sim, stepped_run(sim)
+
+
+def heads_elected(state: NodeState, round_idx: int, net: NetworkParams,
+                  play) -> tuple[RoundOutcome, int]:
+    """``play()``, which plays sep round ``round_idx`` on ``state``, and the round's heads.
+
+    A round's heads are the nodes eligible at its start (alive, and in set G
+    or re-admitted by their kind's epoch boundary) that it takes out of set G.
+    """
+    new_epoch = np.where(state.is_advanced, round_idx % math.ceil(1 / net.p_advanced),
+                         round_idx % math.ceil(1 / net.p_normal)) == 0
+    eligible = state.alive & (state.in_set_g | new_epoch)
+    out = play()
+    return out, int((eligible & ~state.in_set_g).sum())
+
+
+@contextlib.contextmanager
+def hop_spies():
+    """The hop tables that runs build, and the first round of each block they run."""
+    tables, blocks = [], []
+
+    def table(*args):
+        tables.append(protocols.hop_table(*args))
+        return tables[-1]
+
+    def block(state, round0, *args):
+        blocks.append(round0)
+        return protocols.sep_block(state, round0, *args)
+
+    with mock.patch.object(simulation, "hop_table", table), \
+            mock.patch.object(simulation, "sep_block", block):
+        yield tables, blocks
 
 
 def stepped_run(sim: Simulation) -> RunMetrics:

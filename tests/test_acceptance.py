@@ -7,6 +7,7 @@ defined value but cannot be strictly ordered against another censored one.
 """
 
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -19,10 +20,10 @@ from sinksim.cli import main as cli_main
 from sinksim.energy import tx_energy
 from sinksim.geometry import Point, StaticPath, Trajectory, coverage_radius
 from sinksim.presets import PRESET_NAMES
-from sinksim.protocols import NodeState, direct_round, sep_round
-from sinksim.simulation import Simulation, deploy, reach, rng_stream, run
+from sinksim.protocols import NodeState, direct_round
+from sinksim.simulation import Simulation, deploy, reach, run
 
-from oracles import coverage_radius_grid
+from oracles import coverage_radius_grid, heads_elected
 
 SEEDS = range(10)
 HORIZON = 50_000
@@ -229,11 +230,10 @@ def test_criterion_8_determinism_and_validate(tmp_path):
 def test_criterion_9_election_statistics():
     """All-alive SEP: per-epoch mean head count within 3 binomial sigma of 10."""
     cfg = load_preset("sep", seed=42)
-    state = deploy(cfg)
-    rng = rng_stream(cfg.seed, "election")
-    _, _, uplink, _ = reach(state, cfg.radio, [Point(50.0, 50.0)], None)
+    sim = Simulation(cfg)
+    state = sim.state
     epoch = math.ceil(1.0 / cfg.net.p_opt)
-    counts = [sep_round(state, r, cfg.net, cfg.radio, uplink, rng.random(state.n)).cluster_heads
+    counts = [heads_elected(state, r, cfg.net, functools.partial(sim.step, r))[1]
               for r in range(20 * epoch)]
     assert state.alive_count() == cfg.net.n, "window must end with all nodes alive"
     target = cfg.net.n * cfg.net.p_opt

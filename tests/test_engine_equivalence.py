@@ -5,10 +5,9 @@ to each death and stops at its last; every preset at the full horizon, under
 both stop rules, must match the stepped loop bit for bit. sep's runs must
 also match the numpy-scalar ``sep_round`` of ``oracles`` stepped round by
 round, on both hop paths: a hop table up to its bound and each round's own
-nearest-head search above.
+nearest-head search above, in blocks of many rounds and of one.
 """
 
-import contextlib
 import dataclasses
 import functools
 import math
@@ -25,8 +24,7 @@ from sinksim.presets import PRESET_NAMES
 from sinksim.protocols import MAX_NODES, NetworkParams
 from sinksim.simulation import STOP_ALL_DEAD, STOP_MAX_ROUNDS, STOP_RULES, Simulation, deploy
 
-from oracles import assert_same_run, sep_oracle_run, stepped_run
-from oracles import sep_round as oracle_sep_round
+from oracles import assert_same_run, hop_spies, sep_oracle_run, sep_step, stepped_run
 
 
 @pytest.mark.parametrize("stop_rule", STOP_RULES)
@@ -147,24 +145,6 @@ def other_hop_path(n):
     return mock.patch.object(protocols, "_HOP_NODES", n - 1 if n <= protocols._HOP_NODES else n)
 
 
-@contextlib.contextmanager
-def hop_spies():
-    """The hop tables that runs build, and the first round of each block they run."""
-    tables, blocks = [], []
-
-    def table(*args):
-        tables.append(protocols.hop_table(*args))
-        return tables[-1]
-
-    def block(state, round0, *args):
-        blocks.append(round0)
-        return protocols.sep_block(state, round0, *args)
-
-    with mock.patch.object(simulation, "hop_table", table), \
-            mock.patch.object(simulation, "sep_block", block):
-        yield tables, blocks
-
-
 @pytest.mark.parametrize("seed,stop_rule,net", SEP_CASES, ids=SEP_IDS)
 def test_sep_round_matches_oracle(seed, stop_rule, net):
     assert_sep_matches_oracle(seed, stop_rule, net)
@@ -180,27 +160,18 @@ def test_sep_round_matches_oracle_on_other_hop_path(seed, stop_rule, net):
 @pytest.mark.parametrize("dead", [None, *DEAD_AT_START])
 @pytest.mark.parametrize("stop_rule", STOP_RULES)
 def test_sep_run_on_other_hop_path(stop_rule, dead):
-    """The preset's stepped-loop equivalence, each round pricing its hops afresh."""
+    """The preset's stepped-loop equivalence, its blocks pricing their hops afresh."""
     cfg = dataclasses.replace(load_preset("sep", seed=0), stop_rule=stop_rule, max_rounds=4000)
-    with other_hop_path(cfg.net.n), hop_spies() as (tables, blocks):
-        fast = Simulation(cfg)
-        ref = Simulation(cfg)
-        for sim in (fast, ref):
-            if dead is not None:
-                sim.state.alive[DEAD_AT_START[dead]] = False
-        assert_same_run(fast, fast.run(), ref, stepped_run(ref))
-    assert tables == [None] and blocks == []
-
-
-BLOCKED_CASES = [c for c in SEP_CASES if sep_case(*c).net.n <= protocols._HOP_NODES]
-
-
-@pytest.mark.parametrize("seed,stop_rule,net", BLOCKED_CASES,
-                         ids=[SEP_IDS[SEP_CASES.index(c)] for c in BLOCKED_CASES])
-def test_a_run_with_a_hop_table_plays_no_round_by_sep_round(seed, stop_rule, net):
-    """Blocks pay their death rounds themselves: ``run`` never calls ``sep_round``."""
-    with mock.patch.object(simulation, "sep_round", side_effect=AssertionError):
-        assert_sep_matches_oracle(seed, stop_rule, net)
+    fast = Simulation(cfg)
+    ref = Simulation(cfg)
+    for sim in (fast, ref):
+        if dead is not None:
+            sim.state.alive[DEAD_AT_START[dead]] = False
+    with other_hop_path(cfg.net.n):
+        with hop_spies() as (tables, blocks):
+            m_fast = fast.run()
+        assert_same_run(fast, m_fast, ref, stepped_run(ref))
+    assert tables == [None] and (blocks[:1] == [0]) == (dead != "all")
 
 
 def test_stepped_sep_on_a_grid_reads_no_hop_table():
@@ -229,15 +200,15 @@ def test_stepped_sep_on_a_grid_reads_no_hop_table():
 
 
 def test_hop_table_up_to_its_bound():
-    """A sep run builds its hop table and runs blocks up to ``_HOP_NODES`` nodes, and
-    holds no n x n array above it; constructing a ``Simulation`` builds no table."""
+    """A sep run builds its hop table up to ``_HOP_NODES`` nodes and runs blocks either
+    way, and holds no n x n array above it; constructing a ``Simulation`` builds no table."""
     base = load_preset("sep", seed=0)
     for n, kept in ((protocols._HOP_NODES, True), (protocols._HOP_NODES + 1, False)):
         with hop_spies() as (tables, blocks):
             sim = Simulation(dataclasses.replace(base, net=NetworkParams(n=n), max_rounds=3))
             assert tables == []
             sim.run()
-        assert len(tables) == 1 and (tables[0] is not None) is kept and (blocks == [0]) is kept
+        assert len(tables) == 1 and (tables[0] is not None) is kept and blocks[0] == 0
     cfg = dataclasses.replace(base, net=NetworkParams(n=MAX_NODES), max_rounds=3)
     sim = Simulation(cfg)
     tracemalloc.start()
@@ -313,50 +284,50 @@ def start(sim, dead):
 
 @functools.cache
 def block_references(name):
-    """The stepped loop's and the oracle's runs of a case: neither runs a block."""
+    """The stepped loop's and the oracle's runs of a case: one-round blocks without a
+    hop table, and the oracle's rounds."""
     cfg, dead = block_case(name)
     ref = start(Simulation(cfg), dead)
-    with mock.patch.object(simulation, "sep_round", oracle_sep_round):
+    with mock.patch.object(Simulation, "step", sep_step):
         oracle = start(Simulation(cfg), dead)
         m_oracle = stepped_run(oracle)
     return (ref, stepped_run(ref)), (oracle, m_oracle)
 
 
 @functools.cache
-def block_run(name, bound):
-    """A case's run with blocks of at most ``bound`` rounds, and each block's
-    (first round, rounds drawn, rounds committed)."""
+def block_run(name, bound, table):
+    """A case's run with blocks of at most ``bound`` rounds, with or without a hop
+    table, and each block's (first round, rounds drawn, rounds committed)."""
     cfg, dead = block_case(name)
     blocks = []
 
     def spy(state, round0, *args):
+        assert (args[-2] is not None) is table
         cost, packets, deaths = protocols.sep_block(state, round0, *args)
         blocks.append((round0, len(args[-1]), len(cost) - (deaths > 0)))  # clean rounds
         return cost, packets, deaths
 
     with mock.patch.object(simulation, "_CHUNK", 3 * cfg.net.n * bound), \
-            mock.patch.object(simulation, "sep_block", spy):
+            mock.patch.object(simulation, "sep_block", spy), \
+            mock.patch.object(protocols, "_HOP_NODES", MAX_NODES if table else 0):
         sim = start(Simulation(cfg), dead)
         m = sim.run()
     return sim, m, blocks
 
 
-@pytest.mark.parametrize("bound", BLOCK_BOUNDS)
-@pytest.mark.parametrize("name", BLOCK_CASES)
-def test_block_engine_matches_stepped_loop_and_oracle(name, bound):
-    sim, m, blocks = block_run(name, bound)
+def assert_block_run_matches_stepped_loop_and_oracle(name, bound, table):
+    sim, m, blocks = block_run(name, bound, table)
     for ref, m_ref in block_references(name):
         assert_same_run(sim, m, ref, m_ref)
     assert max((b for _, b, _ in blocks), default=0) <= bound
     assert (len(blocks) == 0) == (name == "dead-all")
 
 
-@pytest.mark.parametrize("bound", BLOCK_BOUNDS)
-def test_block_cases_cover_the_block_edges(bound):
+def assert_block_cases_cover_the_block_edges(bound, table):
     ends_epoch = first = last = fallback = False
     for name in BLOCK_CASES:
         cfg, _ = block_case(name)
-        sim, m, blocks = block_run(name, bound)
+        sim, m, blocks = block_run(name, bound, table)
         epochs = (math.ceil(1 / cfg.net.p_normal), math.ceil(1 / cfg.net.p_advanced))
         uplinks = np.cumsum(sim._cost)[-1]  # a round with no head, while all are alive
         for round0, drawn, done in blocks:
@@ -366,6 +337,29 @@ def test_block_cases_cover_the_block_edges(bound):
             fallback |= drawn > 1 and any(m.round_cost_j[r] == uplinks for r in
                                           range(round0, min(round0 + done, m.first_death_round)))
     assert ends_epoch and first and (last and fallback or bound == 1)
+
+
+@pytest.mark.parametrize("bound", BLOCK_BOUNDS)
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_block_engine_matches_stepped_loop_and_oracle(name, bound):
+    assert_block_run_matches_stepped_loop_and_oracle(name, bound, table=True)
+
+
+@pytest.mark.parametrize("bound", BLOCK_BOUNDS)
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_block_engine_without_a_hop_table_matches_stepped_loop_and_oracle(name, bound):
+    """The same blocks with each led round's own head search, ``_HOP_NODES`` below n."""
+    assert_block_run_matches_stepped_loop_and_oracle(name, bound, table=False)
+
+
+@pytest.mark.parametrize("bound", BLOCK_BOUNDS)
+def test_block_cases_cover_the_block_edges(bound):
+    assert_block_cases_cover_the_block_edges(bound, table=True)
+
+
+@pytest.mark.parametrize("bound", BLOCK_BOUNDS)
+def test_block_cases_without_a_hop_table_cover_the_block_edges(bound):
+    assert_block_cases_cover_the_block_edges(bound, table=False)
 
 
 def test_heads_die_on_a_reception_in_the_first_block():
@@ -380,7 +374,18 @@ def test_heads_die_on_a_reception_in_the_first_block():
     assert len(heads) > 1 and not sim.state.alive[heads].any()
     assert (sim.state.energy[heads] == before - rx_energy(cfg.radio, cfg.radio.packet_bits)).all()
     for bound in BLOCK_BOUNDS:
-        assert block_run("reception", bound)[2][0] == (0, min(bound, simulation._SEP_FIRST_BLOCK), 0)
+        assert block_run("reception", bound, True)[2][0] == (0, min(bound, simulation._SEP_FIRST_BLOCK), 0)
+
+
+def test_a_stepped_round_is_paid_by_the_pay_loop():
+    """A one-round block, as ``Simulation.step`` plays, skips the fold and pays its
+    round through ``_pay_sep_round``, clean or not."""
+    cfg = load_preset("sep", seed=0, max_rounds=40)
+    sim = Simulation(cfg)
+    with mock.patch.object(protocols, "_pay_sep_round", wraps=protocols._pay_sep_round) as pay:
+        for r in range(cfg.max_rounds):
+            sim.step(r)
+    assert pay.call_count == cfg.max_rounds and sim.state.alive.all()
 
 
 def test_block_draws_match_one_row_per_round():

@@ -32,7 +32,7 @@ from sinksim.presets import config_from_dict, config_to_dict
 from sinksim.protocols import MAX_NODES, PROTOCOLS, SEP, SRP, NetworkParams
 from sinksim.simulation import MAX_ROUNDS, STOP_RULES, ScenarioConfig, Simulation, deploy
 
-from oracles import assert_same_run, sep_oracle_run, stepped_run
+from oracles import assert_same_run, hop_spies, sep_oracle_run, stepped_run
 
 CENTER = Point(50.0, 50.0)
 
@@ -108,12 +108,11 @@ def test_sep_on_a_grid_matches_oracle_on_both_hop_paths(cfg, data):
 
     with mock.patch.object(simulation, "deploy", on_grid):
         ref, m_ref = sep_oracle_run(cfg)
-        for bound in (0, MAX_NODES):  # each round's own block, then a hop table
-            with mock.patch.object(protocols, "_HOP_NODES", bound), \
-                    mock.patch.object(simulation, "sep_block", wraps=protocols.sep_block) as blocks:
+        for bound in (0, MAX_NODES):  # each round's own head search, then a hop table
+            with mock.patch.object(protocols, "_HOP_NODES", bound), hop_spies() as (tables, blocks):
                 sim = Simulation(cfg)
                 assert_same_run(sim, sim.run(), ref, m_ref)
-            assert blocks.called == (bound > 0)
+            assert (tables == [None]) == (bound == 0) and blocks[0] == 0
 
 
 def _first(mask):

@@ -12,10 +12,10 @@ from sinksim.energy import (RadioParams, aggregation_energy, rx_energy,
 from sinksim.geometry import CirclePath, Point, Trajectory
 from sinksim.presets import load_preset
 from sinksim.protocols import (NetworkParams, NodeState, RoundOutcome, direct_round,
-                               election_threshold, hop_table, sep_block, sep_round)
+                               election_threshold, hop_table, sep_block)
 from sinksim.simulation import Simulation, reach
 
-from oracles import srp_round
+from oracles import heads_elected, srp_round
 
 RADIO = RadioParams()
 NET = NetworkParams()
@@ -79,29 +79,29 @@ class TestChProbability:
 
 class TestElectionThreshold:
     def test_epoch_start(self):
-        assert election_threshold(0.1, 0) == pytest.approx(0.1)
-        assert election_threshold(0.1, 10) == pytest.approx(0.1)
+        assert election_threshold(0.1, np.array([0, 10])) == pytest.approx([0.1, 0.1])
 
     def test_mid_epoch(self):
-        assert election_threshold(0.1, 5) == pytest.approx(0.2)
+        assert election_threshold(0.1, np.array([5])) == pytest.approx([0.2])
 
     def test_last_slot_reaches_one(self):
         # every eligible node must elect by the end of its epoch; below 2**-53,
         # p*(epoch - 1) can round to 1, and only the clamp gives the threshold 1
         for p in (0.1, 1 / 11, 0.2 / 1.1, 0.15, 2.0**-60):
             epoch = math.ceil(1.0 / p)
-            assert election_threshold(p, epoch - 1) == pytest.approx(1.0)
+            assert election_threshold(p, np.array([epoch - 1])) == pytest.approx([1.0])
 
     def test_exactly_once_per_epoch(self):
         # threshold + set-G bookkeeping elect each node exactly once per epoch
         rng = np.random.default_rng(3)
         p = 1 / 11
         epoch = math.ceil(1 / p)
+        thresholds = election_threshold(p, np.arange(epoch)).tolist()
         for _ in range(50):
             in_g = True
             elections = 0
             for slot in range(epoch):
-                t = election_threshold(p, slot) if in_g else 0.0
+                t = thresholds[slot] if in_g else 0.0
                 if rng.random() < t:
                     elections += 1
                     in_g = False
@@ -109,10 +109,28 @@ class TestElectionThreshold:
 
 
 class TestSepRound:
-    """The StubRng cases, each round pricing its member hops afresh."""
+    """The StubRng cases through one-round blocks, each pricing its member hops afresh.
+
+    ``step`` returns the round's outcome and its heads (``heads_elected``).
+    With none alive ``run`` calls no block, and the round spends and sends
+    nothing.
+    """
+
+    def hops(self, state, radio):
+        return None
 
     def step(self, state, r, net, radio, uplink, rng):
-        return sep_round(state, r, net, radio, uplink, rng.random(state.n))
+        draws = rng.random(state.n)
+        if not state.alive.any():
+            return RoundOutcome(), 0
+
+        def play():
+            cost, packets, deaths = sep_block(state, r, net, radio, uplink,
+                                              self.hops(state, radio), draws[None])
+            assert len(cost) == len(packets) == 1
+            return RoundOutcome(packets=int(packets[0]), cost=float(cost[0]), deaths=deaths)
+
+        return heads_elected(state, r, net, play)
 
     def test_single_node_forced_head_dies_at_2272(self):
         # per-round cost = aggregation(K, 1) + tx(K, 0); 0.5 J covers 2272 rounds
@@ -134,10 +152,10 @@ class TestSepRound:
         # node 1 elects, node 0 joins it at 30 m, head is 10 m from the sink
         state = make_state([(30.0, 50.0), (60.0, 50.0)])
         rng = StubRng([0.99, 0.0])
-        out = self.step(state, 0, NET, RADIO, uplink(state), rng)
+        out, heads = self.step(state, 0, NET, RADIO, uplink(state), rng)
         member_cost = tx_energy(RADIO, K, 30.0)
         head_cost = rx_energy(RADIO, K) + aggregation_energy(RADIO, K, 2) + tx_energy(RADIO, K, 10.0)
-        assert out.cluster_heads == 1
+        assert heads == 1
         assert out.packets == 1
         assert out.cost == pytest.approx(member_cost + head_cost, rel=1e-15)
         assert float(state.energy[0]) == pytest.approx(0.5 - member_cost, rel=1e-15)
@@ -147,8 +165,8 @@ class TestSepRound:
     def test_no_heads_falls_back_to_direct(self):
         state = make_state([(40.0, 50.0), (70.0, 50.0)])
         rng = StubRng([0.999])  # nobody clears the threshold
-        out = self.step(state, 0, NET, RADIO, uplink(state), rng)
-        assert out.cluster_heads == 0
+        out, heads = self.step(state, 0, NET, RADIO, uplink(state), rng)
+        assert heads == 0
         assert out.packets == 2
         expect = tx_energy(RADIO, K, 10.0) + tx_energy(RADIO, K, 20.0)
         assert out.cost == pytest.approx(expect, rel=1e-15)
@@ -156,16 +174,16 @@ class TestSepRound:
     def test_all_dead_is_empty(self):
         state = make_state([(10.0, 10.0)])
         state.alive[0] = False
-        out = self.step(state, 0, NET, RADIO, uplink(state), StubRng([0.0]))
-        assert out.packets == 0 and out.cost == 0.0 and out.cluster_heads == 0
+        out, heads = self.step(state, 0, NET, RADIO, uplink(state), StubRng([0.0]))
+        assert out.packets == 0 and out.cost == 0.0 and heads == 0
 
     def test_members_join_nearest_head(self):
         # heads at x=20 and x=80; member at x=30 must pay for the 10 m hop
         state = make_state([(20.0, 50.0), (80.0, 50.0), (30.0, 50.0)])
         rng = StubRng([0.0, 0.0, 0.99])
         before_far = float(state.energy[1])
-        out = self.step(state, 0, NET, RADIO, uplink(state), rng)
-        assert out.cluster_heads == 2
+        _, heads = self.step(state, 0, NET, RADIO, uplink(state), rng)
+        assert heads == 2
         member_cost = tx_energy(RADIO, K, 10.0)
         assert float(state.energy[2]) == pytest.approx(0.5 - member_cost, rel=1e-15)
         # far head received nothing: only its own aggregation + uplink
@@ -176,8 +194,8 @@ class TestSepRound:
         # the member at (50, 50) is exactly 10 m from both heads
         state = make_state([(40.0, 50.0), (50.0, 50.0), (60.0, 50.0)])
         rng = StubRng([0.0, 0.99, 0.0])
-        out = self.step(state, 0, NET, RADIO, uplink(state), rng)
-        assert out.cluster_heads == 2
+        _, heads = self.step(state, 0, NET, RADIO, uplink(state), rng)
+        assert heads == 2
         uplink_cost = tx_energy(RADIO, K, 10.0)
         low = rx_energy(RADIO, K) + aggregation_energy(RADIO, K, 2) + uplink_cost
         high = aggregation_energy(RADIO, K, 1) + uplink_cost
@@ -212,7 +230,7 @@ class TestSepRound:
         rng = rng_stream(42, "election")
         epoch = math.ceil(1 / cfg.net.p_opt)
         costs = uplink(state, cfg.radio)
-        counts = [self.step(state, r, cfg.net, cfg.radio, costs, rng).cluster_heads
+        counts = [self.step(state, r, cfg.net, cfg.radio, costs, rng)[1]
                   for r in range(20 * epoch)]
         sigma = math.sqrt(cfg.net.n * cfg.net.p_opt * (1 - cfg.net.p_opt) / epoch)
         for e in range(20):
@@ -221,30 +239,15 @@ class TestSepRound:
 
 
 class TestSepRoundHopTable(TestSepRound):
-    """The same cases through ``sep_block``: one-round blocks over one hop table per state.
-
-    A block reports no head count: a round's heads are the nodes it takes out
-    of set G among those eligible at its start. With none alive ``run`` calls
-    no block, and the round spends and sends nothing.
-    """
+    """The same cases over one hop table per state."""
 
     def setup_method(self):
         self.tables = {}
 
-    def step(self, state, r, net, radio, uplink, rng):
-        draws = rng.random(state.n)
-        if not state.alive.any():
-            return RoundOutcome()
+    def hops(self, state, radio):
         if id(state) not in self.tables:
             self.tables[id(state)] = hop_table(state, radio)
-        new_epoch = np.where(state.is_advanced, r % math.ceil(1 / net.p_advanced),
-                             r % math.ceil(1 / net.p_normal)) == 0
-        eligible = state.alive & (state.in_set_g | new_epoch)
-        cost, packets, deaths = sep_block(state, r, net, radio, uplink, self.tables[id(state)],
-                                          draws[None])
-        assert len(cost) == len(packets) == 1
-        return RoundOutcome(packets=int(packets[0]), cost=float(cost[0]),
-                            cluster_heads=int((eligible & ~state.in_set_g).sum()), deaths=deaths)
+        return self.tables[id(state)]
 
 
 def test_a_sep_round_with_no_head_searches_for_none():
@@ -253,8 +256,9 @@ def test_a_sep_round_with_no_head_searches_for_none():
     costs = uplink(state)
     with mock.patch("sinksim.protocols._nearest_heads", side_effect=AssertionError), \
             mock.patch("sinksim.protocols.tx_energy", side_effect=AssertionError):
-        out = sep_round(state, 0, NET, RADIO, costs, StubRng([0.999]).random(state.n))
-    assert out.cluster_heads == 0 and out.packets == 2
+        _, packets, _ = sep_block(state, 0, NET, RADIO, costs, None,
+                                  StubRng([0.999]).random(state.n)[None])
+    assert state.in_set_g.all() and packets.tolist() == [2]
 
 
 class TestHopTable:
@@ -414,9 +418,9 @@ class TestRoundInvariants:
         costs = uplink(state)
         for r in range(300):
             before = state.total_energy()
-            out = sep_round(state, r, NET, RADIO, costs, election.random(state.n))
+            cost, _, _ = sep_block(state, r, NET, RADIO, costs, None, election.random(state.n)[None])
             after = state.total_energy()
-            assert before - after == pytest.approx(out.cost, abs=1e-12)
+            assert before - after == pytest.approx(cost[0], abs=1e-12)
             assert (state.energy >= 0.0).all()
 
     def test_dead_nodes_stay_dead_and_idle(self):
