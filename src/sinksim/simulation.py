@@ -219,7 +219,7 @@ _SEP_FIRST_BLOCK = 8
 
 # Most entries a run's reach table may hold. The table grows as
 # min(sojourn_count, max_rounds) x nodes in range, which no other cap bounds;
-# a one-tour srp run at the cap peaks at about 440 MB.
+# a one-tour srp run at the cap peaks at about 440 MB, or 550 MB with its series.
 MAX_REACH_ENTRIES = 10_000_000
 
 
@@ -229,41 +229,50 @@ def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
 
     Returns the arrays ``(slot, id, cost, offsets)``. Entry ``e`` says that
     node ``id[e]`` reaches point ``slot[e]`` at cost ``cost[e]``. Entries are
-    in (slot, id) order, and slot ``s`` holds entries
-    ``offsets[s]:offsets[s + 1]``. Node positions and sink points never
+    in (id, slot) order: node ``i``'s pattern over one tour is entries
+    ``offsets[i]:offsets[i + 1]``. Node positions and sink points never
     change during a run, so the table holds for the whole run. A table over
     ``MAX_REACH_ENTRIES`` entries raises before it is priced.
 
-    The distances are taken for a block of points at a time, one (points x
-    n) array of at most ``_CHUNK`` elements (or one point's row), whose
-    in-range flat indices ``slot·n + id`` come out in (slot, id) order.
+    The distances are taken for a block of nodes at a time, one (nodes x
+    points) array of at most ``_CHUNK`` elements (or one node's row), whose
+    in-range flat indices ``id·S + slot`` come out in (id, slot) order.
     """
     limit = math.inf if sensing_range is None else sensing_range
     n, S = state.n, len(points)
     px = np.array([p.x for p in points])
     py = np.array([p.y for p in points])
-    step = max(1, _CHUNK // n)
+    step = max(1, _CHUNK // S)
     flat = []
     dists = []
     total = 0
-    for lo in range(0, S, step):
-        d = distances(state.xs, state.ys, px[lo:lo + step, None], py[lo:lo + step, None])
+    for lo in range(0, n, step):
+        d = distances(state.xs[lo:lo + step, None], state.ys[lo:lo + step, None], px, py)
         inside = np.flatnonzero(d <= limit)
         total += len(inside)
         if total > MAX_REACH_ENTRIES:
             raise ConfigurationError(f"the reach table needs more than {MAX_REACH_ENTRIES} "
                                      "entries; lower max_rounds, sojourn_count, n or sensing_range")
         dists.append(d.take(inside))
-        inside += lo * n
+        inside += lo * S
         flat.append(inside)
     dists = np.concatenate(dists)  # rebinding frees the per-block arrays before pricing
     cost = tx_energy(radio, radio.packet_bits, dists)
     del dists
     flat = np.concatenate(flat)
-    offsets = np.searchsorted(flat, np.arange(S + 1) * n)  # where slot s starts, at s·n
-    slot = np.repeat(np.arange(S), np.diff(offsets))
-    flat -= slot * n
-    return slot, flat, cost, offsets
+    offsets = np.searchsorted(flat, np.arange(n + 1) * S)  # where node i starts, at i·S
+    ids = np.repeat(np.arange(n), np.diff(offsets))
+    flat -= ids * S
+    return flat, ids, cost, offsets
+
+
+def _by_slot(slot: np.ndarray, S: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, offsets)``: slot ``s`` of ``S`` holds the reach table's entries
+    ``order[offsets[s]:offsets[s + 1]]`` in id order, and ``order`` ends with
+    ``len(slot)``; numpy sorts the 16-bit slots (< MAX_SOJOURNS < 2**16) by radix.
+    """
+    order = np.argsort(np.append(slot.astype(np.uint16), np.uint16(S)), kind="stable")
+    return order, np.concatenate(([0], np.cumsum(np.bincount(slot, minlength=S))))
 
 
 class Simulation:
@@ -283,8 +292,9 @@ class Simulation:
         # lists every node, so sep's head uplink indexes its costs by id.
         sensing = None if traj.is_static else traj.sensing_range
         # A run shorter than the tour visits only its first max_rounds points.
+        self._S = min(len(traj.points), cfg.max_rounds)
         self._slot, self._id, self._cost, self._offsets = reach(
-            self.state, cfg.radio, traj.points[:cfg.max_rounds], sensing)
+            self.state, cfg.radio, traj.points[:self._S], sensing)
 
     def step(self, round_idx: int) -> RoundOutcome:
         """Execute round ``round_idx``: the next round, below max_rounds."""
@@ -300,9 +310,11 @@ class Simulation:
             cost, packets, deaths = sep_block(self.state, round_idx, cfg.net, cfg.radio,
                                               self._cost, None, draws[None])
             return RoundOutcome(packets=int(packets[0]), cost=float(cost[0]), deaths=deaths)
-        s = round_idx % (len(self._offsets) - 1)
-        lo, hi = self._offsets[s], self._offsets[s + 1]
-        return direct_round(self.state, self._id[lo:hi], self._cost[lo:hi])
+        if not round_idx:  # steps start at round 0, and take the table by slot
+            self._slots = _by_slot(self._slot, self._S)
+        order, offsets = self._slots
+        e = order[slice(*offsets[round_idx % self._S:][:2])]
+        return direct_round(self.state, self._id[e], self._cost[e])
 
     def run(self) -> RunMetrics:
         """Run until the stop rule fires; return its metrics, series left to first read.
@@ -325,7 +337,7 @@ class Simulation:
         else:
             dies, paid = self._fold_nodes()
             packets = int(paid.sum())
-            per_round = partial(_fold, self._slot, self._id, self._cost, self._offsets, dies)
+            per_round = partial(_fold, self._slot, self._id, self._cost, self._S, dies)
         self._round = R = cfg.max_rounds
         # Under all_dead a run records rows up to its last death.
         rows = (max(int(dies.max()), 0) + 1
@@ -389,24 +401,23 @@ class Simulation:
         would.
         """
         state = self.state
-        ids, offsets = self._id, self._offsets
-        n, S, R = state.n, len(offsets) - 1, self.cfg.max_rounds
-        # Node-major order: numpy sorts 16-bit keys by radix, and ids < MAX_NODES < 2**16.
-        order = np.argsort(ids.astype(np.uint16), kind="stable")
-        pat_cost = self._cost[order]
-        k = np.bincount(ids, minlength=n)                 # attempts per tour
-        first = np.cumsum(k) - k                          # node i's pattern start
-        horizon = (R // S) * k + np.bincount(ids[:offsets[R % S]], minlength=n)
+        n, S, R = state.n, self._S, self.cfg.max_rounds
+        # Attempt indices stay below MAX_ROUNDS + _CHUNK and entry indices
+        # below MAX_REACH_ENTRIES, so both fit int32.
+        k = np.diff(self._offsets).astype(np.int32)       # attempts per tour
+        first = self._offsets[:-1].astype(np.int32)       # node i's pattern start
+        horizon = (R // S) * k + np.bincount(self._id[self._slot < R % S], minlength=n)
 
         dies = np.where(state.alive, R, -1)
-        paid = np.zeros(n, dtype=np.int64)
+        paid = np.zeros(n, dtype=np.int32)
         nodes = np.flatnonzero(state.alive & (horizon > 0))
         while len(nodes):
-            attempt = paid[nodes, None] + np.arange(max(1, _CHUNK // len(nodes)))
+            attempt = paid[nodes, None] + np.arange(max(1, _CHUNK // len(nodes)), dtype=np.int32)
+            cost = self._cost[first[nodes, None] + attempt % k[nodes, None]]
             # An attempt past the horizon costs 0.0: it leaves the residual
             # as it is and, as a residual is never below 0.0, never fails.
-            cost = np.where(attempt < horizon[nodes, None],
-                            pat_cost[first[nodes, None] + attempt % k[nodes, None]], 0.0)
+            over = np.flatnonzero(attempt[:, -1] >= horizon[nodes])
+            cost[over] = np.where(attempt[over] < horizon[nodes[over], None], cost[over], 0.0)
             before = np.empty_like(cost)                  # residual before each attempt
             before[:, 0] = state.energy[nodes]
             before[:, 1:] = cost[:, :-1]
@@ -421,7 +432,7 @@ class Simulation:
                                    np.minimum(attempt[:, -1] + 1, horizon[nodes]))
             dead = nodes[died]
             tries = paid[dead]                            # the failed attempt's index
-            dies[dead] = tries // k[dead] * S + self._slot[order[first[dead] + tries % k[dead]]]
+            dies[dead] = tries // k[dead] * S + self._slot[first[dead] + tries % k[dead]]
             nodes = nodes[~died & (paid[nodes] < horizon[nodes])]
         state.alive[(dies >= 0) & (dies < R)] = False
         state.packets_sent += paid
@@ -434,10 +445,11 @@ def _sep_rounds(costs: list, packets: list, r: int, rows: int) -> tuple[np.ndarr
             np.concatenate((*packets, np.zeros(rows - r, dtype=np.int64))))
 
 
-def _fold(slot: np.ndarray, ids: np.ndarray, cost: np.ndarray, offsets: np.ndarray,
+def _fold(slot: np.ndarray, ids: np.ndarray, cost: np.ndarray, S: int,
           dies: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """srp and cl-sep per-round (cost, packets) over ``rows`` rounds, from a run's
-    reach table and its nodes' death rounds (``Simulation._fold_nodes``).
+    reach table of ``S`` slots, read by slot through ``_by_slot``, and its nodes'
+    death rounds (``Simulation._fold_nodes``).
 
     Round ``r = t·S + s`` is slot ``s``'s round in tour ``t``; its payers
     are the slot's entries whose node dies after ``r``. An entry of slot
@@ -452,7 +464,8 @@ def _fold(slot: np.ndarray, ids: np.ndarray, cost: np.ndarray, offsets: np.ndarr
     0.0), and one ``cumsum`` adds the payers' costs in id order, as a
     stepped round does. A padding or dead entry adds 0.0, which is exact.
     """
-    S, E = len(offsets) - 1, len(ids)
+    E = len(ids)
+    order, offsets = _by_slot(slot, S)
     T = -(-rows // S)                                # tours the rows touch
     d = np.append(dies[ids], -1)                     # entry E pads every row
     cell = d[:E] - slot                              # each entry's first dead tour,
@@ -470,7 +483,9 @@ def _fold(slot: np.ndarray, ids: np.ndarray, cost: np.ndarray, offsets: np.ndarr
     pair = np.zeros(T * S, dtype=np.int64)
     pair[first] = np.arange(len(first))
     pair = np.maximum.accumulate(pair.reshape(T, S), axis=0).ravel()[:rows]
-    c = np.append(cost, 0.0)
+    d = d[order]                                     # by slot; order[E] = E pads every row
+    c = np.zeros(E + 1)
+    np.take(cost, order[:E], out=c[:E], mode="clip")  # unbuffered; order < E
     at = first % S
     lo, hi = offsets[at], offsets[at + 1]
     payers = hi - lo - dead.ravel()[first]           # the slot's entries past its dead

@@ -7,8 +7,8 @@
 * ``coverage_radius_grid`` — a grid scan of the field; the independent check
   of the closed forms in ``geometry.coverage_radius``.
 * ``reach``       — the reach table built one sojourn point at a time, with
-  no entry cap; the oracle for the library's ``reach``, which takes the
-  distances of a block of points at once.
+  no entry cap, then sorted by id; the oracle for the library's ``reach``,
+  which takes the distances of a block of nodes at once.
 * ``srp_round``   — one srp round that recomputes the sink position and every
   distance each round; the oracle for the reach table.
 * ``sep_round``   — one sep round that pays member by member on numpy
@@ -141,7 +141,11 @@ def coverage_radius_grid(t: Trajectory, f: Field,
 
 def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
           sensing_range: float | None) -> tuple[np.ndarray, ...]:
-    """The reach table ``(slot, id, cost, offsets)`` of ``simulation.reach``, point by point."""
+    """The reach table ``(slot, id, cost, offsets)`` of ``simulation.reach``, point by point.
+
+    Each point's entries are gathered in id order, and the table is then put
+    in (id, slot) order by a stable sort of its ids.
+    """
     limit = math.inf if sensing_range is None else sensing_range
     ids = []
     dists = []
@@ -153,8 +157,11 @@ def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
         ids.append(inside)
         dists.append(d[inside])
     cost = tx_energy(radio, radio.packet_bits, np.concatenate(dists))
-    offsets = np.array(offsets, dtype=np.int64)
-    return np.repeat(np.arange(len(points)), np.diff(offsets)), np.concatenate(ids), cost, offsets
+    slot = np.repeat(np.arange(len(points)), np.diff(offsets))
+    ids = np.concatenate(ids)
+    order = np.argsort(ids, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=state.n))))
+    return slot[order], ids[order], cost[order], starts
 
 
 def srp_round(state: NodeState, trajectory: Trajectory, round_idx: int,

@@ -19,7 +19,7 @@ import pytest
 
 from sinksim import load_preset, protocols, simulation
 from sinksim.energy import rx_energy
-from sinksim.geometry import coverage_radius
+from sinksim.geometry import MAX_SOJOURNS, coverage_radius
 from sinksim.presets import PRESET_NAMES
 from sinksim.protocols import MAX_NODES, NetworkParams
 from sinksim.simulation import STOP_ALL_DEAD, STOP_MAX_ROUNDS, STOP_RULES, Simulation, deploy
@@ -75,9 +75,12 @@ def test_run_with_partial_last_tour(name, max_rounds, stop_rule):
     assert_same_run(fast, fast.run(), ref, stepped_run(ref))
 
 
-def test_node_ids_fit_the_radix_order():
-    """``_fold_nodes`` orders entries by ids cast to uint16, which must not wrap."""
-    assert MAX_NODES < 2**16
+def test_fold_indices_fit_int32_and_slots_fit_the_radix_sort():
+    """``_fold_nodes`` indexes attempts and entries in int32, and ``_by_slot``
+    sorts slots cast to uint16; neither may wrap."""
+    assert simulation.MAX_ROUNDS + simulation._CHUNK < 2**31
+    assert simulation.MAX_REACH_ENTRIES + simulation._CHUNK < 2**31
+    assert MAX_SOJOURNS < 2**16
 
 
 @pytest.mark.parametrize("name", ["cl-sep", "cc-srp"])

@@ -364,7 +364,8 @@ class TestRun:
         cfg = dataclasses.replace(
             cfg, trajectory=dataclasses.replace(cfg.trajectory, sensing_range=sensing_range))
         sim = Simulation(cfg)
-        assert sim._offsets.tolist() == [0, cfg.net.n]
+        assert sim._S == 1
+        assert sim._offsets.tolist() == list(range(cfg.net.n + 1))  # one entry per node
         assert sim._id.tolist() == list(range(cfg.net.n))
         assert not sim._slot.any()
 
@@ -388,6 +389,23 @@ class TestDeferredSeries:
             assert (fold.call_count, pad.call_count) == (1, 0)
             harness.simulate_to_files(load_preset("sep", max_rounds=600), tmp_path / "b.csv")
             assert (fold.call_count, pad.call_count) == (1, 1)
+
+    def test_only_series_and_steps_take_the_table_by_slot(self, tmp_path):
+        # the node folds read the table in its node-major order
+        tiny = {name: config_to_dict(load_preset(name, max_rounds=600))
+                for name in ("cl-sep", "sc20-srp", "sep")}
+        with mock.patch.object(simulation, "_by_slot", side_effect=AssertionError("by slot")):
+            harness.compare_scenarios(tiny, seed_count=2)
+            harness.sweep_radius(config_to_dict(load_preset("cc-srp", max_rounds=600)),
+                                 [20.0, 25.0], seed_count=2)
+        with mock.patch.object(simulation, "_by_slot", wraps=simulation._by_slot) as by_slot:
+            for i, name in enumerate(("sc20-srp", "cl-sep", "sep")):
+                harness.simulate_to_files(load_preset(name, max_rounds=600), tmp_path / f"{i}.csv")
+            assert by_slot.call_count == 2  # once per srp or cl-sep run, none for sep
+            sim = Simulation(load_preset("sc20-srp", max_rounds=600))
+            for r in range(400):  # past the tour's end, so slots repeat
+                sim.step(r)
+            assert by_slot.call_count == 3
 
     @pytest.mark.parametrize("name", ["sc10-srp", "cl-sep", "sep"])
     def test_first_read_releases_the_run(self, name):
@@ -440,7 +458,8 @@ class TestSrpFastPath:
         cfg = load_preset("sc40-srp", seed=3, max_rounds=max_rounds)
         cfg = dataclasses.replace(cfg, net=dataclasses.replace(cfg.net, e0=1e-3))
         sim = Simulation(cfg)
-        assert len(sim._offsets) - 1 == max_rounds < cfg.trajectory.sojourn_count
+        assert sim._S == max_rounds < cfg.trajectory.sojourn_count
+        assert sim._slot.max() < max_rounds
         fast = sim.run()
         state, ref = srp_reference(cfg)
         for series, values in ref.items():
@@ -483,12 +502,14 @@ class TestReach:
         args = table_args(cfg)
         assert_same_table(reach(*args), reach_oracle(*args))
 
-    def test_one_point_per_block_above_chunk(self):
-        n = simulation._CHUNK + 3
+    def test_one_node_per_block_above_chunk(self, monkeypatch):
+        # more points than _CHUNK elements: each block is one node's row
+        n = 50
         rng = np.random.default_rng(5)
         state = NodeState(rng.uniform(0, 100, n), rng.uniform(0, 100, n),
                           np.zeros(n, dtype=bool), np.full(n, 0.5))
         points = [Point(50.0, 50.0), Point(0.0, 0.0), Point(99.0, 20.0)]
+        monkeypatch.setattr(simulation, "_CHUNK", 2)
         for sensing_range in (None, 40.0, 0.1):
             got = reach(state, RadioParams(), points, sensing_range)
             assert_same_table(got, reach_oracle(state, RadioParams(), points, sensing_range))
@@ -500,16 +521,16 @@ class TestReach:
         points = [Point(50.0, 50.0), Point(50.0, 80.0)]
         got = reach(state, RadioParams(), points, 30.0)
         assert_same_table(got, reach_oracle(state, RadioParams(), points, 30.0))
-        assert got[1][:got[3][1]].tolist() == [0, 1, 3]
+        assert got[1][got[0] == 0].tolist() == [0, 1, 3]
 
     def test_partial_last_block_and_cap(self, monkeypatch):
-        # 7 points of 3000 nodes: a block of 5 points, then a block of 2
-        assert simulation._CHUNK // 3000 == 5
+        # 7 points of 3000 nodes: a block of 2340 nodes, then a block of 660
+        assert simulation._CHUNK // 7 == 2340
         cfg = load_preset("sc20-srp", seed=1, max_rounds=7)
         args = table_args(dataclasses.replace(cfg, net=dataclasses.replace(cfg.net, n=3000)))
         offsets = reach_oracle(*args)[3]
         total = int(offsets[-1])
-        first_block = int(offsets[5])
+        first_block = int(offsets[2340])
         assert 0 < first_block < total
         monkeypatch.setattr(simulation, "MAX_REACH_ENTRIES", total)
         assert_same_table(reach(*args), reach_oracle(*args))
