@@ -271,8 +271,10 @@ def write_sweep_csv(path: str | Path, rows: list[dict]) -> None:
 # validate
 # ---------------------------------------------------------------------------
 
-_SUMMARY_CHECKS = ("rounds_executed", "total_packets", "final_residual_j",
-                  "first_death_round", "half_death_round", "last_death_round")
+# The start of a run CSV's row 0 bounds, then what the CSV must give. The
+# energies (``*_j``) are JSON floats, the rest JSON integers or null.
+_SUMMARY_KEYS = ("initial_energy_j", "rounds_executed", "total_packets", "final_residual_j",
+                 "first_death_round", "half_death_round", "last_death_round")
 
 
 def _read_summary(path: str | Path) -> tuple[dict | None, list[str]]:
@@ -283,31 +285,32 @@ def _read_summary(path: str | Path) -> tuple[dict | None, list[str]]:
     try:
         summary = json.loads(side.read_text(encoding="utf-8"))
         summary["n"] = summary["config"]["net"]["n"]
-        missing = [k for k in _SUMMARY_CHECKS if k not in summary]
+        missing = [k for k in _SUMMARY_KEYS if k not in summary]
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as e:
         return None, [f"summary {side.name} is not readable: {e!r}"]
     if missing or type(summary["n"]) is not int:
         return None, [f"summary {side.name} lacks an integer config.net.n or "
-                      f"{', '.join(_SUMMARY_CHECKS)}"]
+                      f"{', '.join(_SUMMARY_KEYS)}"]
     problems = []
-    for k in _SUMMARY_CHECKS:
+    for k in _SUMMARY_KEYS:
         # A JSON 3000.0 or true would compare equal to 3000 or 1: check each type first.
-        residual = k == "final_residual_j"
-        if type(summary[k]) not in ((float,) if residual else (int, type(None))):
+        energy = k.endswith("_j")
+        if type(summary[k]) not in ((float,) if energy else (int, type(None))):
             problems.append(f"summary {side.name}: {k} is {summary[k]!r}, not a JSON "
-                            + ("float" if residual else "integer or null"))
+                            + ("float" if energy else "integer or null"))
     return (None if problems else summary), problems
 
 
 def validate_run_csv(path: str | Path) -> list[str]:
     """Check an emitted per-round CSV's header, schema and monotonicity.
 
-    When its ``*.summary.json`` sits beside it, the CSV must also give the
+    When its ``*.summary.json`` sits beside it, row 0 must not rise above the
+    summary's n and ``initial_energy_j``, and the CSV must also give the
     summary's ``rounds_executed`` (its row count), ``total_packets`` and
     ``final_residual_j`` (its last row, through ``fmt_float``) and death
     rounds (its first rows with fewer than n, at most n // 2 and no nodes
-    alive); each of these must be a JSON integer or null, and the residual a
-    JSON float. Returns a list of problems; empty means the file is valid.
+    alive); each of these must be a JSON integer or null, and the energies
+    JSON floats. Returns a list of problems; empty means the file is valid.
     """
     summary, problems = _read_summary(path)
     n = math.nan if summary is None else summary["n"]  # no row compares true to nan
@@ -325,8 +328,9 @@ def validate_run_csv(path: str | Path) -> list[str]:
         if header != CSV_HEADER:
             return [f"bad header: expected {CSV_HEADER!r}, got {header!r}"]
 
-        # The first row compares against bounds that no row can cross.
-        prev_alive, prev_res, prev_pk = math.inf, math.inf, -math.inf
+        # Row 0 compares against the summary's start, or else bounds no row can cross.
+        prev_alive, prev_res, prev_pk = ((math.inf, math.inf, -math.inf) if summary is None
+                                         else (n, summary["initial_energy_j"], -math.inf))
         # A row whose round field is its index and whose tail (the text after
         # the first comma, line end included) repeats that of a row that
         # raised no problem raises none either and leaves the previous values
@@ -379,8 +383,8 @@ def validate_run_csv(path: str | Path) -> list[str]:
     if summary is not None and not problems:
         got = {"rounds_executed": idx + 1, "total_packets": prev_pk,
                "final_residual_j": prev_res_field,
-               **dict(zip(_SUMMARY_CHECKS[3:], deaths))}
+               **dict(zip(_SUMMARY_KEYS[4:], deaths))}
         want = {**summary, "final_residual_j": _opt(summary["final_residual_j"])}
         problems += [f"summary {k} is {want[k]!r}, but the CSV gives {got[k]!r}"
-                     for k in _SUMMARY_CHECKS if got[k] != want[k]]
+                     for k in _SUMMARY_KEYS[1:] if got[k] != want[k]]
     return problems

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .energy import RadioParams, tx_energy
+from .energy import RadioParams, aggregation_energy, tx_energy
 from .errors import ConfigurationError
 from .geometry import Field, Point, SquareField, Trajectory, distances, trajectory_in_field
 from .protocols import (_CHUNK, MAX_TOTAL_ENERGY, PROTOCOLS, SEP, SRP, NetworkParams,
@@ -85,12 +85,13 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{self.protocol} requires a static-point trajectory")
         if not trajectory_in_field(self.trajectory, self.field):
             raise ConfigurationError("trajectory does not lie inside the field")
-        f = self.field  # no price a run takes is above a hop across the field
-        dearest = tx_energy(self.radio, self.radio.packet_bits,
-                            math.sqrt(2.0) * f.side if isinstance(f, SquareField) else 2.0 * f.radius)
+        # No price a run takes is above a sep head's forward of all n packets across the field.
+        f, k = self.field, self.radio.packet_bits
+        dearest = aggregation_energy(self.radio, k, self.net.n) + tx_energy(
+            self.radio, k, math.sqrt(2.0) * f.side if isinstance(f, SquareField) else 2.0 * f.radius)
         if not dearest <= MAX_TOTAL_ENERGY:
-            raise ConfigurationError(f"a transmission across the field must cost at most "
-                                     f"{MAX_TOTAL_ENERGY} J, got {dearest}")
+            raise ConfigurationError(f"a head's forward of n packets across the field must cost "
+                                     f"at most {MAX_TOTAL_ENERGY} J, got {dearest}")
 
 
 class RunMetrics:
@@ -128,16 +129,16 @@ class RunMetrics:
         self._pending = None
 
     @classmethod
-    def _of_run(cls, n: int, initial_energy_j: float, dies: np.ndarray, rows: int,
+    def _of_run(cls, initial_energy_j: float, dies: np.ndarray, rows: int,
                 total_packets: int, per_round) -> RunMetrics:
         """A run's metrics, whose series ``per_round(rows)`` builds on first read.
 
-        ``dies`` holds one death round per node: -1 for a node dead at the
-        start, which counts at round 0, and at least ``rows`` for one alive
-        when the rows end. ``per_round(rows)`` returns the rows' (cost,
+        ``dies`` holds each node's death round by id: -1 for a node dead at
+        the start, which counts at round 0, and at least ``rows`` for one
+        alive when the rows end. ``per_round(rows)`` returns the rows' (cost,
         packets) of each round.
         """
-        d = np.sort(np.maximum(dies, 0))
+        n, d = len(dies), np.sort(np.maximum(dies, 0))
         m = cls.__new__(cls)
         m.n, m.initial_energy_j, m.total_packets = n, initial_energy_j, total_packets
         m.first_death_round, m.half_death_round, m.last_death_round = (
@@ -319,33 +320,28 @@ class Simulation:
     def run(self) -> RunMetrics:
         """Run until the stop rule fires; return its metrics, series left to first read.
 
-        Leaves ``state`` as stepping every round would. srp and cl-sep nodes
-        never interact, so each node's death round and packet count come
-        from one fold of its own (``_fold_nodes``); sep runs until its last
-        death (``_sep``). The lifetimes and ``total_packets`` come from
-        those. The per-round series wait for their first read (see
-        RunMetrics): for srp and cl-sep ``_fold`` sums each round's payers
-        over the reach table, and sep's rounds are its blocks' rows, with
-        rows of no cost past its last death.
+        Leaves ``state`` as stepping every round would. Each engine writes
+        every node's death round by id into ``dies``, the one record the
+        lifetimes come from: srp and cl-sep nodes never interact, so one fold
+        per node gives it (``_fold_nodes``), and sep runs until its last death
+        (``_sep``). The series wait for their first read (see RunMetrics):
+        srp and cl-sep's ``_fold`` sums each round's payers over the reach
+        table, and sep's rounds are its blocks' rows, then rows of no cost.
         """
         cfg = self.cfg
         if self._round:
             raise RuntimeError("a Simulation runs once; this one has already stepped or run")
         initial = self.state.total_energy()
-        if cfg.protocol == SEP:
-            dies, packets, per_round = self._sep()
-        else:
-            dies, paid = self._fold_nodes()
-            packets = int(paid.sum())
-            per_round = partial(_fold, self._slot, self._id, self._cost, self._S, dies)
         self._round = R = cfg.max_rounds
+        dies = np.where(self.state.alive, R, -1)
+        packets, per_round = (self._sep if cfg.protocol == SEP else self._fold_nodes)(dies)
         # Under all_dead a run records rows up to its last death.
         rows = (max(int(dies.max()), 0) + 1
                 if cfg.stop_rule == STOP_ALL_DEAD and (dies < R).all() else R)
-        return RunMetrics._of_run(cfg.net.n, initial, dies, rows, packets, per_round)
+        return RunMetrics._of_run(initial, dies, rows, packets, per_round)
 
-    def _sep(self) -> tuple[np.ndarray, int, partial]:
-        """sep's death rounds, packet total and per-round builder, run while a node lives.
+    def _sep(self, dies: np.ndarray) -> tuple[int, partial]:
+        """sep's packet total and per-round builder, run while a node lives.
 
         Rounds run in blocks (``sep_block``) through the first round with a
         death, up to ``_HOP_NODES`` nodes over one ``hop_table`` and above it
@@ -356,23 +352,22 @@ class Simulation:
         search. Each block with no death doubles the next, while its (rounds
         x 3n) cost rows hold at most ``_CHUNK`` elements. Once none is alive a
         round spends and sends nothing; the election draws those rounds skip
-        feed nothing else. The death rounds are one per node, as
-        ``_fold_nodes`` gives them, though not by id.
+        feed nothing else. A block that ends in a death writes its last
+        round into ``dies`` for each node it killed.
         """
         cfg = self.cfg
-        n, rng = cfg.net.n, self._election_rng
-        alive = alive0 = self.state.alive_count()
+        n, R, rng = cfg.net.n, cfg.max_rounds, self._election_rng
+        alive = self.state.alive_count()
         hops = hop_table(self.state, cfg.radio)
         most = max(1, _CHUNK // (3 * n))  # a block's (rounds x 3n) cost rows
         size = restart = min(most, 1 if hops is None else _SEP_FIRST_BLOCK)
         ahead = np.empty((0, n))  # election draws taken ahead, next first
         costs: list = []
         packets: list = []
-        died: dict[int, int] = {}
         r = 0
-        while r < cfg.max_rounds and alive > 0:
+        while r < R and alive > 0:
             # Every round draws one row of n, so a block of rows holds the same bits.
-            b = min(size, cfg.max_rounds - r)
+            b = min(size, R - r)
             if len(ahead) < b:
                 ahead = np.concatenate((ahead, rng.random((b - len(ahead), n))))
             cost, sent, deaths = sep_block(self.state, r, cfg.net, cfg.radio, self._cost,
@@ -383,13 +378,12 @@ class Simulation:
             packets.append(sent)
             r += len(cost)
             if deaths:
-                died[r - 1] = deaths
+                dies[(dies == R) & ~self.state.alive] = r - 1
                 alive -= deaths
-        dies = np.repeat([-1, *died, cfg.max_rounds], [n - alive0, *died.values(), alive])
-        return dies, int(sum(map(np.sum, packets))), partial(_sep_rounds, costs, packets, r)
+        return int(sum(map(np.sum, packets))), partial(_sep_rounds, costs, packets, r)
 
-    def _fold_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each node's death round (-1 if dead at the start, max_rounds if never) and packets.
+    def _fold_nodes(self, dies: np.ndarray) -> tuple[int, partial]:
+        """srp and cl-sep's packet total and per-round builder; writes each node's death round.
 
         Node i's attempts, in round order, repeat its entries in slot order
         over every tour. Its residual before each attempt is a sequential
@@ -398,7 +392,7 @@ class Simulation:
         attempts per node at a time, one row per node, so each row is the
         same sequence of subtractions as the node's own fold. Leaves each
         node's energy, alive flag and packet count as stepping the rounds
-        would.
+        would, and ``dies`` with the round of each node that dies.
         """
         state = self.state
         n, S, R = state.n, self._S, self.cfg.max_rounds
@@ -408,7 +402,6 @@ class Simulation:
         first = self._offsets[:-1].astype(np.int32)       # node i's pattern start
         horizon = (R // S) * k + np.bincount(self._id[self._slot < R % S], minlength=n)
 
-        dies = np.where(state.alive, R, -1)
         paid = np.zeros(n, dtype=np.int32)
         nodes = np.flatnonzero(state.alive & (horizon > 0))
         while len(nodes):
@@ -436,7 +429,7 @@ class Simulation:
             nodes = nodes[~died & (paid[nodes] < horizon[nodes])]
         state.alive[(dies >= 0) & (dies < R)] = False
         state.packets_sent += paid
-        return dies, paid
+        return int(paid.sum()), partial(_fold, self._slot, self._id, self._cost, S, dies)
 
 
 def _sep_rounds(costs: list, packets: list, r: int, rows: int) -> tuple[np.ndarray, np.ndarray]:

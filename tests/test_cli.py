@@ -95,9 +95,10 @@ class TestSimulate:
         ("sep", ["net.p_opt=5e-324"]),  # 1/p_normal overflows: no finite epoch
         ("sep", ["net.p_opt=5e-324", "net.m=1"]),  # p_normal rounds to 0
         ("cl-sep", ["net.p_opt=5e-324"]),
+        ("sep", ["radio.e_da=1e305"]),  # a head's aggregation overflows to inf
     ], ids=["p_opt=1", "p_opt=0.6", "m=0.001", "e0=1e308", "e0=1e307-n=10000",
             "eps_mp=1e296", "side=1e200", "packet_bits=1e400", "p_opt=5e-324",
-            "p_opt=5e-324-m=1", "cl-sep-p_opt=5e-324"])
+            "p_opt=5e-324-m=1", "cl-sep-p_opt=5e-324", "e_da=1e305"])
     def test_unrunnable_network_exits_2(self, scenario, overrides, tmp_path, capsys):
         out = tmp_path / "run.csv"
         args = [a for o in overrides for a in ("--override", o)]
@@ -273,14 +274,15 @@ class TestValidateAgainstSummary:
     @pytest.mark.parametrize("key,value", [
         ("rounds_executed", 3000.0), ("total_packets", 14451.0), ("final_residual_j", "text"),
         ("first_death_round", 1047.0), ("first_death_round", True), ("half_death_round", 1217.0),
-        ("last_death_round", 2156.0), ("last_death_round", "2156")])
+        ("last_death_round", 2156.0), ("last_death_round", "2156"), ("initial_energy_j", 55),
+        ("initial_energy_j", "text")])
     def test_each_mistyped_summary_field_fails(self, sep_run, tmp_path, key, value):
         csv, summary = sep_run
-        if value == "text":  # the residual as the CSV writes it, but a JSON string
+        if value == "text":  # the energy as the CSV writes it, but a JSON string
             value = harness.fmt_float(summary[key])
         out = self.write(tmp_path, csv, {**summary, key: value})
         assert main(["validate", str(out)]) == 4
-        kind = "float" if key == "final_residual_j" else "integer or null"
+        kind = "float" if key.endswith("_j") else "integer or null"
         assert validate_run_csv(out) == [f"summary run.summary.json: {key} is {value!r}, "
                                          f"not a JSON {kind}"]
 
@@ -290,6 +292,24 @@ class TestValidateAgainstSummary:
         out.with_name("run.summary.json").write_text(text, encoding="utf-8")
         assert main(["validate", str(out)]) == 4
         assert validate_run_csv(out)[0].startswith("summary run.summary.json ")
+
+    @pytest.mark.parametrize("column,value,rows,bound", [
+        (1, "150", 5, "alive count increased 100 -> 150"),
+        (2, "1000000.0", 1, "residual energy increased {} -> 1000000.0"),
+    ], ids=["alive", "residual"])
+    def test_row_0_is_checked_against_the_summary(self, tmp_path, column, value, rows, bound):
+        """Row 0 may not rise above the summary's n and initial energy."""
+        out = tmp_path / "v.csv"
+        assert main(["simulate", "--scenario", "cl-sep", "--rounds", "5", "--out", str(out)]) == 0
+        initial = json.loads(read(out.with_name("v.summary.json")))["initial_energy_j"]
+        header, *lines = read(out).splitlines()
+        fields = [line.split(",") for line in lines]
+        assert [f[1] for f in fields] == ["100"] * 5 and float(fields[0][2]) < initial
+        for f in fields[:rows]:
+            f[column] = value
+        out.write_text("\n".join([header, *map(",".join, fields)]) + "\n", encoding="utf-8")
+        assert main(["validate", str(out)]) == 4
+        assert validate_run_csv(out) == ["row 0: " + bound.format(initial)]
 
     def test_a_csv_with_problems_is_not_compared(self, sep_run, tmp_path):
         csv, summary = sep_run

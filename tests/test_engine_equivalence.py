@@ -396,3 +396,63 @@ def test_block_draws_match_one_row_per_round():
     a = simulation.rng_stream(7, "election")
     b = simulation.rng_stream(7, "election")
     assert a.random((5, 13)).tobytes() == np.concatenate([b.random(13) for _ in range(5)]).tobytes()
+
+
+# The death record by id: ``Simulation.run`` hands ``RunMetrics._of_run`` each
+# node's death round, and a twin stepped round by round gives each id's round
+# as the one in which its ``state.alive`` flips. A record that kept only the
+# multiset of death rounds, as a count of deaths per round would, fails here.
+def run_dies(sim):
+    """``sim.run()``'s metrics and the death record it handed ``RunMetrics._of_run``."""
+    with mock.patch.object(simulation.RunMetrics, "_of_run",
+                           wraps=simulation.RunMetrics._of_run) as of_run:
+        m = sim.run()
+    return m, of_run.call_args.args[1]
+
+
+def stepped_dies(sim):
+    """Each id's death round over a round-by-round ``step`` loop: -1 if dead at the
+    start, ``max_rounds`` if alive at the end."""
+    R = sim.cfg.max_rounds
+    dies = np.where(sim.state.alive, R, -1)
+    for r in range(R):
+        was = sim.state.alive.copy()
+        sim.step(r)
+        dies[was & ~sim.state.alive] = r
+    return dies
+
+
+def assert_dies_by_id(cfg, dead=None):
+    fast = start(Simulation(cfg), dead)
+    ref = start(Simulation(cfg), dead)
+    m, dies = run_dies(fast)
+    np.testing.assert_array_equal(dies, stepped_dies(ref))
+    np.testing.assert_array_equal(fast.state.alive, dies == cfg.max_rounds)
+    return m, dies
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_run_records_each_death_round_by_id(name):
+    m, _ = assert_dies_by_id(load_preset(name, seed=0, max_rounds=5000))
+    assert m.first_death_round is not None
+
+
+@pytest.mark.parametrize("dead", DEAD_AT_START)
+@pytest.mark.parametrize("name", ["cl-sep", "sc10-srp", "ss-srp", "sep"])
+def test_run_records_each_death_round_by_id_with_dead_nodes_at_start(name, dead):
+    _, dies = assert_dies_by_id(load_preset(name, seed=0, max_rounds=3000), dead)
+    assert (dies[DEAD_AT_START[dead]] == -1).all()
+
+
+@pytest.mark.parametrize("dead", [None, *DEAD_AT_START])
+def test_sep_records_each_death_round_by_id_on_other_hop_path(dead):
+    cfg = load_preset("sep", seed=0, max_rounds=3000)
+    with other_hop_path(cfg.net.n):
+        assert_dies_by_id(cfg, dead)
+
+
+def test_sep_records_heads_dying_on_a_reception_by_id():
+    """Several heads die in round 0's block, each at round 0, and only they."""
+    cfg, dead = block_case("reception")
+    _, dies = assert_dies_by_id(cfg, dead)
+    assert (dies == 0).sum() > 1

@@ -221,6 +221,18 @@ class TestConfigValidation:
                            max_rounds=3))
         assert np.isfinite(m.residual_j).all() and m.alive[-1] == 0
 
+    @pytest.mark.parametrize("protocol", ["cl-sep", "sep"])
+    def test_dearest_forward_capped(self, protocol):
+        """A sep head's aggregation of all n packets, with its hop across the field,
+        may cost at most the cap; every protocol is checked."""
+        radio, n = RadioParams(), NetworkParams().n
+        e_da = MAX_TOTAL_ENERGY / (radio.packet_bits * n)  # the aggregation alone
+        with pytest.raises(ConfigurationError, match="forward of n packets"):
+            static_cfg(protocol, radio=RadioParams(e_da=1.01 * e_da))
+        m = run(static_cfg(protocol, radio=RadioParams(e_da=0.99 * e_da), max_rounds=3))
+        assert np.isfinite(m.residual_j).all()
+        assert (m.alive[0] < n) == (protocol == "sep")  # sep's heads die forwarding
+
 
 class TestRun:
     def test_single_node_at_sink_dies_at_2500(self):
