@@ -304,9 +304,12 @@ def _read_summary(path: str | Path) -> tuple[dict | None, list[str]]:
 def validate_run_csv(path: str | Path) -> list[str]:
     """Check an emitted per-round CSV's header, schema and monotonicity.
 
-    When its ``*.summary.json`` sits beside it, row 0 must not rise above the
-    summary's n and ``initial_energy_j``, and the CSV must also give the
-    summary's ``rounds_executed`` (its row count), ``total_packets`` and
+    Each node alive at a round's start sends at most one packet in it, so a
+    row's rise in cumulative packets may not pass the previous row's alive
+    count. When its ``*.summary.json`` sits beside it, row 0 must not rise
+    above the summary's n (in alive nodes and in packets) and
+    ``initial_energy_j``, and the CSV must also give the summary's
+    ``rounds_executed`` (its row count), ``total_packets`` and
     ``final_residual_j`` (its last row, through ``fmt_float``) and death
     rounds (its first rows with fewer than n, at most n // 2 and no nodes
     alive); each of these must be a JSON integer or null, and the energies
@@ -369,6 +372,11 @@ def validate_run_csv(path: str | Path) -> list[str]:
                 problems.append(f"row {idx}: residual energy increased {prev_res} -> {res}")
             if pk < prev_pk:
                 problems.append(f"row {idx}: cumulative packets decreased {prev_pk} -> {pk}")
+            # Row 0 rises from 0. The cheap first test, which the clamp only
+            # tightens, settles most rows.
+            if pk - prev_pk > prev_alive and (rise := pk - max(prev_pk, 0)) > prev_alive:
+                problems.append(f"row {idx}: {rise} packets sent in a round that "
+                                f"starts with {prev_alive} nodes alive")
             if alive != prev_alive:
                 deaths = [idx if d is None and dead else d for d, dead in
                           zip(deaths, (alive < n, alive <= n // 2, alive == 0))]

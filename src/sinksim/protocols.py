@@ -42,10 +42,9 @@ PROTOCOLS = (SEP, CL_SEP, SRP)
 MAX_NODES = 10_000
 _HOP_NODES = 256  # most nodes for which sep builds a hop table: n x n prices and two ranks, 0.7 MB
 # Most elements one block of the engines' set-up and folds holds: a block of
-# (nodes x points) reach distances, of node folds, of (slot, dead count) rows,
-# each row padded to the widest slot with an entry that never pays, of sep
-# rounds x n, or of (heads x members) hops. Blocks stay small whatever n,
-# slot widths and max_rounds are.
+# (nodes x points) reach distances, of node folds, of reach entries or of a
+# series tile of (tours x entries), of sep rounds x n, or of (heads x members)
+# hops. Blocks stay small whatever n, slot widths and max_rounds are.
 _CHUNK = 1 << 14
 # Most total initial energy a network may hold, J, and most one transmission
 # across the field may cost. It sits far below the float limit, so no sum of

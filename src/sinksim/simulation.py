@@ -220,7 +220,7 @@ _SEP_FIRST_BLOCK = 8
 
 # Most entries a run's reach table may hold. The table grows as
 # min(sojourn_count, max_rounds) x nodes in range, which no other cap bounds;
-# a one-tour srp run at the cap peaks at about 440 MB, or 550 MB with its series.
+# a one-tour srp run at the cap peaks at about 430 MB, its series included.
 MAX_REACH_ENTRIES = 10_000_000
 
 
@@ -269,10 +269,10 @@ def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
 
 def _by_slot(slot: np.ndarray, S: int) -> tuple[np.ndarray, np.ndarray]:
     """``(order, offsets)``: slot ``s`` of ``S`` holds the reach table's entries
-    ``order[offsets[s]:offsets[s + 1]]`` in id order, and ``order`` ends with
-    ``len(slot)``; numpy sorts the 16-bit slots (< MAX_SOJOURNS < 2**16) by radix.
+    ``order[offsets[s]:offsets[s + 1]]`` in id order; numpy sorts the 16-bit
+    slots (< MAX_SOJOURNS < 2**16) by radix.
     """
-    order = np.argsort(np.append(slot.astype(np.uint16), np.uint16(S)), kind="stable")
+    order = np.argsort(slot.astype(np.uint16), kind="stable")
     return order, np.concatenate(([0], np.cumsum(np.bincount(slot, minlength=S))))
 
 
@@ -325,8 +325,8 @@ class Simulation:
         lifetimes come from: srp and cl-sep nodes never interact, so one fold
         per node gives it (``_fold_nodes``), and sep runs until its last death
         (``_sep``). The series wait for their first read (see RunMetrics):
-        srp and cl-sep's ``_fold`` sums each round's payers over the reach
-        table, and sep's rounds are its blocks' rows, then rows of no cost.
+        srp and cl-sep's ``_fold`` walks each node's paid attempts again, and
+        sep's rounds are its blocks' rows, then rows of no cost.
         """
         cfg = self.cfg
         if self._round:
@@ -392,7 +392,8 @@ class Simulation:
         attempts per node at a time, one row per node, so each row is the
         same sequence of subtractions as the node's own fold. Leaves each
         node's energy, alive flag and packet count as stepping the rounds
-        would, and ``dies`` with the round of each node that dies.
+        would, and ``dies`` with the round of each node that dies; ``_fold``
+        walks the same attempts, up to each node's count of paid ones.
         """
         state = self.state
         n, S, R = state.n, self._S, self.cfg.max_rounds
@@ -429,7 +430,8 @@ class Simulation:
             nodes = nodes[~died & (paid[nodes] < horizon[nodes])]
         state.alive[(dies >= 0) & (dies < R)] = False
         state.packets_sent += paid
-        return int(paid.sum()), partial(_fold, self._slot, self._id, self._cost, S, dies)
+        return int(paid.sum()), partial(_fold, self._slot, self._id, self._cost,
+                                       self._offsets, S, paid)
 
 
 def _sep_rounds(costs: list, packets: list, r: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -438,59 +440,36 @@ def _sep_rounds(costs: list, packets: list, r: int, rows: int) -> tuple[np.ndarr
             np.concatenate((*packets, np.zeros(rows - r, dtype=np.int64))))
 
 
-def _fold(slot: np.ndarray, ids: np.ndarray, cost: np.ndarray, S: int,
-          dies: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+def _fold(slot: np.ndarray, ids: np.ndarray, cost: np.ndarray, offsets: np.ndarray, S: int,
+          paid: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """srp and cl-sep per-round (cost, packets) over ``rows`` rounds, from a run's
-    reach table of ``S`` slots, read by slot through ``_by_slot``, and its nodes'
-    death rounds (``Simulation._fold_nodes``).
+    reach table of ``S`` slots and the attempts each node paid (``Simulation._fold_nodes``).
 
-    Round ``r = t·S + s`` is slot ``s``'s round in tour ``t``; its payers
-    are the slot's entries whose node dies after ``r``. An entry of slot
-    ``s`` whose node dies in round ``d`` is dead from tour
-    ``max(0, ceil((d − s) / S))`` on, so a ``bincount`` of entries into a
-    (tours × slots) grid and a ``cumsum`` along tours give every round's
-    dead count. Rounds of a slot with the same dead count pay alike, so each
-    (slot, dead count) pair is summed once, at its first round, where the
-    slot's count changes; ``np.maximum.accumulate`` along tours hands every
-    later round its pair. A pair's row is the slot's entries padded to the
-    widest slot with an appended entry that never pays (death -1, cost
-    0.0), and one ``cumsum`` adds the payers' costs in id order, as a
-    stepped round does. A padding or dead entry adds 0.0, which is exact.
+    Node ``i``'s attempts repeat its ``k_i`` entries every tour, so entry ``e``
+    pays in tour ``t`` while ``t·k_i + (e − offsets[i]) < paid[i]``, that is in
+    its first ``m`` tours, and that payment falls in round ``t·S + slot[e]``,
+    within the rows. The fold takes node-major blocks of ``_CHUNK`` entries in
+    turn, and a block in tiles of (tours × entries still paying) of at most
+    ``_CHUNK`` elements; an entry leaves once its node stops paying. A tile in
+    (tour, entry) order lists each round's payments in id order, and
+    ``np.add.at`` adds them in that order from 0.0, as a stepped round does.
     """
-    E = len(ids)
-    order, offsets = _by_slot(slot, S)
-    T = -(-rows // S)                                # tours the rows touch
-    d = np.append(dies[ids], -1)                     # entry E pads every row
-    cell = d[:E] - slot                              # each entry's first dead tour,
-    cell += S - 1
-    cell //= S
-    np.clip(cell, 0, T, out=cell)                    # or T if alive past the rows,
-    cell *= S
-    cell += slot                                     # as a (tour, slot) cell
-    dead = np.bincount(cell, minlength=(T + 1) * S).reshape(T + 1, S)[:T].cumsum(axis=0)
-    del cell                                         # before c, to keep the peak low
-    new = np.ones((T, S), dtype=bool)                # where a pair starts
-    np.not_equal(dead[1:], dead[:-1], out=new[1:])
-    new = new.ravel()[:rows]                         # cells past the rows come last
-    first = np.flatnonzero(new)                      # each pair's first round
-    pair = np.zeros(T * S, dtype=np.int64)
-    pair[first] = np.arange(len(first))
-    pair = np.maximum.accumulate(pair.reshape(T, S), axis=0).ravel()[:rows]
-    d = d[order]                                     # by slot; order[E] = E pads every row
-    c = np.zeros(E + 1)
-    np.take(cost, order[:E], out=c[:E], mode="clip")  # unbuffered; order < E
-    at = first % S
-    lo, hi = offsets[at], offsets[at + 1]
-    payers = hi - lo - dead.ravel()[first]           # the slot's entries past its dead
-    W = int((hi - lo).max(initial=1))
-    sums = np.empty(len(first))
-    step = max(1, _CHUNK // W)
-    for i in range(0, len(first), step):
-        e = lo[i:i + step, None] + np.arange(W)
-        e[e >= hi[i:i + step, None]] = E             # past its slot: the padding entry
-        paying = d[e] > first[i:i + step, None]
-        sums[i:i + step] = np.cumsum(np.where(paying, c[e], 0.0), axis=1)[:, -1]
-    return sums[pair], payers[pair]
+    sums, payers = np.zeros(rows), np.zeros(rows, dtype=np.int64)
+    k = np.diff(offsets)
+    for lo in range(0, len(ids), _CHUNK):
+        i = ids[lo:lo + _CHUNK]
+        e = np.arange(lo, lo + len(i))
+        m = -((e - offsets[i] - paid[i]) // k[i])        # tours entry e pays in
+        t0 = 0
+        while len(e):
+            t = np.arange(t0, min(t0 + _CHUNK // len(e), m.max()), dtype=np.int32)
+            pays = t[:, None] < m
+            r = (t[:, None] * S + slot[e])[pays]
+            np.add.at(sums, r, np.broadcast_to(cost[e], pays.shape)[pays])
+            np.add.at(payers, r, 1)
+            t0 += len(t)
+            e, m = e[m > t0], m[m > t0]
+    return sums, payers
 
 
 def run(cfg: ScenarioConfig) -> RunMetrics:

@@ -462,6 +462,10 @@ def validate_run_csv(path: str | Path) -> list[str]:
                 problems.append(f"row {idx}: residual energy increased {prev_res} -> {res}")
             if pk < prev_pk:
                 problems.append(f"row {idx}: cumulative packets decreased {prev_pk} -> {pk}")
+            rise = pk - max(prev_pk, 0)
+            if rise > prev_alive:
+                problems.append(f"row {idx}: {rise} packets sent in a round that "
+                                f"starts with {prev_alive} nodes alive")
             prev_alive, prev_res, prev_pk = alive, res, pk
             if len(problems) >= 20:
                 problems.append("too many problems; stopping")

@@ -214,6 +214,26 @@ class TestValidate:
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.csv")]) == 3
 
+    def test_packets_rise_by_at_most_the_nodes_alive(self, tmp_path):
+        # Row 0 has no alive count before it without a summary; row 1 starts with 5.
+        bad = tmp_path / "bad.csv"
+        bad.write_text(CSV_HEADER + "\n0,5,10.0,30\n1,2,9.0,36\n2,2,8.0,38\n", encoding="utf-8")
+        assert validate_run_csv(bad) == [
+            "row 1: 6 packets sent in a round that starts with 5 nodes alive"]
+
+    def test_first_row_packets_are_bounded_by_the_summary_n(self, tmp_path):
+        # Every cl-sep node sends each round, so each row rises by exactly its alive count.
+        out = tmp_path / "v.csv"
+        assert main(["simulate", "--scenario", "cl-sep", "--rounds", "5", "--out", str(out)]) == 0
+        assert main(["validate", str(out)]) == 0
+        lines = read(out).split("\n")
+        assert lines[1:3] == ["0,100,54.972915290277406,100", "1,100,54.945830580554812,200"]
+        lines[1] = "0,100,54.972915290277406,200"
+        out.write_text("\n".join(lines), encoding="utf-8")
+        assert main(["validate", str(out)]) == 4
+        assert validate_run_csv(out) == [
+            "row 0: 200 packets sent in a round that starts with 100 nodes alive"]
+
     def test_first_row_is_checked_against_nothing(self, tmp_path):
         # Only a later row can rise or fall, so an alive count past any float
         # and negative packets in the one row raise no monotonicity problem;

@@ -76,11 +76,22 @@ def test_run_with_partial_last_tour(name, max_rounds, stop_rule):
 
 
 def test_fold_indices_fit_int32_and_slots_fit_the_radix_sort():
-    """``_fold_nodes`` indexes attempts and entries in int32, and ``_by_slot``
-    sorts slots cast to uint16; neither may wrap."""
+    """``_fold_nodes`` indexes attempts and entries in int32, ``_fold`` takes a
+    tile's rounds ``t·S + slot`` from int32 tours (a tile starts below the
+    horizon's last tour and spans at most ``_CHUNK``), and ``_by_slot`` sorts
+    slots cast to uint16; none may wrap."""
     assert simulation.MAX_ROUNDS + simulation._CHUNK < 2**31
     assert simulation.MAX_REACH_ENTRIES + simulation._CHUNK < 2**31
+    assert simulation.MAX_ROUNDS + (simulation._CHUNK + 1) * MAX_SOJOURNS < 2**31
     assert MAX_SOJOURNS < 2**16
+
+
+def test_add_at_adds_in_index_order():
+    """``_fold`` relies on ``np.add.at`` adding repeated indices one by one, in
+    order, as a stepped round adds its payers; a sum that adds the last two first gives 1.0."""
+    sums = np.zeros(1)
+    np.add.at(sums, np.zeros(3, dtype=np.intp), np.array([1.0, 1e16, -1e16]))
+    assert sums[0] == 0.0
 
 
 @pytest.mark.parametrize("name", ["cl-sep", "cc-srp"])

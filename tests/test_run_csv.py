@@ -93,7 +93,7 @@ def test_writer_matches_oracle(case, tmp_path):
 # block and rounds 10,000 and 100,000 on a block's first row.
 @pytest.mark.parametrize("block", [5000, B])
 def test_round_digit_boundaries_match_oracle(block, tmp_path):
-    m = metrics_of([(5, 9, 3.5, 0), (45, 8, 2.25, 1), (450, 6, 1.0, 4), (4500, 5, 0.5, 4),
+    m = metrics_of([(5, 9, 3.5, 0), (45, 8, 2.25, 1), (450, 6, 1.0, 4), (4500, 5, 0.5, 5),
                     (45000, 2, 1e-9, 10), (50005, 0, 0.0, 12)])
     assert m.rounds_executed == 100005
     with mock.patch.object(harness, "CSV_BLOCK_ROWS", block):
@@ -105,14 +105,16 @@ def test_round_digit_boundaries_match_oracle(block, tmp_path):
 
 @st.composite
 def valid_runs(draw):
-    """Segments of a valid run: alive and residual never rise, packets never fall."""
+    """Segments of a valid run: alive and residual never rise, packets never fall
+    and rise by at most the alive count before them."""
     steps = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 1),
                                     st.sampled_from([0.0, 0.0, 0.25, 1e-9]), st.integers(0, 2)),
                           min_size=1, max_size=10))
     alive, residual, packets = draw(st.integers(0, 12)), draw(st.floats(0.0, 100.0)), 0
     segments = []
     for count, d_alive, d_res, d_pk in steps:
-        alive, residual, packets = max(alive - d_alive, 0), residual - d_res, packets + d_pk
+        alive, residual, packets = (max(alive - d_alive, 0), residual - d_res,
+                                    packets + min(d_pk, alive))
         segments.append((count, alive, residual, packets))
     return segments
 

@@ -402,22 +402,21 @@ class TestDeferredSeries:
             harness.simulate_to_files(load_preset("sep", max_rounds=600), tmp_path / "b.csv")
             assert (fold.call_count, pad.call_count) == (1, 1)
 
-    def test_only_series_and_steps_take_the_table_by_slot(self, tmp_path):
-        # the node folds read the table in its node-major order
+    def test_only_steps_take_the_table_by_slot(self, tmp_path):
+        # the node folds and the series read the table in its node-major order
         tiny = {name: config_to_dict(load_preset(name, max_rounds=600))
                 for name in ("cl-sep", "sc20-srp", "sep")}
         with mock.patch.object(simulation, "_by_slot", side_effect=AssertionError("by slot")):
             harness.compare_scenarios(tiny, seed_count=2)
             harness.sweep_radius(config_to_dict(load_preset("cc-srp", max_rounds=600)),
                                  [20.0, 25.0], seed_count=2)
-        with mock.patch.object(simulation, "_by_slot", wraps=simulation._by_slot) as by_slot:
             for i, name in enumerate(("sc20-srp", "cl-sep", "sep")):
                 harness.simulate_to_files(load_preset(name, max_rounds=600), tmp_path / f"{i}.csv")
-            assert by_slot.call_count == 2  # once per srp or cl-sep run, none for sep
+        with mock.patch.object(simulation, "_by_slot", wraps=simulation._by_slot) as by_slot:
             sim = Simulation(load_preset("sc20-srp", max_rounds=600))
             for r in range(400):  # past the tour's end, so slots repeat
                 sim.step(r)
-            assert by_slot.call_count == 3
+            assert by_slot.call_count == 1
 
     @pytest.mark.parametrize("name", ["sc10-srp", "cl-sep", "sep"])
     def test_first_read_releases_the_run(self, name):
