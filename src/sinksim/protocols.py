@@ -6,13 +6,15 @@
   is one stepped round of srp (the nodes in range of one sojourn point) and
   cl-sep (every node, static sink), and sep's no-head fallback.
   ``Simulation.run`` folds srp and cl-sep per node instead of stepping them.
-* ``sep_block``    — the one sep engine: clustered routing to a static sink
-  over a block of rounds laid out at once, through the first with a death,
-  which it pays by its pay loop. ``Simulation.run`` plays every sep round
-  through it and ``Simulation.step`` one-round blocks. Members find their
-  nearest head in ``hop_table`` (which prices every node-to-node hop once
-  for a run and ranks each node's neighbours) up to ``_HOP_NODES`` nodes,
-  and by distance, a round at a time, without one.
+* ``sep_window`` and ``sep_block`` — the one sep engine: clustered routing
+  to a static sink. ``sep_window`` elects the heads of a window of rounds
+  at once and, up to ``_HOP_NODES`` nodes, finds each member's nearest head
+  in ``hop_table`` (which prices every node-to-node hop once for a run and
+  ranks each node's neighbours). ``sep_block`` lays out a block of the
+  window's rounds over the nodes still alive, through the first with a
+  death, which it pays by its pay loop; without a table it finds each
+  round's nearest heads by distance. ``Simulation.run`` plays every sep
+  round through them and ``Simulation.step`` one-row windows.
 
 Death rule (uniform across engines): a node performs an energy-costing action
 only when its residual energy covers the full cost; otherwise it spends
@@ -301,56 +303,95 @@ def _pay_sep_round(state: NodeState, radio: RadioParams, uplink: np.ndarray,
     return out
 
 
-def sep_block(state: NodeState, round0: int, net: NetworkParams, radio: RadioParams,
-              uplink: np.ndarray, hops: tuple[np.ndarray, ...] | None,
-              draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """sep rounds ``round0, round0 + 1, ...``, one per row of ``draws``, through the first death.
+def _heads_by_rank(hops: tuple[np.ndarray, ...], live: np.ndarray,
+                   is_ch: np.ndarray) -> np.ndarray:
+    """Each node of ``live``'s nearest head in each row of ``is_ch``, from a ``hop_table``.
 
-    The one sep engine: nodes self-elect as cluster heads with a rotating
-    threshold on ``NetworkParams.p_normal`` or ``p_advanced``, by their
-    ``is_advanced`` flag; members join the nearest head, lowest id on ties;
-    heads aggregate and forward by the direct rule. Some node must be alive.
+    The least ``rank`` over the row's heads, read through ``near``. Each
+    row's heads are padded to the most any row has with row n of ``rank``,
+    which no rank is above. The (heads x rows x n) rank gather, whose min
+    down the heads runs along contiguous rows, is taken a block of rows at a
+    time, of at most ``_CHUNK`` elements (or one row).
+    """
+    _, rank, near = hops
+    n = len(near)
+    b, m = is_ch.shape
+    ch_round, ch = np.divmod(np.flatnonzero(is_ch), m)  # flat, faster than 2-D nonzero
+    heads = np.bincount(ch_round, minlength=b)
+    pad = np.full((b, heads.max(initial=0)), n)
+    pad[ch_round, np.arange(len(ch)) - (np.cumsum(heads) - heads)[ch_round]] = live[ch]
+    least = np.empty((b, n), dtype=rank.dtype)
+    step = max(1, _CHUNK // max(1, pad.shape[1] * n))
+    for lo in range(0, b, step):
+        rank[pad[lo:lo + step].T].min(axis=0, initial=n - 1, out=least[lo:lo + step])
+    return near[live, least[:, live]]
 
-    Between deaths a round's heads, members and prices depend only on its
-    draws, set G and the alive set, never on energy, so every round of the
-    block is laid out at once, over the alive nodes, as if none died:
 
-    * **Election.** Per node kind, a stretch runs from an epoch boundary to
-      the next, and a node is elected at the first hit (draw below the
-      threshold) of a stretch: a ``cumsum`` of hits, less its value where
-      the stretch starts, is 1 there. A node out of set G at the block's
-      start counts as having hit already in the stretch it is in.
-    * **Nearest head.** With a ``hop_table``, the least ``rank`` over the
-      round's heads, read through ``near``; each round's heads are padded to
-      the most any round has with row n of ``rank``, which no rank is above.
-      Without one (``hops`` None), each round with heads searches them by
-      distance (``_nearest_heads``), and one ``tx_energy`` call prices the
-      block's hops.
-    * **Round cost.** One ``cumsum`` over the row ``[tx₀, rx, tx₁, rx, …,
-      forward of each head]`` with 0.0 where a node does not act, the order
-      in which ``_pay_sep_round`` adds them; adding 0.0 is exact.
-    * **Node energy.** One ``np.subtract.accumulate`` per node over its
-      events in round order: a member's hop, or a head's receptions and then
-      its forward, or a fallback round's uplink.
+class SepWindow:
+    """sep's election over rounds ``round0, round0 + 1, ...``, a row each, of nodes ``live``.
 
-    Commits to ``state`` the rounds before the first in which some payment
-    fails, then pays that round from its row of the layout through
-    ``_pay_sep_round``. A one-round block skips the cost rows and the fold
-    and pays its round there. Returns the rounds' (cost, packets) and the
-    deaths of the last, 0 if every round was clean.
+    ``is_ch[j, c]`` says whether node ``live[c]`` is elected head in round
+    ``round0 + j``, and ``in_g[j, c]`` whether it is in set G after it.
+    With a hop table, ``head_of[j, c]`` is ``live[c]``'s nearest head among
+    the round's heads, once ``refind_heads`` has dropped every head that
+    died; without one it is None. A plain class: a dataclass builds its
+    methods on every import, which the set-up time of each run pays.
+    """
+
+    def __init__(self, round0: int, live: np.ndarray, is_ch: np.ndarray, in_g: np.ndarray,
+                 head_of: np.ndarray | None):
+        self.round0, self.live, self.is_ch, self.in_g, self.head_of = (
+            round0, live, is_ch, in_g, head_of)
+
+    def rows(self, lo: int, hi: int, alive: np.ndarray) -> SepWindow:
+        """Rounds ``lo`` to ``hi - 1`` of the window, over its nodes still ``alive``."""
+        j = slice(lo - self.round0, hi - self.round0)
+        keep = alive[self.live]
+        cols = slice(None) if keep.all() else keep
+        return SepWindow(lo, self.live[cols], self.is_ch[j, cols], self.in_g[j, cols],
+                         None if self.head_of is None else self.head_of[j, cols])
+
+    def refind_heads(self, lo: int, alive: np.ndarray, died: np.ndarray,
+                     hops: tuple[np.ndarray, ...]) -> None:
+        """Look up again, from round ``lo`` on, the heads of each round that elected a
+        node that ``died``, over its heads still ``alive`` (``_heads_by_rank``).
+
+        A member whose head lives keeps it, its nearest among fewer heads. A
+        round whose every head died keeps lookups that no member reads: it
+        falls back to direct transmission.
+        """
+        j = lo - self.round0
+        again = j + self.is_ch[j:, died[self.live]].any(axis=1).nonzero()[0]
+        if len(again):
+            self.head_of[again] = _heads_by_rank(hops, self.live,
+                                                 self.is_ch[again] & alive[self.live])
+
+
+def sep_window(state: NodeState, round0: int, net: NetworkParams,
+               hops: tuple[np.ndarray, ...] | None, draws: np.ndarray) -> SepWindow:
+    """sep's election in rounds ``round0, round0 + 1, ...``, one per row of ``draws``.
+
+    Nodes self-elect as cluster heads with a rotating threshold on
+    ``NetworkParams.p_normal`` or ``p_advanced``, by their ``is_advanced``
+    flag. A node's election depends only on its own draws, its set-G flag
+    and whether it lives, so the window lays out every row at once over the
+    nodes alive now, and each node's column holds for as long as it lives.
+    Per node kind, a stretch runs from an epoch boundary to the next, and a
+    node is elected at the first hit (draw below the threshold) of a
+    stretch: a ``cumsum`` of hits, less its value where the stretch starts,
+    is 1 there. A node out of set G when the window opens counts as having
+    hit already in the stretch it is in. With a ``hop_table``, each node's
+    nearest head in each row is looked up too (``_heads_by_rank``).
     """
     b, n = draws.shape
     live = state.alive.nonzero()[0]
     m = len(live)
     adv = state.is_advanced[live]
-    k = radio.packet_bits
-    rx = rx_energy(radio, k)
-    per_msg = aggregation_energy(radio, k, 1)
     rounds = np.arange(round0, round0 + b)
     at = np.arange(b)
 
     # count[j + 2] counts hits up to round j, and count[1] a node out of G at
-    # the start. Less count[s], where s is 0 before the block's first epoch
+    # the start. Less count[s], where s is 0 before the window's first epoch
     # boundary and j' + 1 from a boundary j' on, it counts the stretch's hits.
     # Each kind, advanced and normal, is one row of p.
     p = np.array([[net.p_advanced], [net.p_normal]])
@@ -363,9 +404,53 @@ def sep_block(state: NodeState, round0: int, net: NetworkParams, radio: RadioPar
     np.cumsum(count, axis=0, out=count)
     count = count[2:] - np.where(adv, count[s_adv], count[s_nrm])
     is_ch = hit & (count == 1)
+    return SepWindow(round0, live, is_ch, count == 0,
+                     None if hops is None else _heads_by_rank(hops, live, is_ch))
 
-    ch_round, ch = is_ch.nonzero()
-    heads = np.bincount(ch_round, minlength=b)
+
+def sep_block(state: NodeState, radio: RadioParams, uplink: np.ndarray,
+              hops: tuple[np.ndarray, ...] | None,
+              window: SepWindow) -> tuple[np.ndarray, np.ndarray, int]:
+    """The rounds of ``window``, whose nodes all live, through the first death.
+
+    The one sep engine: the window's heads (``sep_window``) serve their
+    nearest members, lowest id on ties; heads aggregate and forward by the
+    direct rule. ``window`` is a ``SepWindow.rows`` slice, or a one-row
+    window; some node must be alive.
+
+    Between deaths a round's heads, members and prices depend only on the
+    window and the alive set, never on energy, so every round of the block
+    is laid out at once, as if none died:
+
+    * **Nearest head.** With a ``hop_table``, the window's, which
+      ``SepWindow.refind_heads`` keeps to heads still alive. A row whose
+      heads all died since the window opened has none among the block's
+      nodes and falls back to direct transmission. Without a table
+      (``hops`` None), each row with heads searches them by distance
+      (``_nearest_heads``), and one ``tx_energy`` call prices the block's
+      hops.
+    * **Node energy.** One ``np.subtract.accumulate`` per node over its
+      events in round order: a member's hop, or a head's receptions and then
+      its forward, or a fallback round's uplink. A node's first payment it
+      cannot make ends the rounds committed.
+    * **Round cost.** For the committed rows only, one ``cumsum`` over the
+      row ``[tx₀, rx, tx₁, rx, …, forward of each head]`` with 0.0 where a
+      node does not act, the order in which ``_pay_sep_round`` adds them;
+      adding 0.0 is exact.
+
+    Commits to ``state`` the rounds before the first in which some payment
+    fails, then pays that round from its row of the layout through
+    ``_pay_sep_round``. A one-round block skips the fold and pays its round
+    there. Returns the rounds' (cost, packets) and the deaths of the last,
+    0 if every round was clean.
+    """
+    live, is_ch = window.live, window.is_ch
+    b, m = is_ch.shape
+    k = radio.packet_bits
+    rx = rx_energy(radio, k)
+    per_msg = aggregation_energy(radio, k, 1)
+
+    heads = is_ch.sum(axis=1)
     led = heads > 0
     member = ~is_ch
     member &= led[:, None]
@@ -378,30 +463,20 @@ def sep_block(state: NodeState, round0: int, net: NetworkParams, radio: RadioPar
         # A block with no head searches for none and prices no hop.
         send = np.where(member, tx_energy(radio, k, dist), 0.0) if led.any() else dist
     else:
-        price, rank, near = hops
-        pad = np.full((b, heads.max(initial=0)), n)
-        pad[ch_round, np.arange(len(ch)) - (np.cumsum(heads) - heads)[ch_round]] = live[ch]
-        head_of = near[live, rank[:, live][pad].min(axis=1, initial=n - 1)]
-        send = np.where(member, price[head_of, live], 0.0)
+        head_of = window.head_of
+        send = np.where(member, hops[0][head_of, live], 0.0)
 
-    if b == 1:
-        done, cost, packets = 0, np.empty(1), np.empty(1, dtype=np.intp)
-    else:
-        send[~led] = uplink[live]  # no head: every node's uplink
+    done = 0
+    if b > 1:
+        up = uplink[live]
+        send[~led] = up  # no head: every node's uplink
         ids = np.arange(m)
-        local = np.empty(n, dtype=np.intp)
+        local = np.empty(state.n, dtype=np.intp)
         local[live] = ids
-        got = np.bincount(member.nonzero()[0] * m + local[head_of[member]],
+        got = np.bincount((local[head_of] + np.arange(b)[:, None] * m)[member],
                           minlength=b * m).reshape(b, m)
         got += 1
-        fwd = np.where(is_ch, per_msg * got + uplink[live], 0.0)
-
-        row = np.empty((b, 3 * m))
-        row[:, 0:2 * m:2] = send
-        row[:, 1:2 * m:2] = member * rx
-        row[:, 2 * m:] = fwd
-        cost = np.cumsum(row, axis=1, out=row)[:, -1].copy()  # a view would keep the rows
-        packets = np.where(led, heads, m)
+        fwd = np.where(is_ch, per_msg * got + up, 0.0)
 
         # Each node acts once a round: got events, receptions and then its hop,
         # forward or uplink. Rows are padded with rx.
@@ -414,14 +489,24 @@ def sep_block(state: NodeState, round0: int, net: NetworkParams, radio: RadioPar
         # lies in the round after those whose events end before it.
         short = before[:, :-1] < fold[:, 1:]
         first = short.argmax(axis=1)
-        done = int(np.where(short[ids, first], (events <= first).sum(axis=0), b).min())
+        fails = short[ids, first].nonzero()[0]
+        done = int((events[:, fails] <= first[fails]).sum(axis=0).min(initial=b))
         if done:
             state.energy[live] = before[ids, events[done - 1]]
             state.packets_sent[live] += done
-    state.in_set_g[live] = count[min(done, b - 1)] == 0  # after the last round run
+    state.in_set_g[live] = window.in_g[min(done, b - 1)]  # after the last round run
+
+    cost = np.empty(min(done + 1, b))
+    packets = np.where(led[:len(cost)], heads[:len(cost)], m)
+    if done:
+        row = np.empty((done, 3 * m))
+        row[:, 0:2 * m:2] = send[:done]
+        row[:, 1:2 * m:2] = member[:done] * rx
+        row[:, 2 * m:] = fwd[:done]
+        cost[:done] = np.cumsum(row, axis=1, out=row)[:, -1]
     if done == b:
         return cost, packets, 0
     out = _pay_sep_round(state, radio, uplink, live[is_ch[done]], live[member[done]],
                          head_of[done, member[done]], send[done, member[done]])
     cost[done], packets[done] = out.cost, out.packets
-    return cost[:done + 1], packets[:done + 1], out.deaths
+    return cost, packets, out.deaths

@@ -19,7 +19,8 @@ from .energy import RadioParams, aggregation_energy, tx_energy
 from .errors import ConfigurationError
 from .geometry import Field, Point, SquareField, Trajectory, distances, trajectory_in_field
 from .protocols import (_CHUNK, MAX_TOTAL_ENERGY, PROTOCOLS, SEP, SRP, NetworkParams,
-                        NodeState, RoundOutcome, direct_round, hop_table, sep_block)
+                        NodeState, RoundOutcome, direct_round, hop_table, sep_block,
+                        sep_window)
 
 RNG_GENERATOR = "numpy.PCG64"
 RNG_DERIVATION = "SeedSequence([seed & 2**64-1, sha256(label)[:8] as uint64])"
@@ -216,6 +217,8 @@ def deploy(cfg: ScenarioConfig) -> NodeState:
 # on the sep preset restarting here ran about 15 % faster than halving the
 # block after a death.
 _SEP_FIRST_BLOCK = 8
+# Blocks of the most rounds in one of sep's windows of election draws.
+_SEP_WINDOW = 4
 
 
 # Most entries a run's reach table may hold. The table grows as
@@ -304,12 +307,12 @@ class Simulation:
             raise RuntimeError(f"cannot step round {round_idx}: a Simulation steps rounds 0 to "
                                f"{cfg.max_rounds - 1} once each, in order; its next is {self._round}")
         self._round += 1
-        if cfg.protocol == SEP:  # a one-round block without a hop table
+        if cfg.protocol == SEP:  # a one-row window without a hop table, played as one block
             draws = self._election_rng.random(cfg.net.n)
             if not self.state.alive.any():
                 return RoundOutcome()
-            cost, packets, deaths = sep_block(self.state, round_idx, cfg.net, cfg.radio,
-                                              self._cost, None, draws[None])
+            window = sep_window(self.state, round_idx, cfg.net, None, draws[None])
+            cost, packets, deaths = sep_block(self.state, cfg.radio, self._cost, None, window)
             return RoundOutcome(packets=int(packets[0]), cost=float(cost[0]), deaths=deaths)
         if not round_idx:  # steps start at round 0, and take the table by slot
             self._slots = _by_slot(self._slot, self._S)
@@ -343,17 +346,22 @@ class Simulation:
     def _sep(self, dies: np.ndarray) -> tuple[int, partial]:
         """sep's packet total and per-round builder, run while a node lives.
 
-        Rounds run in blocks (``sep_block``) through the first round with a
-        death, up to ``_HOP_NODES`` nodes over one ``hop_table`` and above it
-        with each round's own head search; a block's later election draws
-        wait for the next block. Deaths come in bursts, so a run's first
-        block and the first after each death take ``_SEP_FIRST_BLOCK`` rounds,
-        or 1 without a table, where a round a death drops wastes its head
-        search. Each block with no death doubles the next, while its (rounds
-        x 3n) cost rows hold at most ``_CHUNK`` elements. Once none is alive a
-        round spends and sends nothing; the election draws those rounds skip
-        feed nothing else. A block that ends in a death writes its last
-        round into ``dies`` for each node it killed.
+        Election draws come a window of ``_SEP_WINDOW`` blocks of the most
+        rounds at a time, and ``sep_window`` elects their heads once, over
+        the nodes alive when it opens; up to ``_HOP_NODES`` nodes it finds
+        each node's head too, over one ``hop_table``, and after a death
+        ``SepWindow.refind_heads`` finds new heads for the later rounds that
+        elected a node it killed. Rounds run in blocks (``sep_block``), cut
+        at the window's end, through the first round with a death, each over
+        the window's rows and its nodes still alive. Deaths come in bursts,
+        so a run's first block and the first after each death take
+        ``_SEP_FIRST_BLOCK`` rounds, or 1 without a table, where a round a
+        death drops wastes its head search. Each block with no death doubles
+        the next, while its (rounds x 3n) cost rows hold at most ``_CHUNK``
+        elements. Once none is alive a round spends and sends nothing; the
+        election draws those rounds skip feed nothing else. A block that ends
+        in a death writes its last round into ``dies`` for each node it
+        killed.
         """
         cfg = self.cfg
         n, R, rng = cfg.net.n, cfg.max_rounds, self._election_rng
@@ -361,18 +369,16 @@ class Simulation:
         hops = hop_table(self.state, cfg.radio)
         most = max(1, _CHUNK // (3 * n))  # a block's (rounds x 3n) cost rows
         size = restart = min(most, 1 if hops is None else _SEP_FIRST_BLOCK)
-        ahead = np.empty((0, n))  # election draws taken ahead, next first
         costs: list = []
         packets: list = []
-        r = 0
+        r = end = 0
         while r < R and alive > 0:
-            # Every round draws one row of n, so a block of rows holds the same bits.
-            b = min(size, R - r)
-            if len(ahead) < b:
-                ahead = np.concatenate((ahead, rng.random((b - len(ahead), n))))
-            cost, sent, deaths = sep_block(self.state, r, cfg.net, cfg.radio, self._cost,
-                                           hops, ahead[:b])
-            ahead = ahead[len(cost):]
+            if r == end:  # every round draws one row of n, so a window of rows holds the same bits
+                end = min(r + _SEP_WINDOW * most, R)
+                window = sep_window(self.state, r, cfg.net, hops, rng.random((end - r, n)))
+            b = min(size, end - r)
+            cost, sent, deaths = sep_block(self.state, cfg.radio, self._cost, hops,
+                                           window.rows(r, r + b, self.state.alive))
             size = restart if deaths else min(most, 2 * size)
             costs.append(cost)
             packets.append(sent)
@@ -380,6 +386,8 @@ class Simulation:
             if deaths:
                 dies[(dies == R) & ~self.state.alive] = r - 1
                 alive -= deaths
+                if hops is not None and r < end:
+                    window.refind_heads(r, self.state.alive, dies == r - 1, hops)
         return int(sum(map(np.sum, packets))), partial(_sep_rounds, costs, packets, r)
 
     def _fold_nodes(self, dies: np.ndarray) -> tuple[int, partial]:
@@ -407,7 +415,17 @@ class Simulation:
         nodes = np.flatnonzero(state.alive & (horizon > 0))
         while len(nodes):
             attempt = paid[nodes, None] + np.arange(max(1, _CHUNK // len(nodes)), dtype=np.int32)
-            cost = self._cost[first[nodes, None] + attempt % k[nodes, None]]
+            # Each attempt's place in its node's tour; only a row that passes the
+            # tour's end takes the modulo, as few do in a run of one tour.
+            kn = k[nodes, None]
+            wrap = np.flatnonzero(attempt[:, -1] >= kn[:, 0])
+            place = attempt
+            if len(wrap) == len(nodes):
+                place = attempt % kn
+            elif len(wrap):
+                place = attempt.copy()
+                place[wrap] %= kn[wrap]
+            cost = self._cost[first[nodes, None] + place]
             # An attempt past the horizon costs 0.0: it leaves the residual
             # as it is and, as a residual is never below 0.0, never fails.
             over = np.flatnonzero(attempt[:, -1] >= horizon[nodes])
@@ -453,7 +471,11 @@ def _fold(slot: np.ndarray, ids: np.ndarray, cost: np.ndarray, offsets: np.ndarr
     ``_CHUNK`` elements; an entry leaves once its node stops paying. A tile in
     (tour, entry) order lists each round's payments in id order, and
     ``np.add.at`` adds them in that order from 0.0, as a stepped round does.
+    A table of one slot, as cl-sep's static sink gives, folds through
+    ``_fold_one_slot`` instead.
     """
+    if S == 1:
+        return _fold_one_slot(cost, paid[ids], rows)
     sums, payers = np.zeros(rows), np.zeros(rows, dtype=np.int64)
     k = np.diff(offsets)
     for lo in range(0, len(ids), _CHUNK):
@@ -470,6 +492,30 @@ def _fold(slot: np.ndarray, ids: np.ndarray, cost: np.ndarray, offsets: np.ndarr
             t0 += len(t)
             e, m = e[m > t0], m[m > t0]
     return sums, payers
+
+
+def _fold_one_slot(cost: np.ndarray, m: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_fold`` of a one-slot table, whose entry ``e`` pays in its first ``m[e]``
+    rounds: each tour is one round, and a node has one entry at most.
+
+    Round t's payers are the entries with ``m > t``, so the rounds from one
+    ``m`` to the next share their payers and their sum: each such stretch is
+    summed once, its payers' costs added in id order from 0.0 by one
+    ``cumsum`` (a non-payer adds 0.0, which is exact), a block of stretches
+    of at most ``_CHUNK`` elements (or one stretch) at a time.
+    """
+    starts = np.sort(np.append(m[m < rows], 0))  # where each stretch starts; a repeat spans none
+    sums = np.empty(len(starts))
+    payers = np.empty(len(starts), dtype=np.int64)
+    step = max(1, _CHUNK // (len(m) + 1))
+    for lo in range(0, len(starts), step):
+        pays = m > starts[lo:lo + step, None]
+        row = np.zeros((len(pays), len(m) + 1))
+        row[:, 1:] = np.where(pays, cost, 0.0)
+        sums[lo:lo + step] = np.cumsum(row, axis=1, out=row)[:, -1]
+        payers[lo:lo + step] = pays.sum(axis=1)
+    spans = np.diff(np.append(starts, rows))
+    return np.repeat(sums, spans), np.repeat(payers, spans)
 
 
 def run(cfg: ScenarioConfig) -> RunMetrics:

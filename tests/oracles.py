@@ -14,9 +14,10 @@
 * ``sep_round``   — one sep round that pays member by member on numpy
   scalars, with one scalar ``tx_energy`` call per member and every distance
   computed afresh; the oracle for the library's one sep engine,
-  ``sep_block``, which lays out a block of rounds at once and pays on Python
-  lists, its members finding their heads in the run's ``hop_table`` or, with
-  none, by distance a block of members at a time. It has its own election
+  ``sep_window`` and ``sep_block``, which elect a window of rounds and lay
+  out a block of them at once and pay on Python lists, their members
+  finding their heads in the run's ``hop_table`` or, with none, by distance
+  a block of members at a time. It has its own election
   formulas: each node kind's probability, epoch and threshold are written
   out here, not imported from ``sinksim.protocols``. ``sep_oracle_run``
   steps a whole ``Simulation`` with it, through ``sep_step`` in place of
@@ -28,7 +29,7 @@
 * ``stepped_run`` — ``Simulation.run`` as a plain loop of ``Simulation.step``
   calls, one per round; the oracle for the per-node fold of srp and cl-sep
   and for sep's blocks and filled dead tail. ``run`` never steps, and a
-  stepped sep round is a one-round block that reads no hop table.
+  stepped sep round is a one-row window that reads no hop table.
 * ``write_run_csv`` and ``validate_run_csv`` — the per-round CSV formatted
   and parsed one row at a time; the oracles for the library's pair, which
   handle runs of rows that repeat the row above.
@@ -332,9 +333,9 @@ def hop_spies():
         tables.append(protocols.hop_table(*args))
         return tables[-1]
 
-    def block(state, round0, *args):
-        blocks.append(round0)
-        return protocols.sep_block(state, round0, *args)
+    def block(state, radio, uplink, hops, window):
+        blocks.append(window.round0)
+        return protocols.sep_block(state, radio, uplink, hops, window)
 
     with mock.patch.object(simulation, "hop_table", table), \
             mock.patch.object(simulation, "sep_block", block):

@@ -1,11 +1,12 @@
 """``Simulation.run`` against a plain per-round ``Simulation.step`` loop.
 
 srp and cl-sep runs are per-node folds, and sep runs in blocks of rounds up
-to each death and stops at its last; every preset at the full horizon, under
-both stop rules, must match the stepped loop bit for bit. sep's runs must
-also match the numpy-scalar ``sep_round`` of ``oracles`` stepped round by
-round, on both hop paths: a hop table up to its bound and each round's own
-nearest-head search above, in blocks of many rounds and of one.
+to each death, within windows of election draws, and stops at its last;
+every preset at the full horizon, under both stop rules, must match the
+stepped loop bit for bit. sep's runs must also match the numpy-scalar
+``sep_round`` of ``oracles`` stepped round by round, on both hop paths: a
+hop table up to its bound and each round's own nearest-head search above,
+in blocks of many rounds and of one.
 """
 
 import dataclasses
@@ -265,12 +266,15 @@ def test_cl_sep_round_sums_at_large_n():
         assert m.cumulative_packets[r] - (m.cumulative_packets[r - 1] if r else 0) == paying.sum()
 
 
-# sep's block engine: runs whose blocks are bounded at 1, 2, 7 and 64 rounds
-# against the stepped loop and the oracle. The cases die within a few hundred
-# rounds; together they hold, at every bound, a block that ends on an epoch's
-# last round, deaths in a block's first and last rounds, no-head fallback
-# rounds inside a block and heads that die on a reception.
+# sep's block engine: runs whose blocks are bounded at 1, 2, 7 and 64 rounds, and
+# whose windows of election draws hold one block of the bound or three, against
+# the stepped loop and the oracle; at bound 1 a one-block window is one row. The
+# cases die within a few hundred rounds; together they hold, at every bound, a
+# block that ends on an epoch's last round, deaths in a block's first and last
+# rounds, no-head fallback rounds inside a block and heads that die on a
+# reception, and in every window longer than a row the window edges below.
 BLOCK_BOUNDS = (1, 2, 7, 64)
+WINDOW_BLOCKS = (1, 3)
 BLOCK_CASES = {  # name: (seed, net, nodes dead at the start)
     "epoch8": (0, NetworkParams(p_opt=0.125, alpha=0.0, e0=0.05), None),  # both epochs 8 rounds
     "deaths": (2, NetworkParams(e0=0.05), None),  # two 7-round gaps between deaths
@@ -280,6 +284,10 @@ BLOCK_CASES = {  # name: (seed, net, nodes dead at the start)
     "reception": (0, NetworkParams(e0=3e-4), None),  # heads die receiving
     "dead-three": (0, NetworkParams(e0=0.05), "three"),
     "dead-all": (0, NetworkParams(e0=0.05), "all"),
+    "two-deaths": (0, NetworkParams(m=0.0, e0=2e-3), None),  # equal energies: deaths share rounds
+    "only-head": (0, NetworkParams(n=10, e0=0.01), None),  # rows whose one head dies
+    "leads-rows": (0, NetworkParams(p_opt=0.5, alpha=0.0, e0=0.05), None),  # 2-round epochs
+    "head-dies-paying": (1, NetworkParams(e0=1e-3), None),  # after round 0 too
 }
 
 
@@ -308,72 +316,150 @@ def block_references(name):
     return (ref, stepped_run(ref)), (oracle, m_oracle)
 
 
-@functools.cache
-def block_run(name, bound, table):
-    """A case's run with blocks of at most ``bound`` rounds, with or without a hop
-    table, and each block's (first round, rounds drawn, rounds committed)."""
-    cfg, dead = block_case(name)
-    blocks = []
+def window_edges(state, window, block):
+    """The window edges a block meets, from its ``window`` and the nodes alive at its start.
 
-    def spy(state, round0, *args):
-        assert (args[-2] is not None) is table
-        cost, packets, deaths = protocols.sep_block(state, round0, *args)
-        blocks.append((round0, len(args[-1]), len(cost) - (deaths > 0)))  # clean rounds
+    ``leads-rows``: a node dead since the window opened was elected in two of
+    the block's rows or more. ``only-head``: in a row, every head is.
+    """
+    rows = slice(block.round0 - window.round0, block.round0 - window.round0 + len(block.is_ch))
+    gone = ~state.alive[window.live]
+    ch = window.is_ch[rows]
+    edges = set()
+    if (ch[:, gone].sum(axis=0) > 1).any():
+        edges.add("leads-rows")
+    led = block.is_ch.any(axis=1)
+    if (ch.any(axis=1) & ~led).any():
+        edges.add("only-head")
+    return edges
+
+
+@functools.cache
+def block_run(name, bound, table, window):
+    """A case's run with blocks of at most ``bound`` rounds and windows of ``window``
+    blocks of it, with or without a hop table; each window's (first round, rows),
+    and each block's (first round, rounds laid out, rounds committed) and the
+    window edges it meets (``window_edges``), with ``two-deaths`` for a round in
+    which two nodes die, ``head-dies-paying`` for one after round 0 in which a
+    head dies on a reception, while its members still pay, and ``refound`` when
+    a death leaves members of later rounds of its window to find a new head."""
+    cfg, dead = block_case(name)
+    windows, blocks = [], []
+    rx = rx_energy(cfg.radio, cfg.radio.packet_bits)
+    paying = []
+
+    def window_spy(state, round0, net, hops, draws):
+        windows.append(protocols.sep_window(state, round0, net, hops, draws))
+        return windows[-1]
+
+    def block_spy(state, radio, uplink, hops, block):
+        assert (hops is not None) is table and (block.head_of is not None) is table
+        edges = window_edges(state, windows[-1], block)
+        paying.clear()
+        cost, packets, deaths = protocols.sep_block(state, radio, uplink, hops, block)
+        if deaths > 1:
+            edges.add("two-deaths")
+        if paying and block.round0 + len(cost) > 1:
+            edges.add("head-dies-paying")
+        blocks.append((block.round0, len(block.is_ch), len(cost) - (deaths > 0), edges))
         return cost, packets, deaths
 
+    def refind_spy(self, lo, alive, died, hops):
+        rows = slice(lo - self.round0, None)
+        member = ~self.is_ch[rows] & (self.is_ch[rows] & alive[self.live]).any(axis=1)[:, None]
+        member &= alive[self.live]
+        if (member & died[self.head_of[rows]]).any():
+            blocks[-1][3].add("refound")
+        refind(self, lo, alive, died, hops)
+        assert alive[self.head_of[rows][member]].all()  # every live member's head lives
+
+    def pay_spy(state, radio, uplink, ch_ids, member_ids, heads, tx):
+        energy = state.energy.copy()
+        out = pay(state, radio, uplink, ch_ids, member_ids, heads, tx)
+        for h in ch_ids[~state.alive[ch_ids]].tolist():
+            payers = ((heads == h) & (energy[member_ids] >= tx)).sum()
+            if round((energy[h] - state.energy[h]) / rx) < payers:  # h received fewer
+                paying.append(h)
+        return out
+
+    pay, refind = protocols._pay_sep_round, protocols.SepWindow.refind_heads
     with mock.patch.object(simulation, "_CHUNK", 3 * cfg.net.n * bound), \
-            mock.patch.object(simulation, "sep_block", spy), \
+            mock.patch.object(simulation, "_SEP_WINDOW", window), \
+            mock.patch.object(simulation, "sep_window", window_spy), \
+            mock.patch.object(simulation, "sep_block", block_spy), \
+            mock.patch.object(protocols, "_pay_sep_round", pay_spy), \
+            mock.patch.object(protocols.SepWindow, "refind_heads", refind_spy), \
             mock.patch.object(protocols, "_HOP_NODES", MAX_NODES if table else 0):
         sim = start(Simulation(cfg), dead)
         m = sim.run()
-    return sim, m, blocks
+    return sim, m, [(w.round0, len(w.is_ch)) for w in windows], blocks
 
 
-def assert_block_run_matches_stepped_loop_and_oracle(name, bound, table):
-    sim, m, blocks = block_run(name, bound, table)
+def assert_block_run_matches_stepped_loop_and_oracle(name, bound, table, window):
+    sim, m, windows, blocks = block_run(name, bound, table, window)
     for ref, m_ref in block_references(name):
         assert_same_run(sim, m, ref, m_ref)
-    assert max((b for _, b, _ in blocks), default=0) <= bound
+    assert max((b for _, b, _, _ in blocks), default=0) <= bound
     assert (len(blocks) == 0) == (name == "dead-all")
+    # Windows follow each other, and no block crosses a window's end.
+    ends = [r + rows for r, rows in windows]
+    assert [r for r, _ in windows[1:]] == ends[:-1]
+    assert all(rows <= bound * window for _, rows in windows)
+    assert all(any(w <= r and r + b <= e for w, e in zip([r for r, _ in windows], ends))
+               for r, b, _, _ in blocks)
 
 
-def assert_block_cases_cover_the_block_edges(bound, table):
+def assert_block_cases_cover_the_block_edges(bound, table, window):
     ends_epoch = first = last = fallback = False
+    edges = {}  # each case's window edges
     for name in BLOCK_CASES:
         cfg, _ = block_case(name)
-        sim, m, blocks = block_run(name, bound, table)
+        sim, m, _, blocks = block_run(name, bound, table, window)
         epochs = (math.ceil(1 / cfg.net.p_normal), math.ceil(1 / cfg.net.p_advanced))
         uplinks = np.cumsum(sim._cost)[-1]  # a round with no head, while all are alive
-        for round0, drawn, done in blocks:
+        for round0, drawn, done, met in blocks:
             ends_epoch |= done == drawn and any((round0 + done) % e == 0 for e in epochs)
             first |= done == 0
             last |= drawn > 1 and done == drawn - 1
             fallback |= drawn > 1 and any(m.round_cost_j[r] == uplinks for r in
                                           range(round0, min(round0 + done, m.first_death_round)))
+            edges.setdefault(name, set()).update(met)
     assert ends_epoch and first and (last and fallback or bound == 1)
+    rows = bound * window  # a window's rows: one at bound 1 in one-block windows
+    want = {"two-deaths", "head-dies-paying"}
+    if rows > 1:
+        want |= {"only-head", "refound"} if table else {"only-head"}
+    if rows >= 6:
+        want.add("leads-rows")
+    assert set().union(*edges.values()) == want
+    assert all(edge in edges[edge] for edge in want & set(BLOCK_CASES))  # each named case meets its edge
 
 
+@pytest.mark.parametrize("window", WINDOW_BLOCKS)
 @pytest.mark.parametrize("bound", BLOCK_BOUNDS)
 @pytest.mark.parametrize("name", BLOCK_CASES)
-def test_block_engine_matches_stepped_loop_and_oracle(name, bound):
-    assert_block_run_matches_stepped_loop_and_oracle(name, bound, table=True)
+def test_block_engine_matches_stepped_loop_and_oracle(name, bound, window):
+    assert_block_run_matches_stepped_loop_and_oracle(name, bound, True, window)
 
 
+@pytest.mark.parametrize("window", WINDOW_BLOCKS)
 @pytest.mark.parametrize("bound", BLOCK_BOUNDS)
 @pytest.mark.parametrize("name", BLOCK_CASES)
-def test_block_engine_without_a_hop_table_matches_stepped_loop_and_oracle(name, bound):
+def test_block_engine_without_a_hop_table_matches_stepped_loop_and_oracle(name, bound, window):
     """The same blocks with each led round's own head search, ``_HOP_NODES`` below n."""
-    assert_block_run_matches_stepped_loop_and_oracle(name, bound, table=False)
+    assert_block_run_matches_stepped_loop_and_oracle(name, bound, False, window)
 
 
+@pytest.mark.parametrize("window", WINDOW_BLOCKS)
 @pytest.mark.parametrize("bound", BLOCK_BOUNDS)
-def test_block_cases_cover_the_block_edges(bound):
-    assert_block_cases_cover_the_block_edges(bound, table=True)
+def test_block_cases_cover_the_block_edges(bound, window):
+    assert_block_cases_cover_the_block_edges(bound, True, window)
 
 
+@pytest.mark.parametrize("window", WINDOW_BLOCKS)
 @pytest.mark.parametrize("bound", BLOCK_BOUNDS)
-def test_block_cases_without_a_hop_table_cover_the_block_edges(bound):
-    assert_block_cases_cover_the_block_edges(bound, table=False)
+def test_block_cases_without_a_hop_table_cover_the_block_edges(bound, window):
+    assert_block_cases_cover_the_block_edges(bound, False, window)
 
 
 def test_heads_die_on_a_reception_in_the_first_block():
@@ -388,12 +474,13 @@ def test_heads_die_on_a_reception_in_the_first_block():
     assert len(heads) > 1 and not sim.state.alive[heads].any()
     assert (sim.state.energy[heads] == before - rx_energy(cfg.radio, cfg.radio.packet_bits)).all()
     for bound in BLOCK_BOUNDS:
-        assert block_run("reception", bound, True)[2][0] == (0, min(bound, simulation._SEP_FIRST_BLOCK), 0)
+        blocks = block_run("reception", bound, True, 1)[3]
+        assert blocks[0][:3] == (0, min(bound, simulation._SEP_FIRST_BLOCK), 0)
 
 
 def test_a_stepped_round_is_paid_by_the_pay_loop():
-    """A one-round block, as ``Simulation.step`` plays, skips the fold and pays its
-    round through ``_pay_sep_round``, clean or not."""
+    """A one-row window, as ``Simulation.step`` plays, is one block that skips the fold
+    and pays its round through ``_pay_sep_round``, clean or not."""
     cfg = load_preset("sep", seed=0, max_rounds=40)
     sim = Simulation(cfg)
     with mock.patch.object(protocols, "_pay_sep_round", wraps=protocols._pay_sep_round) as pay:
@@ -403,7 +490,7 @@ def test_a_stepped_round_is_paid_by_the_pay_loop():
 
 
 def test_block_draws_match_one_row_per_round():
-    """A (b x n) block of election draws holds the bits of b draws of n."""
+    """A (b x n) window of election draws holds the bits of b draws of n."""
     a = simulation.rng_stream(7, "election")
     b = simulation.rng_stream(7, "election")
     assert a.random((5, 13)).tobytes() == np.concatenate([b.random(13) for _ in range(5)]).tobytes()

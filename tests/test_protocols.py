@@ -12,7 +12,7 @@ from sinksim.energy import (RadioParams, aggregation_energy, rx_energy,
 from sinksim.geometry import CirclePath, Point, Trajectory
 from sinksim.presets import load_preset
 from sinksim.protocols import (NetworkParams, NodeState, RoundOutcome, direct_round,
-                               election_threshold, hop_table, sep_block)
+                               election_threshold, hop_table, sep_block, sep_window)
 from sinksim.simulation import Simulation, reach
 
 from oracles import heads_elected, srp_round
@@ -109,7 +109,8 @@ class TestElectionThreshold:
 
 
 class TestSepRound:
-    """The StubRng cases through one-round blocks, each pricing its member hops afresh.
+    """The StubRng cases through one-row windows, each played as one block that prices
+    its member hops afresh.
 
     ``step`` returns the round's outcome and its heads (``heads_elected``).
     With none alive ``run`` calls no block, and the round spends and sends
@@ -125,8 +126,9 @@ class TestSepRound:
             return RoundOutcome(), 0
 
         def play():
-            cost, packets, deaths = sep_block(state, r, net, radio, uplink,
-                                              self.hops(state, radio), draws[None])
+            hops = self.hops(state, radio)
+            cost, packets, deaths = sep_block(state, radio, uplink, hops,
+                                              sep_window(state, r, net, hops, draws[None]))
             assert len(cost) == len(packets) == 1
             return RoundOutcome(packets=int(packets[0]), cost=float(cost[0]), deaths=deaths)
 
@@ -256,8 +258,8 @@ def test_a_sep_round_with_no_head_searches_for_none():
     costs = uplink(state)
     with mock.patch("sinksim.protocols._nearest_heads", side_effect=AssertionError), \
             mock.patch("sinksim.protocols.tx_energy", side_effect=AssertionError):
-        _, packets, _ = sep_block(state, 0, NET, RADIO, costs, None,
-                                  StubRng([0.999]).random(state.n)[None])
+        _, packets, _ = sep_block(state, RADIO, costs, None, sep_window(
+            state, 0, NET, None, StubRng([0.999]).random(state.n)[None]))
     assert state.in_set_g.all() and packets.tolist() == [2]
 
 
@@ -418,7 +420,8 @@ class TestRoundInvariants:
         costs = uplink(state)
         for r in range(300):
             before = state.total_energy()
-            cost, _, _ = sep_block(state, r, NET, RADIO, costs, None, election.random(state.n)[None])
+            window = sep_window(state, r, NET, None, election.random(state.n)[None])
+            cost, _, _ = sep_block(state, RADIO, costs, None, window)
             after = state.total_energy()
             assert before - after == pytest.approx(cost[0], abs=1e-12)
             assert (state.energy >= 0.0).all()
