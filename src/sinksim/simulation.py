@@ -394,14 +394,19 @@ class Simulation:
         """srp and cl-sep's packet total and per-round builder; writes each node's death round.
 
         Node i's attempts, in round order, repeat its entries in slot order
-        over every tour. Its residual before each attempt is a sequential
-        ``np.subtract.accumulate`` of those costs from its energy, and the
-        first attempt it cannot pay is its death. The folds run a block of
-        attempts per node at a time, one row per node, so each row is the
-        same sequence of subtractions as the node's own fold. Leaves each
-        node's energy, alive flag and packet count as stepping the rounds
-        would, and ``dies`` with the round of each node that dies; ``_fold``
-        walks the same attempts, up to each node's count of paid ones.
+        over every tour, and the first attempt it cannot pay is its death.
+        The folds run a block of attempts of many nodes at a time, one column
+        per node: its energy, then its attempts' costs. A column's
+        ``np.subtract.reduce`` is the same left-to-right chain of
+        subtractions as the node's own fold, and it ends below 0.0 exactly
+        when one of its payments fails: in IEEE arithmetic ``x - c < 0`` iff
+        ``x < c``, so a payment leaves no residual below 0.0, a failure
+        leaves one, and later costs, never negative, keep it there. Only
+        those columns take the ``np.subtract.accumulate`` whose residuals
+        give the first failure. Leaves each node's energy, alive flag and
+        packet count as stepping the rounds would, and ``dies`` with the
+        round of each node that dies; ``_fold`` walks the same attempts, up
+        to each node's count of paid ones.
         """
         state = self.state
         n, S, R = state.n, self._S, self.cfg.max_rounds
@@ -409,42 +414,45 @@ class Simulation:
         # below MAX_REACH_ENTRIES, so both fit int32.
         k = np.diff(self._offsets).astype(np.int32)       # attempts per tour
         first = self._offsets[:-1].astype(np.int32)       # node i's pattern start
-        horizon = (R // S) * k + np.bincount(self._id[self._slot < R % S], minlength=n)
+        horizon = (R // S) * k + (np.bincount(self._id[self._slot < R % S], minlength=n)
+                                  if R % S else 0)
 
         paid = np.zeros(n, dtype=np.int32)
         nodes = np.flatnonzero(state.alive & (horizon > 0))
         while len(nodes):
-            attempt = paid[nodes, None] + np.arange(max(1, _CHUNK // len(nodes)), dtype=np.int32)
-            # Each attempt's place in its node's tour; only a row that passes the
-            # tour's end takes the modulo, as few do in a run of one tour.
-            kn = k[nodes, None]
-            wrap = np.flatnonzero(attempt[:, -1] >= kn[:, 0])
+            steps = np.arange(max(1, _CHUNK // len(nodes)), dtype=np.int32)
+            attempt = paid[nodes] + steps[:, None]            # one column per node
+            # Each attempt's place in its node's tour; only a column that passes
+            # the tour's end takes the modulo, as few do in a run of one tour.
+            kn = k[nodes]
+            wrap = np.flatnonzero(attempt[-1] >= kn)
             place = attempt
             if len(wrap) == len(nodes):
                 place = attempt % kn
             elif len(wrap):
                 place = attempt.copy()
-                place[wrap] %= kn[wrap]
-            cost = self._cost[first[nodes, None] + place]
+                place[:, wrap] %= kn[wrap]
+            block = np.empty((len(steps) + 1, len(nodes)))    # energy, then each attempt's cost
+            block[0] = state.energy[nodes]
+            # Every index is in range; "clip" writes into the block, where "raise" buffers.
+            np.take(self._cost, first[nodes] + place, out=block[1:], mode="clip")
             # An attempt past the horizon costs 0.0: it leaves the residual
             # as it is and, as a residual is never below 0.0, never fails.
-            over = np.flatnonzero(attempt[:, -1] >= horizon[nodes])
-            cost[over] = np.where(attempt[over] < horizon[nodes[over], None], cost[over], 0.0)
-            before = np.empty_like(cost)                  # residual before each attempt
-            before[:, 0] = state.energy[nodes]
-            before[:, 1:] = cost[:, :-1]
-            np.subtract.accumulate(before, axis=1, out=before)
+            over = np.flatnonzero(attempt[-1] >= horizon[nodes])
+            block[1:, over] = np.where(attempt[:, over] < horizon[nodes[over]], block[1:, over], 0.0)
 
-            short = before < cost
-            at = np.argmax(short, axis=1)                 # each row's first failure
-            rows = np.arange(len(nodes))
-            died = short[rows, at]
-            state.energy[nodes] = np.where(died, before[rows, at], before[:, -1] - cost[:, -1])
-            paid[nodes] = np.where(died, paid[nodes] + at,
-                                   np.minimum(attempt[:, -1] + 1, horizon[nodes]))
-            dead = nodes[died]
-            tries = paid[dead]                            # the failed attempt's index
-            dies[dead] = tries // k[dead] * S + self._slot[first[dead] + tries % k[dead]]
+            end = np.subtract.reduce(block, axis=0)
+            state.energy[nodes] = end
+            paid[nodes] = np.minimum(attempt[-1] + 1, horizon[nodes])
+            died = end < 0.0                                  # some payment in the block failed
+            fail = np.flatnonzero(died)
+            if len(fail):  # their residuals before each attempt give the first failure
+                before = np.subtract.accumulate(block[:, fail], axis=0)
+                at = np.argmax(before[:-1] < block[1:, fail], axis=0)
+                dead = nodes[fail]
+                state.energy[dead] = before[at, np.arange(len(fail))]
+                paid[dead] = tries = attempt[0, fail] + at        # the failed attempt's index
+                dies[dead] = tries // k[dead] * S + self._slot[first[dead] + tries % k[dead]]
             nodes = nodes[~died & (paid[nodes] < horizon[nodes])]
         state.alive[(dies >= 0) & (dies < R)] = False
         state.packets_sent += paid

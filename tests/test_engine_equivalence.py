@@ -95,6 +95,29 @@ def test_add_at_adds_in_index_order():
     assert sums[0] == 0.0
 
 
+def test_subtract_reduce_subtracts_in_row_order():
+    """``_fold_nodes`` takes a column's ``np.subtract.reduce`` along axis 0 as
+    the last residual of its ``np.subtract.accumulate``, bit for bit, and a
+    residual below 0.0 as a failed payment, which needs ``x - c < 0.0`` iff
+    ``x < c``, subnormal differences included."""
+    rng = np.random.default_rng(0)
+    block = 10.0 ** rng.uniform(-10.0, 10.0, size=(200, 64))   # 20 decades
+    block[rng.random(block.shape) < 0.1] = 0.0
+    tiny = rng.random(block.shape) < 0.1
+    block[tiny] = rng.integers(1, 2**40, size=tiny.sum()) * 5e-324   # subnormals
+    block[0, 1::2] = 1e13                              # columns that pay every row
+    block[:, 0] = [1.0, 1e16, -1e16, *np.zeros(197)]   # summing what it subtracts gives 1.0
+    end = np.subtract.reduce(block, axis=0)
+    assert end.tobytes() == np.subtract.accumulate(block, axis=0)[-1].tobytes()
+    assert end[0] == 0.0 and (end < 0.0).any() and (end > 0.0).any()
+
+    x = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300])
+    x = np.concatenate([x, np.nextafter(x, 1.0), np.nextafter(x, 0.0)])
+    c = x[:, None]
+    assert ((x - c < 0.0) == (x < c)).all() and ((x - c == 0.0) == (x == c)).all()
+    assert ((x - c != 0.0) & (np.abs(x - c) < 2.2250738585072014e-308)).any()
+
+
 @pytest.mark.parametrize("name", ["cl-sep", "cc-srp"])
 def test_a_direct_run_prices_its_table_once(name):
     cfg = load_preset(name, seed=0)  # its check prices the dearest hop
@@ -554,3 +577,42 @@ def test_sep_records_heads_dying_on_a_reception_by_id():
     cfg, dead = block_case("reception")
     _, dies = assert_dies_by_id(cfg, dead)
     assert (dies == 0).sum() > 1
+
+
+# The per-node fold's block edges. ``_CHUNK`` is patched so that the first
+# block holds ``FOLD_BLOCK`` attempts of each node in range, and the reach
+# table's costs are made dyadic, so that a node's energy can be the exact sum
+# of its first attempts' costs and each death falls where its case needs it.
+FOLD_BLOCK = 40
+
+
+def fold_edge_run(stop_rule):
+    """A cc-srp run whose nodes a to d fail, by attempt index: a at ``FOLD_BLOCK``,
+    after a residual of exactly 0.0 on the first block's last attempt; b on that
+    last attempt and c on its first; d on the first of its second tour. Returns
+    the run, its stepped twin, the death record and each case's round."""
+    cfg = dataclasses.replace(load_preset("cc-srp", seed=0, max_rounds=3 * 360),
+                              stop_rule=stop_rule)
+    fast, ref = Simulation(cfg), Simulation(cfg)
+    offsets = fast._offsets
+    k = np.diff(offsets)
+    a, b, c = np.flatnonzero(k > FOLD_BLOCK)[:3]
+    d = np.flatnonzero((k > 0) & (k < FOLD_BLOCK // 2))[0]
+    cases = {a: (FOLD_BLOCK, 0.0), b: (FOLD_BLOCK - 1, 0.5), c: (0, 0.5), d: (k[d], 0.0)}
+    for sim in (fast, ref):
+        sim._cost[:] = 2.0 ** -(8 + np.arange(len(sim._cost)) % 3)
+        for i, (j, left) in cases.items():
+            costs = sim._cost[offsets[i] + np.arange(j + 1) % k[i]]  # its first j + 1 attempts
+            sim.state.energy[i] = costs[:j].sum() + left * costs[j]
+    rounds = {i: j // k[i] * fast._S + fast._slot[offsets[i] + j % k[i]]
+              for i, (j, _) in cases.items()}
+    with mock.patch.object(simulation, "_CHUNK", int((k > 0).sum()) * FOLD_BLOCK):
+        m, dies = run_dies(fast)
+    return fast, m, ref, dies, rounds
+
+
+@pytest.mark.parametrize("stop_rule", STOP_RULES)
+def test_fold_block_edges_match_stepped_loop(stop_rule):
+    fast, m, ref, dies, rounds = fold_edge_run(stop_rule)
+    assert_same_run(fast, m, ref, stepped_run(ref))
+    assert {i: dies[i] for i in rounds} == rounds
