@@ -8,12 +8,12 @@
   ``Simulation.run`` folds srp and cl-sep per node instead of stepping them.
 * ``sep_window`` and ``sep_block`` — the one sep engine: clustered routing
   to a static sink. ``sep_window`` elects the heads of a window of rounds
-  at once and, up to ``_HOP_NODES`` nodes, finds each member's nearest head
-  in ``hop_table`` (which prices every node-to-node hop once for a run and
-  ranks each node's neighbours). ``sep_block`` lays out a block of the
-  window's rounds over the nodes still alive, through the first with a
-  death, which it pays by its pay loop; without a table it finds each
-  round's nearest heads by distance. ``Simulation.run`` plays every sep
+  at once. ``sep_block`` lays out a block of the window's rounds over the
+  nodes still alive, through the first with a death, which it pays by its
+  pay loop. It looks up each round's nearest heads once, over the block's
+  live heads: by rank in ``hop_table`` up to ``_HOP_NODES`` nodes (the
+  table prices every node-to-node hop once for a run and ranks each node's
+  neighbours), and by distance above. ``Simulation.run`` plays every sep
   round through them and ``Simulation.step`` one-row windows.
 
 Death rule (uniform across engines): a node performs an energy-costing action
@@ -331,44 +331,23 @@ class SepWindow:
     """sep's election over rounds ``round0, round0 + 1, ...``, a row each, of nodes ``live``.
 
     ``is_ch[j, c]`` says whether node ``live[c]`` is elected head in round
-    ``round0 + j``, and ``in_g[j, c]`` whether it is in set G after it.
-    With a hop table, ``head_of[j, c]`` is ``live[c]``'s nearest head among
-    the round's heads, once ``refind_heads`` has dropped every head that
-    died; without one it is None. A plain class: a dataclass builds its
-    methods on every import, which the set-up time of each run pays.
+    ``round0 + j``, and ``in_g[j, c]`` whether it is in set G after it. A
+    plain class: a dataclass builds its methods on every import, which the
+    set-up time of each run pays.
     """
 
-    def __init__(self, round0: int, live: np.ndarray, is_ch: np.ndarray, in_g: np.ndarray,
-                 head_of: np.ndarray | None):
-        self.round0, self.live, self.is_ch, self.in_g, self.head_of = (
-            round0, live, is_ch, in_g, head_of)
+    def __init__(self, round0: int, live: np.ndarray, is_ch: np.ndarray, in_g: np.ndarray):
+        self.round0, self.live, self.is_ch, self.in_g = round0, live, is_ch, in_g
 
     def rows(self, lo: int, hi: int, alive: np.ndarray) -> SepWindow:
         """Rounds ``lo`` to ``hi - 1`` of the window, over its nodes still ``alive``."""
         j = slice(lo - self.round0, hi - self.round0)
         keep = alive[self.live]
         cols = slice(None) if keep.all() else keep
-        return SepWindow(lo, self.live[cols], self.is_ch[j, cols], self.in_g[j, cols],
-                         None if self.head_of is None else self.head_of[j, cols])
-
-    def refind_heads(self, lo: int, alive: np.ndarray, died: np.ndarray,
-                     hops: tuple[np.ndarray, ...]) -> None:
-        """Look up again, from round ``lo`` on, the heads of each round that elected a
-        node that ``died``, over its heads still ``alive`` (``_heads_by_rank``).
-
-        A member whose head lives keeps it, its nearest among fewer heads. A
-        round whose every head died keeps lookups that no member reads: it
-        falls back to direct transmission.
-        """
-        j = lo - self.round0
-        again = j + self.is_ch[j:, died[self.live]].any(axis=1).nonzero()[0]
-        if len(again):
-            self.head_of[again] = _heads_by_rank(hops, self.live,
-                                                 self.is_ch[again] & alive[self.live])
+        return SepWindow(lo, self.live[cols], self.is_ch[j, cols], self.in_g[j, cols])
 
 
-def sep_window(state: NodeState, round0: int, net: NetworkParams,
-               hops: tuple[np.ndarray, ...] | None, draws: np.ndarray) -> SepWindow:
+def sep_window(state: NodeState, round0: int, net: NetworkParams, draws: np.ndarray) -> SepWindow:
     """sep's election in rounds ``round0, round0 + 1, ...``, one per row of ``draws``.
 
     Nodes self-elect as cluster heads with a rotating threshold on
@@ -380,8 +359,7 @@ def sep_window(state: NodeState, round0: int, net: NetworkParams,
     node is elected at the first hit (draw below the threshold) of a
     stretch: a ``cumsum`` of hits, less its value where the stretch starts,
     is 1 there. A node out of set G when the window opens counts as having
-    hit already in the stretch it is in. With a ``hop_table``, each node's
-    nearest head in each row is looked up too (``_heads_by_rank``).
+    hit already in the stretch it is in.
     """
     b, n = draws.shape
     live = state.alive.nonzero()[0]
@@ -404,8 +382,7 @@ def sep_window(state: NodeState, round0: int, net: NetworkParams,
     np.cumsum(count, axis=0, out=count)
     count = count[2:] - np.where(adv, count[s_adv], count[s_nrm])
     is_ch = hit & (count == 1)
-    return SepWindow(round0, live, is_ch, count == 0,
-                     None if hops is None else _heads_by_rank(hops, live, is_ch))
+    return SepWindow(round0, live, is_ch, count == 0)
 
 
 def sep_block(state: NodeState, radio: RadioParams, uplink: np.ndarray,
@@ -422,13 +399,13 @@ def sep_block(state: NodeState, radio: RadioParams, uplink: np.ndarray,
     window and the alive set, never on energy, so every round of the block
     is laid out at once, as if none died:
 
-    * **Nearest head.** With a ``hop_table``, the window's, which
-      ``SepWindow.refind_heads`` keeps to heads still alive. A row whose
-      heads all died since the window opened has none among the block's
-      nodes and falls back to direct transmission. Without a table
+    * **Nearest head.** Looked up once per block, over the block's heads,
+      all alive. With a ``hop_table``, the least rank over each row's heads
+      (``_heads_by_rank``), whose hop prices the table holds. Without one
       (``hops`` None), each row with heads searches them by distance
       (``_nearest_heads``), and one ``tx_energy`` call prices the block's
-      hops.
+      hops. A row whose heads all died since the window opened has none
+      among the block's nodes and falls back to direct transmission.
     * **Node energy.** One ``np.subtract.accumulate`` per node over its
       events in round order: a member's hop, or a head's receptions and then
       its forward, or a fallback round's uplink. A node's first payment it
@@ -463,7 +440,7 @@ def sep_block(state: NodeState, radio: RadioParams, uplink: np.ndarray,
         # A block with no head searches for none and prices no hop.
         send = np.where(member, tx_energy(radio, k, dist), 0.0) if led.any() else dist
     else:
-        head_of = window.head_of
+        head_of = _heads_by_rank(hops, live, is_ch)
         send = np.where(member, hops[0][head_of, live], 0.0)
 
     done = 0

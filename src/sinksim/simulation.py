@@ -311,7 +311,7 @@ class Simulation:
             draws = self._election_rng.random(cfg.net.n)
             if not self.state.alive.any():
                 return RoundOutcome()
-            window = sep_window(self.state, round_idx, cfg.net, None, draws[None])
+            window = sep_window(self.state, round_idx, cfg.net, draws[None])
             cost, packets, deaths = sep_block(self.state, cfg.radio, self._cost, None, window)
             return RoundOutcome(packets=int(packets[0]), cost=float(cost[0]), deaths=deaths)
         if not round_idx:  # steps start at round 0, and take the table by slot
@@ -348,20 +348,19 @@ class Simulation:
 
         Election draws come a window of ``_SEP_WINDOW`` blocks of the most
         rounds at a time, and ``sep_window`` elects their heads once, over
-        the nodes alive when it opens; up to ``_HOP_NODES`` nodes it finds
-        each node's head too, over one ``hop_table``, and after a death
-        ``SepWindow.refind_heads`` finds new heads for the later rounds that
-        elected a node it killed. Rounds run in blocks (``sep_block``), cut
-        at the window's end, through the first round with a death, each over
-        the window's rows and its nodes still alive. Deaths come in bursts,
-        so a run's first block and the first after each death take
-        ``_SEP_FIRST_BLOCK`` rounds, or 1 without a table, where a round a
-        death drops wastes its head search. Each block with no death doubles
-        the next, while its (rounds x 3n) cost rows hold at most ``_CHUNK``
-        elements. Once none is alive a round spends and sends nothing; the
-        election draws those rounds skip feed nothing else. A block that ends
-        in a death writes its last round into ``dies`` for each node it
-        killed.
+        the nodes alive when it opens. Rounds run in blocks (``sep_block``),
+        cut at the window's end, through the first round with a death, each
+        over the window's rows and its nodes still alive; a block looks up
+        each member's nearest head among its own, by rank in one
+        ``hop_table`` up to ``_HOP_NODES`` nodes and by distance above.
+        Deaths come in bursts, so a run's first block and the first after
+        each death take ``_SEP_FIRST_BLOCK`` rounds, or 1 without a table,
+        where a round a death drops wastes its head search. Each block with
+        no death doubles the next, while its (rounds x 3n) cost rows hold at
+        most ``_CHUNK`` elements. Once none is alive a round spends and sends
+        nothing; the election draws those rounds skip feed nothing else. A
+        block that ends in a death writes its last round into ``dies`` for
+        each node it killed.
         """
         cfg = self.cfg
         n, R, rng = cfg.net.n, cfg.max_rounds, self._election_rng
@@ -375,7 +374,7 @@ class Simulation:
         while r < R and alive > 0:
             if r == end:  # every round draws one row of n, so a window of rows holds the same bits
                 end = min(r + _SEP_WINDOW * most, R)
-                window = sep_window(self.state, r, cfg.net, hops, rng.random((end - r, n)))
+                window = sep_window(self.state, r, cfg.net, rng.random((end - r, n)))
             b = min(size, end - r)
             cost, sent, deaths = sep_block(self.state, cfg.radio, self._cost, hops,
                                            window.rows(r, r + b, self.state.alive))
@@ -386,8 +385,6 @@ class Simulation:
             if deaths:
                 dies[(dies == R) & ~self.state.alive] = r - 1
                 alive -= deaths
-                if hops is not None and r < end:
-                    window.refind_heads(r, self.state.alive, dies == r - 1, hops)
         return int(sum(map(np.sum, packets))), partial(_sep_rounds, costs, packets, r)
 
     def _fold_nodes(self, dies: np.ndarray) -> tuple[int, partial]:

@@ -344,6 +344,8 @@ def window_edges(state, window, block):
 
     ``leads-rows``: a node dead since the window opened was elected in two of
     the block's rows or more. ``only-head``: in a row, every head is.
+    ``refound``: a row elected such a node and some head still alive, whose
+    members the block looks up again among its live heads.
     """
     rows = slice(block.round0 - window.round0, block.round0 - window.round0 + len(block.is_ch))
     gone = ~state.alive[window.live]
@@ -354,6 +356,8 @@ def window_edges(state, window, block):
     led = block.is_ch.any(axis=1)
     if (ch.any(axis=1) & ~led).any():
         edges.add("only-head")
+    if (ch[:, gone].any(axis=1) & led).any():
+        edges.add("refound")
     return edges
 
 
@@ -364,19 +368,18 @@ def block_run(name, bound, table, window):
     and each block's (first round, rounds laid out, rounds committed) and the
     window edges it meets (``window_edges``), with ``two-deaths`` for a round in
     which two nodes die, ``head-dies-paying`` for one after round 0 in which a
-    head dies on a reception, while its members still pay, and ``refound`` when
-    a death leaves members of later rounds of its window to find a new head."""
+    head dies on a reception, while its members still pay."""
     cfg, dead = block_case(name)
     windows, blocks = [], []
     rx = rx_energy(cfg.radio, cfg.radio.packet_bits)
     paying = []
 
-    def window_spy(state, round0, net, hops, draws):
-        windows.append(protocols.sep_window(state, round0, net, hops, draws))
+    def window_spy(state, round0, net, draws):
+        windows.append(protocols.sep_window(state, round0, net, draws))
         return windows[-1]
 
     def block_spy(state, radio, uplink, hops, block):
-        assert (hops is not None) is table and (block.head_of is not None) is table
+        assert (hops is not None) is table
         edges = window_edges(state, windows[-1], block)
         paying.clear()
         cost, packets, deaths = protocols.sep_block(state, radio, uplink, hops, block)
@@ -387,15 +390,6 @@ def block_run(name, bound, table, window):
         blocks.append((block.round0, len(block.is_ch), len(cost) - (deaths > 0), edges))
         return cost, packets, deaths
 
-    def refind_spy(self, lo, alive, died, hops):
-        rows = slice(lo - self.round0, None)
-        member = ~self.is_ch[rows] & (self.is_ch[rows] & alive[self.live]).any(axis=1)[:, None]
-        member &= alive[self.live]
-        if (member & died[self.head_of[rows]]).any():
-            blocks[-1][3].add("refound")
-        refind(self, lo, alive, died, hops)
-        assert alive[self.head_of[rows][member]].all()  # every live member's head lives
-
     def pay_spy(state, radio, uplink, ch_ids, member_ids, heads, tx):
         energy = state.energy.copy()
         out = pay(state, radio, uplink, ch_ids, member_ids, heads, tx)
@@ -405,13 +399,12 @@ def block_run(name, bound, table, window):
                 paying.append(h)
         return out
 
-    pay, refind = protocols._pay_sep_round, protocols.SepWindow.refind_heads
+    pay = protocols._pay_sep_round
     with mock.patch.object(simulation, "_CHUNK", 3 * cfg.net.n * bound), \
             mock.patch.object(simulation, "_SEP_WINDOW", window), \
             mock.patch.object(simulation, "sep_window", window_spy), \
             mock.patch.object(simulation, "sep_block", block_spy), \
             mock.patch.object(protocols, "_pay_sep_round", pay_spy), \
-            mock.patch.object(protocols.SepWindow, "refind_heads", refind_spy), \
             mock.patch.object(protocols, "_HOP_NODES", MAX_NODES if table else 0):
         sim = start(Simulation(cfg), dead)
         m = sim.run()
@@ -451,7 +444,7 @@ def assert_block_cases_cover_the_block_edges(bound, table, window):
     rows = bound * window  # a window's rows: one at bound 1 in one-block windows
     want = {"two-deaths", "head-dies-paying"}
     if rows > 1:
-        want |= {"only-head", "refound"} if table else {"only-head"}
+        want |= {"only-head", "refound"}
     if rows >= 6:
         want.add("leads-rows")
     assert set().union(*edges.values()) == want

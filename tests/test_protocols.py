@@ -128,7 +128,7 @@ class TestSepRound:
         def play():
             hops = self.hops(state, radio)
             cost, packets, deaths = sep_block(state, radio, uplink, hops,
-                                              sep_window(state, r, net, hops, draws[None]))
+                                              sep_window(state, r, net, draws[None]))
             assert len(cost) == len(packets) == 1
             return RoundOutcome(packets=int(packets[0]), cost=float(cost[0]), deaths=deaths)
 
@@ -259,7 +259,7 @@ def test_a_sep_round_with_no_head_searches_for_none():
     with mock.patch("sinksim.protocols._nearest_heads", side_effect=AssertionError), \
             mock.patch("sinksim.protocols.tx_energy", side_effect=AssertionError):
         _, packets, _ = sep_block(state, RADIO, costs, None, sep_window(
-            state, 0, NET, None, StubRng([0.999]).random(state.n)[None]))
+            state, 0, NET, StubRng([0.999]).random(state.n)[None]))
     assert state.in_set_g.all() and packets.tolist() == [2]
 
 
@@ -420,7 +420,7 @@ class TestRoundInvariants:
         costs = uplink(state)
         for r in range(300):
             before = state.total_energy()
-            window = sep_window(state, r, NET, None, election.random(state.n)[None])
+            window = sep_window(state, r, NET, election.random(state.n)[None])
             cost, _, _ = sep_block(state, RADIO, costs, None, window)
             after = state.total_energy()
             assert before - after == pytest.approx(cost[0], abs=1e-12)
