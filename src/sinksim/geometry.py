@@ -169,41 +169,36 @@ class Trajectory:
         return self.path.length() / self.sojourn_count
 
     @cached_property
-    def points(self) -> tuple[Point, ...]:
-        """Sojourn locations in visiting order, built once per trajectory.
+    def points(self) -> np.ndarray:
+        """Sojourn locations in visiting order, a read-only (points x 2) float64
+        array of (x, y) rows, built once per trajectory.
 
         Square perimeters start at the lowest-left corner and run
         counterclockwise; circles start at angle 0 (center + (radius, 0)) and
         run counterclockwise. A static path yields its single point regardless
-        of sojourn_count.
+        of sojourn_count. Each coordinate takes the scalar operations of one
+        point at a time, in the same order, so its bits do not depend on the
+        tour's length: a circle's angle is ``2.0*math.pi*k/S`` and its
+        ``math.cos`` and ``math.sin`` are libm's, one angle at a time.
         """
-        return tuple(_sojourn_point(self, k)
-                     for k in range(1 if self.is_static else self.sojourn_count))
-
-
-def _sojourn_point(t: Trajectory, k: int) -> Point:
-    """Sojourn point ``k`` of a tour, 0 <= k < its number of points."""
-    p = t.path
-    if isinstance(p, StaticPath):
-        return p.point
-    if isinstance(p, CirclePath):
-        ang = 2.0 * math.pi * k / t.sojourn_count
-        return Point(p.center.x + p.radius * math.cos(ang),
-                     p.center.y + p.radius * math.sin(ang))
-    # Square perimeter, walked +x, +y, -x, -y from the lowest-left corner.
-    s = p.side
-    x0 = p.center.x - s / 2.0
-    y0 = p.center.y - s / 2.0
-    step = 4.0 * s / t.sojourn_count
-    arc = k * step
-    edge, along = divmod(arc, s)
-    if edge == 0:
-        return Point(x0 + along, y0)
-    if edge == 1:
-        return Point(x0 + s, y0 + along)
-    if edge == 2:
-        return Point(x0 + s - along, y0 + s)
-    return Point(x0, y0 + s - along)
+        p, S = self.path, self.sojourn_count
+        if isinstance(p, StaticPath):
+            xy = np.array([[p.point.x, p.point.y]])
+        elif isinstance(p, CirclePath):
+            ang = (2.0 * math.pi * np.arange(S) / S).tolist()
+            xy = np.empty((S, 2))
+            xy[:, 0] = np.fromiter(map(math.cos, ang), float, S) * p.radius + p.center.x
+            xy[:, 1] = np.fromiter(map(math.sin, ang), float, S) * p.radius + p.center.y
+        else:  # square perimeter, walked +x, +y, -x, -y from the lowest-left corner
+            s = p.side
+            x0 = p.center.x - s / 2.0
+            y0 = p.center.y - s / 2.0
+            edge, along = np.divmod(np.arange(S) * (4.0 * s / S), s)
+            edges = [edge == 0, edge == 1, edge == 2]
+            xy = np.stack((np.select(edges, [x0 + along, x0 + s, x0 + s - along], x0),
+                           np.select(edges, [y0, y0 + along, y0 + s], y0 + s - along)), axis=1)
+        xy.flags.writeable = False
+        return xy
 
 
 def path_point_distance(path: Path, q: Point) -> float:

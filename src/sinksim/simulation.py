@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .energy import RadioParams, aggregation_energy, tx_energy
 from .errors import ConfigurationError
-from .geometry import Field, Point, SquareField, Trajectory, distances, trajectory_in_field
+from .geometry import Field, SquareField, Trajectory, distances, trajectory_in_field
 from .protocols import (_CHUNK, MAX_TOTAL_ENERGY, PROTOCOLS, SEP, SRP, NetworkParams,
                         NodeState, RoundOutcome, direct_round, hop_table, sep_block,
                         sep_window)
@@ -227,9 +226,10 @@ _SEP_WINDOW = 4
 MAX_REACH_ENTRIES = 10_000_000
 
 
-def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
+def reach(state: NodeState, radio: RadioParams, points: np.ndarray,
           sensing_range: float | None) -> tuple[np.ndarray, ...]:
-    """The reach table of ``points``: range is inclusive, ``None`` is unlimited.
+    """The reach table of ``points``, (x, y) rows as ``Trajectory.points``
+    holds them: range is inclusive, ``None`` is unlimited.
 
     Returns the arrays ``(slot, id, cost, offsets)``. Entry ``e`` says that
     node ``id[e]`` reaches point ``slot[e]`` at cost ``cost[e]``. Entries are
@@ -244,8 +244,7 @@ def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
     """
     limit = math.inf if sensing_range is None else sensing_range
     n, S = state.n, len(points)
-    px = np.array([p.x for p in points])
-    py = np.array([p.y for p in points])
+    px, py = points[:, 0], points[:, 1]
     step = max(1, _CHUNK // S)
     flat = []
     dists = []
@@ -390,25 +389,32 @@ class Simulation:
     def _fold_nodes(self, dies: np.ndarray) -> tuple[int, partial]:
         """srp and cl-sep's packet total and per-round builder; writes each node's death round.
 
-        Node i's attempts, in round order, repeat its entries in slot order
-        over every tour, and the first attempt it cannot pay is its death.
-        The folds run a block of attempts of many nodes at a time, one column
-        per node: its energy, then its attempts' costs. A column's
-        ``np.subtract.reduce`` is the same left-to-right chain of
-        subtractions as the node's own fold, and it ends below 0.0 exactly
-        when one of its payments fails: in IEEE arithmetic ``x - c < 0`` iff
-        ``x < c``, so a payment leaves no residual below 0.0, a failure
-        leaves one, and later costs, never negative, keep it there. Only
-        those columns take the ``np.subtract.accumulate`` whose residuals
-        give the first failure. Leaves each node's energy, alive flag and
-        packet count as stepping the rounds would, and ``dies`` with the
-        round of each node that dies; ``_fold`` walks the same attempts, up
-        to each node's count of paid ones.
+        Node i's attempts, in round order, repeat its ``k`` entries in slot
+        order over every tour, and the first attempt it cannot pay is its
+        death. Nodes never interact, so they fold in groups: sorted by ``k``,
+        stably, each group takes as many nodes G as keep G times its largest
+        ``k`` within ``_CHUNK``. A group lays its block out once, one column
+        per node: its energy, then its pattern over as many whole tours as L
+        = max(largest k, ``_CHUNK`` // G) rows hold (L at most the group's
+        longest horizon), up to its horizon, then 0.0. Each block ends every
+        column on a tour's end, so every block of the group is that layout
+        with row 0 renewed. A column's ``np.subtract.reduce`` is the same
+        left-to-right chain of subtractions as the node's own fold, and it
+        ends below 0.0 exactly when one of its payments fails: in IEEE
+        arithmetic ``x - c < 0`` iff ``x < c``, so a payment leaves no
+        residual below 0.0, a failure leaves one, and later costs, never
+        negative, keep it there; a cost of 0.0 leaves the residual as it is.
+        Only those columns take the ``np.subtract.accumulate`` whose
+        residuals give the first failure. A column whose horizon ends inside
+        a block is set to 0.0 past it in place, and it leaves the layout after
+        that block, as a dead one does. Leaves each node's energy, alive flag
+        and packet count as stepping the rounds would, and ``dies`` with the
+        round of each node that dies; ``_fold`` walks the same attempts, up to
+        each node's count of paid ones.
         """
         state = self.state
         n, S, R = state.n, self._S, self.cfg.max_rounds
-        # Attempt indices stay below MAX_ROUNDS + _CHUNK and entry indices
-        # below MAX_REACH_ENTRIES, so both fit int32.
+        # Entry indices stay below MAX_REACH_ENTRIES + _CHUNK, so they fit int32.
         k = np.diff(self._offsets).astype(np.int32)       # attempts per tour
         first = self._offsets[:-1].astype(np.int32)       # node i's pattern start
         horizon = (R // S) * k + (np.bincount(self._id[self._slot < R % S], minlength=n)
@@ -416,41 +422,62 @@ class Simulation:
 
         paid = np.zeros(n, dtype=np.int32)
         nodes = np.flatnonzero(state.alive & (horizon > 0))
-        while len(nodes):
-            steps = np.arange(max(1, _CHUNK // len(nodes)), dtype=np.int32)
-            attempt = paid[nodes] + steps[:, None]            # one column per node
-            # Each attempt's place in its node's tour; only a column that passes
-            # the tour's end takes the modulo, as few do in a run of one tour.
-            kn = k[nodes]
-            wrap = np.flatnonzero(attempt[-1] >= kn)
-            place = attempt
-            if len(wrap) == len(nodes):
-                place = attempt % kn
+        nodes = nodes[np.argsort(k[nodes], kind="stable")]
+        lo = 0
+        while lo < len(nodes):
+            most = k[nodes[lo:lo + _CHUNK // k[nodes[lo]]]]
+            # One node, if its tour alone passes a _CHUNK lowered below MAX_SOJOURNS.
+            G = max(1, int(np.count_nonzero(most * np.arange(1, len(most) + 1) <= _CHUNK)))
+            cols = nodes[lo:lo + G]
+            lo += G
+            kc, h = k[cols], horizon[cols]
+            L = min(max(int(kc[-1]), _CHUNK // G), int(h.max()))
+            span = np.minimum(L // kc * kc, h)                # attempts a block holds
+            rows = np.arange(L, dtype=np.int32)[:, None]
+            # Only a column that holds more than one tour takes the modulo,
+            # as none does in a run of one tour.
+            wrap = np.flatnonzero(span > kc)
+            place = rows
+            if len(wrap) == G:
+                place = rows % kc
             elif len(wrap):
-                place = attempt.copy()
-                place[:, wrap] %= kn[wrap]
-            block = np.empty((len(steps) + 1, len(nodes)))    # energy, then each attempt's cost
-            block[0] = state.energy[nodes]
-            # Every index is in range; "clip" writes into the block, where "raise" buffers.
-            np.take(self._cost, first[nodes] + place, out=block[1:], mode="clip")
-            # An attempt past the horizon costs 0.0: it leaves the residual
-            # as it is and, as a residual is never below 0.0, never fails.
-            over = np.flatnonzero(attempt[-1] >= horizon[nodes])
-            block[1:, over] = np.where(attempt[:, over] < horizon[nodes[over]], block[1:, over], 0.0)
-
-            end = np.subtract.reduce(block, axis=0)
-            state.energy[nodes] = end
-            paid[nodes] = np.minimum(attempt[-1] + 1, horizon[nodes])
-            died = end < 0.0                                  # some payment in the block failed
-            fail = np.flatnonzero(died)
-            if len(fail):  # their residuals before each attempt give the first failure
-                before = np.subtract.accumulate(block[:, fail], axis=0)
-                at = np.argmax(before[:-1] < block[1:, fail], axis=0)
-                dead = nodes[fail]
-                state.energy[dead] = before[at, np.arange(len(fail))]
-                paid[dead] = tries = attempt[0, fail] + at        # the failed attempt's index
-                dies[dead] = tries // k[dead] * S + self._slot[first[dead] + tries % k[dead]]
-            nodes = nodes[~died & (paid[nodes] < horizon[nodes])]
+                place = np.repeat(rows, G, axis=1)
+                place[:, wrap] %= kc[wrap]
+            layout = np.empty((L + 1, G))
+            layout[0] = state.energy[cols]
+            # An index past the table's end lies past its column's span, which
+            # the 0.0s overwrite; "clip" writes into the layout, where "raise" buffers.
+            np.take(self._cost, first[cols] + place, out=layout[1:], mode="clip")
+            np.copyto(layout[1:], 0.0, where=rows >= span)
+            last = (h - 1) // span                            # each column's last block
+            b, stop = 0, last.min()
+            while G:  # block b: each column's attempts from b·span on
+                if b == stop:  # some horizons end in this block; nothing past them pays
+                    over = np.flatnonzero((last == b) & (h - b * span < span))
+                    layout[1:, over] = np.where(rows < h[over] - b * span[over], layout[1:, over], 0.0)
+                end = np.subtract.reduce(layout, axis=0)
+                died = end < 0.0                              # some payment in the block failed
+                if b < stop and not died.any():  # no column leaves
+                    layout[0] = end
+                    b += 1
+                    continue
+                count = np.minimum((b + 1) * span, h)
+                fail = np.flatnonzero(died)
+                if len(fail):  # their residuals before each attempt give the first failure
+                    before = np.subtract.accumulate(layout[:, fail], axis=0)
+                    at = np.argmax(before[:-1] < layout[1:, fail], axis=0)
+                    dead = cols[fail]
+                    end[fail] = before[at, np.arange(len(fail))]
+                    count[fail] = tries = b * span[fail] + at  # the failed attempt's index
+                    dies[dead] = tries // k[dead] * S + self._slot[first[dead] + tries % k[dead]]
+                # Dead and finished columns leave the layout.
+                stay = ~died & (last > b)
+                state.energy[cols[~stay]] = end[~stay]
+                paid[cols[~stay]] = count[~stay]
+                cols, h, span, last = cols[stay], h[stay], span[stay], last[stay]
+                layout, G = layout[:, stay], len(cols)
+                layout[0] = end[stay]
+                b, stop = b + 1, last.min() if G else b
         state.alive[(dies >= 0) & (dies < R)] = False
         state.packets_sent += paid
         return int(paid.sum()), partial(_fold, self._slot, self._id, self._cost,

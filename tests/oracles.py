@@ -3,7 +3,9 @@
 * ``deploy``       — node placement with one scalar draw per coordinate; the
   oracle for the library's array ``deploy``.
 * ``sink_position`` — the sink's point in a round, computed from the tour
-  alone; ``srp_round`` places the sink with it.
+  alone, one scalar point at a time (``_sojourn_point``); ``srp_round``
+  places the sink with it, and it is the oracle for ``Trajectory.points``,
+  which builds a tour's points as one array.
 * ``coverage_radius_grid`` — a grid scan of the field; the independent check
   of the closed forms in ``geometry.coverage_radius``.
 * ``reach``       — the reach table built one sojourn point at a time, with
@@ -37,7 +39,6 @@
 
 import contextlib
 import math
-from collections.abc import Sequence
 from pathlib import Path
 from unittest import mock
 
@@ -46,9 +47,8 @@ import numpy as np
 from sinksim import protocols, simulation
 from sinksim.energy import RadioParams, aggregation_energy, rx_energy, tx_energy
 from sinksim.errors import ConfigurationError
-from sinksim.geometry import (Field, Point, SquareField, Trajectory,
-                              _sojourn_point, distances, path_point_distance,
-                              trajectory_in_field)
+from sinksim.geometry import (CirclePath, Field, Point, SquareField, StaticPath, Trajectory,
+                              distances, path_point_distance, trajectory_in_field)
 from sinksim.harness import CSV_BLOCK_ROWS, CSV_HEADER, fmt_float
 from sinksim.protocols import NetworkParams, NodeState, RoundOutcome, direct_round
 from sinksim.simulation import (STOP_ALL_DEAD, RunMetrics, ScenarioConfig, Simulation,
@@ -91,6 +91,31 @@ def deploy(cfg: ScenarioConfig) -> NodeState:
 def sink_position(t: Trajectory, round_idx: int) -> Point:
     """Sink location during a given round: one sojourn point per round, wrapping."""
     return _sojourn_point(t, round_idx % (1 if t.is_static else t.sojourn_count))
+
+
+def _sojourn_point(t: Trajectory, k: int) -> Point:
+    """Sojourn point ``k`` of a tour, 0 <= k < its number of points."""
+    p = t.path
+    if isinstance(p, StaticPath):
+        return p.point
+    if isinstance(p, CirclePath):
+        ang = 2.0 * math.pi * k / t.sojourn_count
+        return Point(p.center.x + p.radius * math.cos(ang),
+                     p.center.y + p.radius * math.sin(ang))
+    # Square perimeter, walked +x, +y, -x, -y from the lowest-left corner.
+    s = p.side
+    x0 = p.center.x - s / 2.0
+    y0 = p.center.y - s / 2.0
+    step = 4.0 * s / t.sojourn_count
+    arc = k * step
+    edge, along = divmod(arc, s)
+    if edge == 0:
+        return Point(x0 + along, y0)
+    if edge == 1:
+        return Point(x0 + s, y0 + along)
+    if edge == 2:
+        return Point(x0 + s - along, y0 + s)
+    return Point(x0, y0 + s - along)
 
 
 def _field_bounds(f: Field) -> tuple[float, float, float, float]:
@@ -140,7 +165,7 @@ def coverage_radius_grid(t: Trajectory, f: Field,
     return max(best, refined)
 
 
-def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
+def reach(state: NodeState, radio: RadioParams, points: np.ndarray,
           sensing_range: float | None) -> tuple[np.ndarray, ...]:
     """The reach table ``(slot, id, cost, offsets)`` of ``simulation.reach``, point by point.
 
@@ -151,8 +176,8 @@ def reach(state: NodeState, radio: RadioParams, points: Sequence[Point],
     ids = []
     dists = []
     offsets = [0]
-    for p in points:
-        d = distances(state.xs, state.ys, p.x, p.y)
+    for x, y in points.tolist():
+        d = distances(state.xs, state.ys, x, y)
         inside = np.flatnonzero(d <= limit)
         offsets.append(offsets[-1] + len(inside))
         ids.append(inside)

@@ -104,7 +104,7 @@ def test_criterion_1_exact_single_node_oracles():
     state = NodeState(np.array([150.0]), np.array([50.0]), np.array([False]),
                       np.array([0.5]))
     sink = Point(50.0, 50.0)
-    _, ids, costs, _ = reach(state, probe.radio, [sink], None)
+    _, ids, costs, _ = reach(state, probe.radio, np.array([[sink.x, sink.y]]), None)
     death_100 = 0
     while state.alive[0]:
         direct_round(state, ids, costs)

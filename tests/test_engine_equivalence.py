@@ -572,17 +572,18 @@ def test_sep_records_heads_dying_on_a_reception_by_id():
     assert (dies == 0).sum() > 1
 
 
-# The per-node fold's block edges. ``_CHUNK`` is patched so that the first
-# block holds ``FOLD_BLOCK`` attempts of each node in range, and the reach
-# table's costs are made dyadic, so that a node's energy can be the exact sum
-# of its first attempts' costs and each death falls where its case needs it.
+# Deaths at chosen attempts of a real table. ``_CHUNK`` is patched to
+# ``FOLD_BLOCK`` elements per node in range, so that the run folds its nodes
+# in several groups of many blocks, and the reach table's costs are made
+# dyadic, so that a node's energy can be the exact sum of its first attempts'
+# costs and each death falls where its case needs it.
 FOLD_BLOCK = 40
 
 
 def fold_edge_run(stop_rule):
     """A cc-srp run whose nodes a to d fail, by attempt index: a at ``FOLD_BLOCK``,
-    after a residual of exactly 0.0 on the first block's last attempt; b on that
-    last attempt and c on its first; d on the first of its second tour. Returns
+    after a residual of exactly 0.0 on the attempt before; b on that attempt and
+    c on its first; d on the first of its second tour. Returns
     the run, its stepped twin, the death record and each case's round."""
     cfg = dataclasses.replace(load_preset("cc-srp", seed=0, max_rounds=3 * 360),
                               stop_rule=stop_rule)
@@ -609,3 +610,65 @@ def test_fold_block_edges_match_stepped_loop(stop_rule):
     fast, m, ref, dies, rounds = fold_edge_run(stop_rule)
     assert_same_run(fast, m, ref, stepped_run(ref))
     assert {i: dies[i] for i in rounds} == rounds
+
+
+# The grouped fold's block edges (``Simulation._fold_nodes``). Each case sets
+# a reach table of dyadic costs, so that a node's energy can be the exact sum
+# of its first attempts' costs, gives every node 1.0 J but the ones it kills,
+# and patches ``_CHUNK`` so that the groups, their layouts and their blocks
+# fall where it needs them.
+def grouped_fold_case(name, stop_rule):
+    """``(cfg, table, chunk, deaths)``: ``table`` is each node's tour (``ks``,
+    ``S``), or None to keep the preset's, and node i in ``deaths`` fails on its
+    attempt ``j`` after a residual of ``left`` times that attempt's cost, in
+    the round given (``{i: (j, left, round)}``)."""
+    if name == "k1":
+        # cl-sep: every tour is one entry. 100 nodes form one group laid out
+        # 4 rows deep; the 26-round horizon ends 2 rows into block 6.
+        cfg = load_preset("cl-sep", seed=0, max_rounds=26)
+        table, chunk = None, 100 * 4
+        deaths = {0: (8, 0.0, 8), 1: (13, 0.5, 13), 2: (25, 0.5, 25)}
+    else:
+        # 24 slots, 127 rounds: 5 tours, then 7 slots. With _CHUNK = 24 the
+        # tours of 2, 3, 4 and 5 entries form one group 6 rows deep, in which
+        # a block holds 3, 2, 1 and 1 tours of them; the two of 12 fill the
+        # next group, and the tour of 24 fills a group alone. Every horizon
+        # ends inside a block.
+        cfg = load_preset("sc10-srp", seed=0, max_rounds=127)
+        cfg = dataclasses.replace(cfg, net=dataclasses.replace(cfg.net, n=7))
+        table, chunk = ([2, 3, 4, 5, 24, 12, 12], 24), 24
+        deaths = {0: (6, 0.0, 72),     # exactly 0.0 on block 0's last row, then its first
+                  1: (8, 0.5, 64),     # block 1, after 2 tours of 3
+                  3: (26, 0.5, 124),   # the block its horizon (27) ends in
+                  4: (121, 0.5, 121),  # the lone tour, in its horizon's block
+                  5: (36, 0.0, 72)}    # exactly 0.0 on block 2's last row
+    return dataclasses.replace(cfg, stop_rule=stop_rule), table, chunk, deaths
+
+
+def grouped_fold_sim(cfg, table, deaths):
+    sim = Simulation(cfg)
+    if table is not None:
+        ks, sim._S = table
+        sim._slot = np.concatenate([np.arange(k) * sim._S // k for k in ks])
+        sim._id = np.repeat(np.arange(len(ks)), ks)
+        sim._offsets = np.concatenate(([0], np.cumsum(ks)))
+    sim._cost = 2.0 ** -(8 + np.arange(len(sim._slot)) % 3)
+    k, offsets = np.diff(sim._offsets), sim._offsets
+    sim.state.energy[:] = 1.0
+    for i, (j, left, _) in deaths.items():
+        costs = sim._cost[offsets[i] + np.arange(j + 1) % k[i]]  # its first j + 1 attempts
+        sim.state.energy[i] = costs[:j].sum() + left * costs[j]
+    return sim
+
+
+@pytest.mark.parametrize("stop_rule", STOP_RULES)
+@pytest.mark.parametrize("name", ["k1", "groups"])
+def test_grouped_fold_block_edges_match_stepped_loop(name, stop_rule):
+    cfg, table, chunk, deaths = grouped_fold_case(name, stop_rule)
+    fast, ref, twin = (grouped_fold_sim(cfg, table, deaths) for _ in range(3))
+    with mock.patch.object(simulation, "_CHUNK", chunk):
+        m, dies = run_dies(fast)
+    assert_same_run(fast, m, ref, stepped_run(ref))
+    np.testing.assert_array_equal(dies, stepped_dies(twin))
+    assert {i: dies[i] for i in deaths} == {i: r for i, (_, _, r) in deaths.items()}
+    assert fast.state.alive.sum() == cfg.net.n - len(deaths)

@@ -3,8 +3,10 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from sinksim import load_preset
 from sinksim.errors import ConfigurationError
 from sinksim.geometry import (CircleField, CirclePath, Point, SquareField,
                               SquarePath, StaticPath, Trajectory,
@@ -45,25 +47,23 @@ class TestDistance:
 class TestSojournPoints:
     def test_square_corners(self):
         t = square_traj(count=4, r_max=50.0)
-        pts = [(p.x, p.y) for p in t.points]
-        assert pts == [(25, 25), (75, 25), (75, 75), (25, 75)]
+        assert t.points.tolist() == [[25, 25], [75, 25], [75, 75], [25, 75]]
 
     def test_circle_quarters(self):
         t = circle_traj(40.0, count=4, r_max=70.0)
-        pts = t.points
         expect = [(90, 50), (50, 90), (10, 50), (50, 10)]
-        for p, (ex, ey) in zip(pts, expect):
-            assert p.x == pytest.approx(ex, abs=1e-12)
-            assert p.y == pytest.approx(ey, abs=1e-12)
+        for (x, y), (ex, ey) in zip(t.points.tolist(), expect, strict=True):
+            assert x == pytest.approx(ex, abs=1e-12)
+            assert y == pytest.approx(ey, abs=1e-12)
 
     def test_static_single_point(self):
         t = Trajectory(StaticPath(CENTER), sojourn_count=8)
-        assert t.points == (CENTER,)
+        assert t.points.tolist() == [[CENTER.x, CENTER.y]]
 
     @pytest.mark.parametrize("traj", [square_traj(count=200), circle_traj(40.0),
                                       circle_traj(10.0), circle_traj(25.0, count=360)])
     def test_spacing_constant_and_bounded(self, traj):
-        pts = traj.points
+        pts = [Point(x, y) for x, y in traj.points.tolist()]
         assert len(pts) == traj.sojourn_count
         gaps = [distance(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
         # chord length is constant and below the arc-length spacing bound
@@ -82,9 +82,48 @@ class TestSojournPoints:
     def test_points_built_once_per_trajectory(self):
         t = circle_traj(40.0)
         assert t.points is t.points
-        assert list(t.points) == [sink_position(t, k) for k in range(t.sojourn_count)]
+        assert_points_match_scalar_tour(t)
         halved = dataclasses.replace(t, sojourn_count=t.sojourn_count // 2)
         assert len(halved.points) == t.sojourn_count // 2
+
+    def test_points_are_read_only(self):
+        t = circle_traj(40.0)
+        with pytest.raises(ValueError):
+            t.points[0, 0] = 0.0
+
+
+def assert_points_match_scalar_tour(t):
+    """``t.points`` holds ``sink_position``'s scalar point for each round of one tour, bit for bit."""
+    want = [sink_position(t, k) for k in range(1 if t.is_static else t.sojourn_count)]
+    assert t.points.dtype == np.float64 and t.points.shape == (len(want), 2)
+    assert t.points.tobytes() == np.array([[p.x, p.y] for p in want]).tobytes()
+
+
+TOUR_SIZES = (1, 3, 4, 7, 36, 37, 100, 360, 1000, 7919, 10000)
+PATHS = {
+    "square": SquarePath(CENTER, 50.0),
+    "square-odd": SquarePath(Point(31.7, 64.1), 33.3),
+    "circle": CirclePath(CENTER, 40.0),
+    "circle-odd": CirclePath(Point(12.25, 80.5), 7.3),
+    "static": StaticPath(Point(12.5, 3.25)),
+}
+# The radii perfbench's dense-sweep runs cc-srp's tour at, each shifted by a
+# workload seed's (seed % 1000) / 2000.
+DENSE_RADII = (5, 10, 15, 20, 25, 30, 35, 40, 45, 60)
+
+
+@pytest.mark.parametrize("count", TOUR_SIZES)
+@pytest.mark.parametrize("path", PATHS.values(), ids=PATHS.keys())
+def test_points_match_scalar_tour(path, count):
+    assert_points_match_scalar_tour(Trajectory(path, sojourn_count=count, r_max=1e9))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 999])
+def test_dense_sweep_points_match_scalar_tour(seed):
+    base = load_preset("cc-srp").trajectory
+    for r in DENSE_RADII:
+        path = dataclasses.replace(base.path, radius=r + seed / 2000)
+        assert_points_match_scalar_tour(dataclasses.replace(base, path=path, r_max=1e9))
 
 
 class TestSinkPosition:
@@ -115,7 +154,7 @@ class TestSinkPosition:
     def test_matches_sojourn_points(self, t):
         pts = t.points
         for r in range(0, 3 * len(pts) + 5, 7):
-            assert sink_position(t, r) == pts[r % len(pts)]
+            assert sink_position(t, r) == Point(*pts[r % len(pts)].tolist())
 
     def test_periodic(self):
         t = circle_traj(20.0, count=36)

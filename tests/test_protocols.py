@@ -34,7 +34,7 @@ def make_state(positions, energies=None, is_advanced=None):
 
 def static_slot(state, radio=RADIO, sink=SINK):
     """The static sink's one reach slot: every node in id order, with its cost to ``sink``."""
-    _, ids, costs, _ = reach(state, radio, [sink], None)
+    _, ids, costs, _ = reach(state, radio, np.array([[sink.x, sink.y]]), None)
     return ids, costs
 
 

@@ -519,7 +519,7 @@ class TestReach:
         rng = np.random.default_rng(5)
         state = NodeState(rng.uniform(0, 100, n), rng.uniform(0, 100, n),
                           np.zeros(n, dtype=bool), np.full(n, 0.5))
-        points = [Point(50.0, 50.0), Point(0.0, 0.0), Point(99.0, 20.0)]
+        points = np.array([[50.0, 50.0], [0.0, 0.0], [99.0, 20.0]])
         monkeypatch.setattr(simulation, "_CHUNK", 2)
         for sensing_range in (None, 40.0, 0.1):
             got = reach(state, RadioParams(), points, sensing_range)
@@ -529,7 +529,7 @@ class TestReach:
         # node 1 is exactly 30 m from the first point, node 2 one ulp farther
         xs = np.array([50.0, 80.0, np.nextafter(80.0, np.inf), 20.0])
         state = NodeState(xs, np.full(4, 50.0), np.zeros(4, dtype=bool), np.full(4, 0.5))
-        points = [Point(50.0, 50.0), Point(50.0, 80.0)]
+        points = np.array([[50.0, 50.0], [50.0, 80.0]])
         got = reach(state, RadioParams(), points, 30.0)
         assert_same_table(got, reach_oracle(state, RadioParams(), points, 30.0))
         assert got[1][got[0] == 0].tolist() == [0, 1, 3]
