@@ -47,18 +47,21 @@ def tx_energy(p: RadioParams, k: int, d: float | np.ndarray) -> float | np.ndarr
     if isinstance(d, np.ndarray):
         if np.any(d < 0):
             raise ValueError("distances must be >= 0")
-        # In place, in the scalar branches' order c1 + ((c2·d)·d), so the
-        # temporaries are two arrays of d's size and a mask.
+        # In place, in the scalar branches' order c1 + ((c2·d)·d); the d^4
+        # branch is priced only at the distances that reach d0, if any do.
         fs = p.eps_fs * k * d
         fs *= d
         fs += p.e_elect * k
-        mp = p.eps_mp * k * d
-        mp *= d
-        mp *= d
-        mp *= d
-        mp += p.e_elect * k
-        np.copyto(mp, fs, where=d < p.d0)
-        return mp
+        far = d >= p.d0
+        if far.any():
+            df = d[far]
+            mp = p.eps_mp * k * df
+            mp *= df
+            mp *= df
+            mp *= df
+            mp += p.e_elect * k
+            fs[far] = mp
+        return fs
     if d < 0:
         raise ValueError(f"distance must be >= 0, got {d}")
     if d < p.d0:

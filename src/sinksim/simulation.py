@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -289,7 +289,6 @@ class Simulation:
         self.cfg = cfg
         self._round = 0  # the next round; max_rounds once run
         self.state = deploy(cfg)
-        self._election_rng = rng_stream(cfg.seed, "election")
         traj = cfg.trajectory
         # A static sink does not gate by range (see Trajectory): its one slot
         # lists every node, so sep's head uplink indexes its costs by id.
@@ -298,6 +297,11 @@ class Simulation:
         self._S = min(len(traj.points), cfg.max_rounds)
         self._slot, self._id, self._cost, self._offsets = reach(
             self.state, cfg.radio, traj.points[:self._S], sensing)
+
+    @cached_property
+    def _election_rng(self) -> np.random.Generator:
+        """sep's election draws, seeded on first use: srp and cl-sep never draw."""
+        return rng_stream(self.cfg.seed, "election")
 
     def step(self, round_idx: int) -> RoundOutcome:
         """Execute round ``round_idx``: the next round, below max_rounds."""
@@ -404,13 +408,19 @@ class Simulation:
         arithmetic ``x - c < 0`` iff ``x < c``, so a payment leaves no
         residual below 0.0, a failure leaves one, and later costs, never
         negative, keep it there; a cost of 0.0 leaves the residual as it is.
-        Only those columns take the ``np.subtract.accumulate`` whose
-        residuals give the first failure. A column whose horizon ends inside
-        a block is set to 0.0 past it in place, and it leaves the layout after
-        that block, as a dead one does. Leaves each node's energy, alive flag
-        and packet count as stepping the rounds would, and ``dies`` with the
-        round of each node that dies; ``_fold`` walks the same attempts, up to
-        each node's count of paid ones.
+        A column whose horizon ends inside a block is set to 0.0 past it in
+        place. A column leaves in the block it fails in or its horizon ends
+        in: a finished one writes its residual and count, a failed one
+        records the block and its residual at the block's start, and either
+        runs on with a residual of +inf, which no payment fails and no later
+        mask touches, while its rows stay as that block had them. Once at most
+        half the layout's columns still run, one batch resolves the failed
+        ones: an ``np.subtract.accumulate`` of their rows from each recorded
+        residual gives each first failure. Only then does the layout shrink to
+        the running columns, so a group compacts about log2(G) times. Leaves
+        each node's energy, alive flag and packet count as stepping the rounds
+        would, and ``dies`` with the round of each node that dies; ``_fold``
+        walks the same attempts, up to each node's count of paid ones.
         """
         state = self.state
         n, S, R = state.n, self._S, self.cfg.max_rounds
@@ -450,8 +460,10 @@ class Simulation:
             np.take(self._cost, first[cols] + place, out=layout[1:], mode="clip")
             np.copyto(layout[1:], 0.0, where=rows >= span)
             last = (h - 1) // span                            # each column's last block
-            b, stop = 0, last.min()
-            while G:  # block b: each column's attempts from b·span on
+            gone = np.full(G, -1)                             # the block a column failed in
+            base = np.empty(G)                                # its residual at that block's start
+            b, stop, running = 0, last.min(), G
+            while running:  # block b: each running column's attempts from b·span on
                 if b == stop:  # some horizons end in this block; nothing past them pays
                     over = np.flatnonzero((last == b) & (h - b * span < span))
                     layout[1:, over] = np.where(rows < h[over] - b * span[over], layout[1:, over], 0.0)
@@ -461,23 +473,38 @@ class Simulation:
                     layout[0] = end
                     b += 1
                     continue
-                count = np.minimum((b + 1) * span, h)
+                # A column that leaves runs on at +inf, past every later mask.
                 fail = np.flatnonzero(died)
-                if len(fail):  # their residuals before each attempt give the first failure
-                    before = np.subtract.accumulate(layout[:, fail], axis=0)
+                gone[fail], base[fail] = b, layout[0, fail]
+                end[fail], last[fail] = np.inf, R
+                running -= len(fail)
+                if b == stop:
+                    done = np.flatnonzero(last == b)          # horizons end here, all paid
+                    state.energy[cols[done]] = end[done]
+                    paid[cols[done]] = h[done]
+                    end[done], last[done] = np.inf, R
+                    running -= len(done)
+                layout[0] = end
+                b += 1
+                if 2 * running > G:  # more than half still run: the layout stays
+                    stop = last.min()
+                    continue
+                fail = np.flatnonzero(gone >= 0)
+                if len(fail):  # residuals before each attempt of its block give the first failure
+                    before = layout[:, fail]
+                    before[0] = base[fail]
+                    np.subtract.accumulate(before, axis=0, out=before)
                     at = np.argmax(before[:-1] < layout[1:, fail], axis=0)
                     dead = cols[fail]
-                    end[fail] = before[at, np.arange(len(fail))]
-                    count[fail] = tries = b * span[fail] + at  # the failed attempt's index
+                    state.energy[dead] = before[at, np.arange(len(fail))]
+                    paid[dead] = tries = gone[fail] * span[fail] + at  # the failed attempt's index
                     dies[dead] = tries // k[dead] * S + self._slot[first[dead] + tries % k[dead]]
-                # Dead and finished columns leave the layout.
-                stay = ~died & (last > b)
-                state.energy[cols[~stay]] = end[~stay]
-                paid[cols[~stay]] = count[~stay]
-                cols, h, span, last = cols[stay], h[stay], span[stay], last[stay]
-                layout, G = layout[:, stay], len(cols)
-                layout[0] = end[stay]
-                b, stop = b + 1, last.min() if G else b
+                if running:  # the layout shrinks to the running columns
+                    stay = last < R
+                    cols, h, span, last = cols[stay], h[stay], span[stay], last[stay]
+                    layout, G = layout[:, stay], running
+                    gone, base = np.full(G, -1), np.empty(G)
+                    stop = last.min()
         state.alive[(dies >= 0) & (dies < R)] = False
         state.packets_sent += paid
         return int(paid.sum()), partial(_fold, self._slot, self._id, self._cost,

@@ -54,6 +54,24 @@ class TestTxEnergy:
             for i, di in enumerate(d.tolist()):
                 assert vec[i].tobytes() == np.float64(tx_energy(p, k, di)).tobytes()
 
+    @pytest.mark.parametrize("shape", [(12,), (3, 4), (4, 3)])
+    def test_arrays_straddling_d0_match_scalar_bitwise(self, shape):
+        """1-D and 2-D arrays (sep prices a 2-D hop table) on both sides of d0,
+        all below it and all at or above it, each element as priced alone."""
+        d0 = P.d0
+        edges = [d0, np.nextafter(d0, 0.0), np.nextafter(d0, np.inf), 0.0, 5e-324, 100.0]
+        for picks in (edges + edges[::-1], [0.0, 5e-324, np.nextafter(d0, 0.0), 50.0] * 3,
+                      [d0, np.nextafter(d0, np.inf), 100.0, 1e3] * 3):
+            d = np.array(picks).reshape(shape)
+            vec = tx_energy(P, K, d)
+            assert vec.shape == shape
+            for got, di in zip(vec.ravel().tolist(), d.ravel().tolist()):
+                assert np.float64(got).tobytes() == np.float64(tx_energy(P, K, di)).tobytes()
+
+    def test_negative_distance_in_an_array_rejected(self):
+        with pytest.raises(ValueError):
+            tx_energy(P, K, np.array([[1.0, 100.0], [-5e-324, 3.0]]))
+
 
 class TestRxEnergy:
     def test_packet(self):

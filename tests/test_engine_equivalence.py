@@ -661,10 +661,7 @@ def grouped_fold_sim(cfg, table, deaths):
     return sim
 
 
-@pytest.mark.parametrize("stop_rule", STOP_RULES)
-@pytest.mark.parametrize("name", ["k1", "groups"])
-def test_grouped_fold_block_edges_match_stepped_loop(name, stop_rule):
-    cfg, table, chunk, deaths = grouped_fold_case(name, stop_rule)
+def assert_fold_case_matches_stepped_loop(cfg, table, chunk, deaths):
     fast, ref, twin = (grouped_fold_sim(cfg, table, deaths) for _ in range(3))
     with mock.patch.object(simulation, "_CHUNK", chunk):
         m, dies = run_dies(fast)
@@ -672,3 +669,54 @@ def test_grouped_fold_block_edges_match_stepped_loop(name, stop_rule):
     np.testing.assert_array_equal(dies, stepped_dies(twin))
     assert {i: dies[i] for i in deaths} == {i: r for i, (_, _, r) in deaths.items()}
     assert fast.state.alive.sum() == cfg.net.n - len(deaths)
+
+
+@pytest.mark.parametrize("stop_rule", STOP_RULES)
+@pytest.mark.parametrize("name", ["k1", "groups"])
+def test_grouped_fold_block_edges_match_stepped_loop(name, stop_rule):
+    assert_fold_case_matches_stepped_loop(*grouped_fold_case(name, stop_rule))
+
+
+# The fold's batched resolve (``Simulation._fold_nodes``): a column that fails
+# only records its block and runs on at +inf, and the failed columns of a
+# layout are resolved together once at most half its columns still run, when
+# the layout shrinks. Built as ``grouped_fold_case`` is.
+def batched_fold_case(name, stop_rule):
+    """``(cfg, table, chunk, deaths)`` as ``grouped_fold_case`` gives them."""
+    if name == "staggered":
+        # cl-sep, 8 nodes: one group of 8 columns, 4 rows a block; the
+        # 38-round horizon ends 2 rows into block 9. Nodes 0 to 2 fail in
+        # blocks 1, 2 and 3 and run on unresolved; node 3's failure in block 4
+        # leaves 4 of 8 running, so the four resolve there and the layout
+        # shrinks. Node 4 fails on row 3 of block 5 and stays unresolved
+        # through block 9, where the others' horizon mask clears rows 2 and
+        # 3; node 5 fails on row 1 of block 9, its horizon's block, in which
+        # nodes 6 and 7 finish.
+        cfg = load_preset("cl-sep", seed=0, max_rounds=38)
+        cfg = dataclasses.replace(cfg, net=dataclasses.replace(cfg.net, n=8))
+        table, chunk = None, 8 * 4
+        deaths = {0: (5, 0.5, 5),
+                  1: (9, 0.0, 9),       # exactly 0.0 on block 2's first row
+                  2: (15, 0.0, 15),     # exactly 0.0 on block 3's third row
+                  3: (18, 0.5, 18),
+                  4: (23, 0.5, 23),
+                  5: (37, 0.5, 37)}
+    else:
+        # 2 slots, 25 rounds: two tours of 1 entry and six of 2 form one
+        # group 4 rows deep. The tours of 1 end their 13-attempt horizons 1
+        # row into block 3, the tours of 2 their 25-attempt ones 1 row into
+        # block 6. Node 0 fails in block 1. In block 3 node 1 finishes while
+        # node 2 fails on row 2, past that block's mask, 3 blocks before its
+        # own horizon; neither failure resolves until block 6, where node 3
+        # fails on row 0, after a residual of exactly 0.0, and the rest finish.
+        cfg = load_preset("sc10-srp", seed=0, max_rounds=25)
+        cfg = dataclasses.replace(cfg, net=dataclasses.replace(cfg.net, n=8))
+        table, chunk = ([1, 1, 2, 2, 2, 2, 2, 2], 2), 8 * 4
+        deaths = {0: (6, 0.5, 12), 2: (14, 0.5, 14), 3: (24, 0.0, 24)}
+    return dataclasses.replace(cfg, stop_rule=stop_rule), table, chunk, deaths
+
+
+@pytest.mark.parametrize("stop_rule", STOP_RULES)
+@pytest.mark.parametrize("name", ["staggered", "horizons"])
+def test_batched_fold_resolve_matches_stepped_loop(name, stop_rule):
+    assert_fold_case_matches_stepped_loop(*batched_fold_case(name, stop_rule))

@@ -4,11 +4,12 @@ Every drawn run is checked against the stepped loop of ``oracles`` and for
 the physical invariants: no node energy below zero, alive counts that never
 rise, and a residual series that is the exact fold of the round costs. Each
 run also draws the block size of its reach table and folds (``_CHUNK``) as
-1, 7 or its real value, so the table is built a point or a few points at a
-time, and node folds carry energy across many blocks and stop at their
-horizon or die inside one. Drawn sep runs are also checked against runs whose
-rounds are played by the oracle ``sep_round``, also with nodes on a coarse
-grid, on both hop paths. A drawn run, some of its nodes dead before it
+1, 7, 64 or its real value, so the table is built a point or a few points at
+a time, and node folds carry energy across many blocks and stop at their
+horizon or die inside one; at 64 a fold group of many nodes sees them leave
+in different blocks, and its failures resolve in batches. Drawn sep runs are
+also checked against runs whose rounds are played by the oracle
+``sep_round``, also with nodes on a coarse grid, on both hop paths. A drawn run, some of its nodes dead before it
 starts, gives the same lifetimes and packet total before its series are
 built as the series give. Every drawn run's per-round CSV must validate.
 Drawn configs of every shape must also survive the trip through their JSON
@@ -61,7 +62,7 @@ def configs(draw, protocols=PROTOCOLS):
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(configs(), st.sampled_from([1, 7, simulation._CHUNK]))
+@given(configs(), st.sampled_from([1, 7, 64, simulation._CHUNK]))
 def test_run_invariants(cfg, chunk):
     with mock.patch.object(simulation, "_CHUNK", chunk):
         sim = Simulation(cfg)

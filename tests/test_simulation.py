@@ -338,6 +338,22 @@ class TestRun:
         m = sim.run()
         assert m.alive[-1] == sim.state.alive_count()
 
+    @pytest.mark.parametrize("name", ["cc-srp", "ss-srp"])
+    def test_horizon_survivors_wake_least_often(self, name):
+        """Why criteria 4 and 7 of ``test_acceptance`` fail by design: a node
+        still alive at round 50,000 of cc-srp or ss-srp has fewer reach slots
+        per tour than every node of its energy class that died (cc-srp keeps
+        normal nodes of 8, 10 and 14 slots against 20 at least, and an advanced
+        one of 32 against 35; ss-srp keeps one of 5 against 16)."""
+        sim = Simulation(load_preset(name, seed=0))
+        sim.run()
+        k, alive = np.diff(sim._offsets), sim.state.alive
+        assert alive.any()
+        for advanced in (False, True):
+            kin = sim.state.is_advanced == advanced
+            if (alive & kin).any():
+                assert k[alive & kin].max() < k[~alive & kin].min()
+
     def test_cl_sep_death_rounds_match_floor_oracle_full_deployment(self):
         # every node's simulated death round equals floor(e_init / per-round cost)
         cfg = load_preset("cl-sep", seed=11, max_rounds=6000)
